@@ -14,18 +14,27 @@ sine-Gordon kink's compatibility residual converge to zero; a dedicated
 test asserts it.  States are stepped with a classical 4th-order rule and
 re-orthonormalized after each step; path independence is measured by
 running the sweep in both edge orders and differencing the results.
+
+Every step advances a batch of nodes as one stack of 4x4 systems.  A sweep
+walks the seed's line as a chain, then walks from every node of that line
+across it at once, one batch per offset; each cross walk ends at its first
+masked node, and no two of them share a node.  What the line passes miss is
+attached breadth-first one level per batch.  Within a level the nodes are
+ranked by (rank of the parent, move), and a node takes its lowest-ranked
+neighbour in the level before as parent, so each node is stepped from the
+same neighbour a first-in first-out queue over the sorted visited nodes
+would pick.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import compile_expr, simplify
-from .forms import PssTriple, delta
+from .expr import compile_expr, required_names
+from .forms import PssTriple
 from .catalog import ConstraintError
 from .sff.core import SecondFundamentalForm, _numeric_params, strip_contains
 from .solutions import SolutionGrid
@@ -112,28 +121,20 @@ class _Coefficients:
 
     def __init__(self, tr: PssTriple, sff: SecondFundamentalForm,
                  grid: SolutionGrid, params=None):
-        merged = _numeric_params(tr.params)
-        merged.update(_numeric_params(sff.params))
-        merged.update(_numeric_params(params or {}))
+        merged = _merged_params(tr, sff, params)
         self.params = merged
         env = _grid_env(grid, merged)
+        _require_names(tr, sff, env)
         shape = (grid.nx, grid.nt)
         # degenerate nodes produce inf/nan here; they are masked below
         with np.errstate(all="ignore"):
-            f = {}
-            for i in (1, 2, 3):
-                for j in (1, 2):
-                    f[i, j] = _eval_on(tr.f(i, j), env, shape)
-            a = _eval_on(sff.a, env, shape)
-            b = _eval_on(sff.b, env, shape)
-            c = _eval_on(sff.c, env, shape)
+            f = {(i, j): _eval_on(tr.f(i, j), env, shape)
+                 for i in (1, 2, 3) for j in (1, 2)}
+            a, b, c = (_eval_on(e, env, shape) for e in sff.as_tuple())
             self.f = f
             self.d12 = f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
-            # per-direction rows: (w1, w2, w21, w31, w32)
-            self.wx = (f[1, 1], f[2, 1], f[3, 1],
-                       a * f[1, 1] + b * f[2, 1], b * f[1, 1] + c * f[2, 1])
-            self.wt = (f[1, 2], f[2, 2], f[3, 2],
-                       a * f[1, 2] + b * f[2, 2], b * f[1, 2] + c * f[2, 2])
+            self.wx = _connection_rows(f, a, b, c, 1)
+            self.wt = _connection_rows(f, a, b, c, 2)
         finite = np.isfinite(self.d12)
         for w in self.wx + self.wt:
             finite &= np.isfinite(w)
@@ -144,18 +145,46 @@ class _Coefficients:
             self.finite &= inside
 
     def matrix(self, direction, i, j):
-        w1, w2, w21, w31, w32 = self.wx if direction == "x" else self.wt
-        return _connection_matrix(w1[i, j], w2[i, j], w21[i, j],
-                                  w31[i, j], w32[i, j])
+        """Connection blocks at the nodes (i, j); i and j may be index arrays."""
+        rows = self.wx if direction == "x" else self.wt
+        return _connection_matrix(*(w[i, j] for w in rows))
+
+
+def _merged_params(tr, sff, params):
+    merged = _numeric_params(tr.params)
+    merged.update(_numeric_params(sff.params))
+    merged.update(_numeric_params(params or {}))
+    return merged
+
+
+def _require_names(tr, sff, env):
+    """Raise ConstraintError naming every value the forms need and env lacks."""
+    exprs = [tr.f(i, j) for i in (1, 2, 3) for j in (1, 2)] + list(sff.as_tuple())
+    missing = sorted({n for e in exprs for n in required_names(e)} - set(env))
+    if missing:
+        raise ConstraintError("params", "missing parameters: "
+                              + ", ".join(missing))
+
+
+def _connection_rows(f, a, b, c, col):
+    """(w1, w2, w21, w31, w32) along one coordinate: col 1 is x, col 2 is t."""
+    w1, w2 = f[1, col], f[2, col]
+    return w1, w2, f[3, col], a * w1 + b * w2, b * w1 + c * w2
 
 
 def _connection_matrix(w1, w2, w21, w31, w32):
-    return np.array([
-        [0.0, w1, w2, 0.0],
-        [0.0, 0.0, w21, w31],
-        [0.0, -w21, 0.0, w32],
-        [0.0, -w31, -w32, 0.0],
-    ])
+    """The 4x4 connection block, batched: coefficients of shape S give S + (4, 4)."""
+    w1, w2, w21, w31, w32 = np.broadcast_arrays(w1, w2, w21, w31, w32)
+    M = np.zeros(w1.shape + (4, 4))
+    M[..., 0, 1] = w1
+    M[..., 0, 2] = w2
+    M[..., 1, 2] = w21
+    M[..., 1, 3] = w31
+    M[..., 2, 1] = -w21
+    M[..., 2, 3] = w32
+    M[..., 3, 1] = -w31
+    M[..., 3, 2] = -w32
+    return M
 
 
 def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
@@ -167,13 +196,11 @@ def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
     product of each block with the 3x3 identity.  A node with |d12| below
     eps_deg is degenerate and rejected.
     """
-    merged = _numeric_params(tr.params)
-    merged.update(_numeric_params(sff.params))
-    merged.update(_numeric_params(params or {}))
-    env = dict(merged)
+    env = _merged_params(tr, sff, params)
     env.update({k: float(v) for k, v in node.items()})
     env.setdefault("x", 0.0)
     env.setdefault("t", 0.0)
+    _require_names(tr, sff, env)
 
     def ev(e):
         with np.errstate(all="ignore"):
@@ -185,17 +212,16 @@ def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
     if eps_deg is not None and abs(d12) <= eps_deg:
         raise ConstraintError(
             "node", f"degenerate node: |d12| = {abs(d12):.3e} <= {eps_deg:.3e}")
-    Mx = _connection_matrix(f[1, 1], f[2, 1], f[3, 1],
-                            a * f[1, 1] + b * f[2, 1],
-                            b * f[1, 1] + c * f[2, 1])
-    Mt = _connection_matrix(f[1, 2], f[2, 2], f[3, 2],
-                            a * f[1, 2] + b * f[2, 2],
-                            b * f[1, 2] + c * f[2, 2])
-    return Mx, Mt
+    return (_connection_matrix(*_connection_rows(f, a, b, c, 1)),
+            _connection_matrix(*_connection_rows(f, a, b, c, 2)))
 
 
 def _rk4_edge(Y, M0, M1, h):
-    """One classical step of Y' = M(s) Y along an edge, midpoint averaged."""
+    """One classical step of Y' = M(s) Y along an edge, midpoint averaged.
+
+    Y is a stack (..., 4, 3) of states and M0, M1 the matching (..., 4, 4)
+    blocks at the edge's two ends.
+    """
     Mm = 0.5 * (M0 + M1)
     k1 = M0 @ Y
     k2 = Mm @ (Y + 0.5 * h * k1)
@@ -205,19 +231,93 @@ def _rk4_edge(Y, M0, M1, h):
 
 
 def _renormalize(Y):
-    """Gram-Schmidt on the frame rows; e3 is rebuilt as e1 x e2."""
-    e1 = Y[1] / np.linalg.norm(Y[1])
-    e2 = Y[2] - (Y[2] @ e1) * e1
-    e2 = e2 / np.linalg.norm(e2)
-    e3 = np.cross(e1, e2)
-    drift = max(abs(np.linalg.norm(Y[1]) - 1.0),
-                abs(np.linalg.norm(Y[2]) - 1.0),
-                abs(float(Y[1] @ Y[2])),
-                float(np.abs(Y[3] - np.cross(Y[1] / np.linalg.norm(Y[1]),
-                                             Y[2] / np.linalg.norm(Y[2]))).max()))
+    """Gram-Schmidt on the frame rows of a stack (..., 4, 3); e3 is rebuilt
+    as e1 x e2.  Returns the new stack and the largest drift in it."""
+    r1, r2, r3 = Y[..., 1, :], Y[..., 2, :], Y[..., 3, :]
+    n1 = np.linalg.norm(r1, axis=-1, keepdims=True)
+    n2 = np.linalg.norm(r2, axis=-1, keepdims=True)
+    e1 = r1 / n1
+    e2 = r2 - (r2 * e1).sum(-1, keepdims=True) * e1
+    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
+    drift = max(float(np.abs(n1 - 1.0).max()), float(np.abs(n2 - 1.0).max()),
+                float(np.abs((r1 * r2).sum(-1)).max()),
+                float(np.abs(r3 - np.cross(e1, r2 / n2)).max()))
     out = Y.copy()
-    out[1], out[2], out[3] = e1, e2, e3
+    out[..., 1, :], out[..., 2, :], out[..., 3, :] = e1, e2, np.cross(e1, e2)
     return out, drift
+
+
+# neighbour offsets in the order the breadth-first attach tries them
+_MOVES = ((0, 1), (0, -1), (1, 0), (-1, 0))
+
+
+class _Sweep:
+    """One sweep's states; every step moves a batch of nodes by one offset."""
+
+    def __init__(self, coeffs, grid, mask, seed_index, seed_state):
+        nx, nt = mask.shape
+        self.coeffs = coeffs
+        self.h = (grid.hx, grid.ht)
+        self.Y = np.full((nx, nt, 4, 3), np.nan)
+        self.visited = np.zeros_like(mask, dtype=bool)
+        # admissible and not yet visited, padded by one node on every side
+        self.free = np.zeros((nx + 2, nt + 2), dtype=bool)
+        self.free[1:-1, 1:-1] = mask
+        self.drift = 0.0
+        i, j = seed_index
+        self.Y[i, j] = seed_state.matrix()
+        self.visited[i, j] = True
+        self.free[i + 1, j + 1] = False
+
+    def step(self, i, j, di, dj):
+        """Step the states at the nodes (i, j) to (i + di, j + dj)."""
+        axis = 0 if di else 1
+        direction = "xt"[axis]
+        i2, j2 = i + di, j + dj
+        M0 = self.coeffs.matrix(direction, i, j)
+        M1 = self.coeffs.matrix(direction, i2, j2)
+        nxt, d = _renormalize(_rk4_edge(self.Y[i, j], M0, M1,
+                                        (di + dj) * self.h[axis]))
+        self.drift = max(self.drift, d)
+        self.Y[i2, j2] = nxt
+        self.visited[i2, j2] = True
+        self.free[i2 + 1, j2 + 1] = False
+
+    def walk(self, i, j, di, dj):
+        """Walk from every node (i, j) by (di, dj) at once; a walk ends at the
+        grid edge or at its first masked or visited node."""
+        while i.size:
+            go = self.free[i + di + 1, j + dj + 1]
+            i, j = i[go], j[go]
+            if i.size:
+                self.step(i, j, di, dj)
+            i, j = i + di, j + dj
+
+    def attach(self):
+        """Breadth-first attachment of the reachable nodes not yet visited.
+
+        Stepped one level at a time.  Level 0 is every visited node in
+        lexicographic order; a new node's parent is its lowest-ranked
+        neighbour in the level before, and the new level is ranked by
+        (parent rank, index of the move in _MOVES).  That is the parent and
+        the order a first-in first-out queue seeded with the sorted visited
+        nodes gives.
+        """
+        nt = self.visited.shape[1]
+        di, dj = np.array(_MOVES).T
+        pi, pj = np.nonzero(self.visited)
+        while pi.size:
+            ni = (pi[:, None] + di).ravel()
+            nj = (pj[:, None] + dj).ravel()
+            # claims in (parent rank, move) order; each node keeps its first
+            claim = np.flatnonzero(self.free[ni + 1, nj + 1])
+            _, first = np.unique(ni[claim] * nt + nj[claim], return_index=True)
+            parent, move = np.divmod(claim[np.sort(first)], len(_MOVES))
+            for m, (mi, mj) in enumerate(_MOVES):
+                sel = parent[move == m]
+                if sel.size:
+                    self.step(pi[sel], pj[sel], mi, mj)
+            pi, pj = pi[parent] + di[move], pj[parent] + dj[move]
 
 
 def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
@@ -227,63 +327,18 @@ def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
     transpose.  Remaining reachable nodes are attached breadth-first, so an
     irregular component is still covered.  Returns (Y, visited, drift).
     """
-    nx, nt = mask.shape
-    Y = np.full((nx, nt, 4, 3), np.nan)
-    visited = np.zeros_like(mask, dtype=bool)
-    i0, j0 = seed_index
-    Y[i0, j0] = seed_state.matrix()
-    visited[i0, j0] = True
-    drift = 0.0
-
-    def step(src, dst):
-        nonlocal drift
-        (i1, j1), (i2, j2) = src, dst
-        if i1 != i2:
-            h = (i2 - i1) * grid.hx
-            M0 = coeffs.matrix("x", i1, j1)
-            M1 = coeffs.matrix("x", i2, j2)
-        else:
-            h = (j2 - j1) * grid.ht
-            M0 = coeffs.matrix("t", i1, j1)
-            M1 = coeffs.matrix("t", i2, j2)
-        nxt = _rk4_edge(Y[i1, j1], M0, M1, h)
-        nxt, d = _renormalize(nxt)
-        drift = max(drift, d)
-        Y[i2, j2] = nxt
-        visited[i2, j2] = True
-
-    def run(start, di, dj):
-        i, j = start
-        while True:
-            i2, j2 = i + di, j + dj
-            if not (0 <= i2 < nx and 0 <= j2 < nt) or not mask[i2, j2] \
-                    or visited[i2, j2]:
-                return
-            step((i, j), (i2, j2))
-            i, j = i2, j2
-
+    sweep = _Sweep(coeffs, grid, mask, seed_index, seed_state)
     primary = ((0, 1), (0, -1)) if order == "tx" else ((1, 0), (-1, 0))
     cross = ((1, 0), (-1, 0)) if order == "tx" else ((0, 1), (0, -1))
+    i0, j0 = (np.array([k]) for k in seed_index)
     for d in primary:
-        run(seed_index, *d)
-    line = ([(i0, j) for j in range(nt) if visited[i0, j]] if order == "tx"
-            else [(i, j0) for i in range(nx) if visited[i, j0]])
-    for node in line:
-        for d in cross:
-            run(node, *d)
-
-    # breadth-first attachment of whatever the two passes missed
-    queue = deque(sorted(zip(*np.nonzero(visited))))
-    moves = (cross + primary) if order == "tx" else (primary + cross)
-    while queue:
-        i, j = queue.popleft()
-        for di, dj in ((0, 1), (0, -1), (1, 0), (-1, 0)):
-            i2, j2 = i + di, j + dj
-            if 0 <= i2 < nx and 0 <= j2 < nt and mask[i2, j2] \
-                    and not visited[i2, j2]:
-                step((i, j), (i2, j2))
-                queue.append((i2, j2))
-    return Y, visited, drift
+        sweep.walk(i0, j0, *d)
+    # the cross walks start from every node the line walks reached
+    i, j = np.nonzero(sweep.visited)
+    for d in cross:
+        sweep.walk(i, j, *d)
+    sweep.attach()
+    return sweep.Y, sweep.visited, sweep.drift
 
 
 def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
@@ -331,14 +386,18 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
 
     Y1, vis1, drift1 = _sweep(coeffs, grid, mask, seed_index, seed, "xt")
     Y2, vis2, drift2 = _sweep(coeffs, grid, mask, seed_index, seed, "tx")
+    del coeffs
     both = vis1 & vis2
     residual = np.full((nx, nt), np.nan)
-    diff = np.abs(Y1 - Y2).max(axis=(2, 3))
+    # in place and without copies of Y1: full-grid temporaries raise the
+    # memory peak of every run
+    diff = np.subtract(Y1, Y2, out=Y2)
+    diff = np.abs(diff, out=diff).max(axis=(2, 3))
     residual[both] = diff[both]
 
     return FrameField(
-        X=Y1[:, :, 0, :].copy(),
-        frames=Y1[:, :, 1:, :].copy(),
+        X=Y1[:, :, 0, :],
+        frames=Y1[:, :, 1:, :],
         valid=vis1,
         path_residual=residual,
         drift_max=max(drift1, drift2),
@@ -385,35 +444,42 @@ def _interior_full(valid):
     return out
 
 
+# incident triangles of the regular split around a vertex, as the node
+# offsets (q, r) of their other two corners
+_FAN = (((1, 0), (1, 1)),
+        ((1, 1), (0, 1)),
+        ((0, 1), (-1, 0)),      # wedge of the two cells left/up
+        ((-1, 0), (-1, -1)),
+        ((-1, -1), (0, -1)),
+        ((0, -1), (1, 0)))
+
+
 def _angle_defect_curvature(X, valid):
     """Discrete K per interior vertex: angle defect over a third of the
-    incident triangle area, using the quad split along the (+1, +1) diagonal."""
+    incident triangle area, using the quad split along the (+1, +1) diagonal.
+
+    The six triangles are gathered one at a time over all interior nodes; a
+    triangle with a zero-length edge contributes nothing.
+    """
     nx, nt, _ = X.shape
-    interior = _interior_full(valid)
+    ii, jj = np.nonzero(_interior_full(valid))
+    p = X[ii, jj]
+    angle_sum = np.zeros(ii.size)
+    area_sum = np.zeros(ii.size)
+    for (qi, qj), (ri, rj) in _FAN:
+        v1 = X[ii + qi, jj + qj] - p
+        v2 = X[ii + ri, jj + rj] - p
+        n1 = np.linalg.norm(v1, axis=-1)
+        n2 = np.linalg.norm(v2, axis=-1)
+        ok = (n1 != 0) & (n2 != 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cosang = np.clip((v1 * v2).sum(-1) / (n1 * n2), -1.0, 1.0)
+        angle_sum += np.where(ok, np.arccos(cosang), 0.0)
+        area_sum += np.where(ok, 0.5 * np.linalg.norm(np.cross(v1, v2), axis=-1),
+                             0.0)
     K = np.full((nx, nt), np.nan)
-    for i, j in zip(*np.nonzero(interior)):
-        p = X[i, j]
-        # incident triangles of the regular split around (i, j)
-        tris = (
-            (X[i + 1, j], X[i + 1, j + 1]),
-            (X[i + 1, j + 1], X[i, j + 1]),
-            (X[i, j + 1], X[i - 1, j]),      # wedge of the two cells left/up
-            (X[i - 1, j], X[i - 1, j - 1]),
-            (X[i - 1, j - 1], X[i, j - 1]),
-            (X[i, j - 1], X[i + 1, j]),
-        )
-        angle_sum = 0.0
-        area_sum = 0.0
-        for q, r in tris:
-            v1, v2 = q - p, r - p
-            n1, n2 = np.linalg.norm(v1), np.linalg.norm(v2)
-            if n1 == 0 or n2 == 0:
-                continue
-            cosang = np.clip((v1 @ v2) / (n1 * n2), -1.0, 1.0)
-            angle_sum += math.acos(cosang)
-            area_sum += 0.5 * np.linalg.norm(np.cross(v1, v2))
-        if area_sum > 0:
-            K[i, j] = (2.0 * math.pi - angle_sum) / (area_sum / 3.0)
+    pos = area_sum > 0
+    K[ii[pos], jj[pos]] = (2.0 * math.pi - angle_sum[pos]) / (area_sum[pos] / 3.0)
     return K
 
 
@@ -475,6 +541,9 @@ def validate_surface(field: FrameField, tr: PssTriple,
 # ------------------------------------------------------------ export
 
 
+_BLOCK = 4096
+
+
 def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None):
     """Write the valid sub-grid as an OBJ mesh plus a sidecar report.
 
@@ -484,31 +553,27 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
     """
     path = str(path)
     valid = field.valid
-    nx, nt = valid.shape
-    index = np.zeros((nx, nt), dtype=int)
-    verts = []
-    for i in range(nx):
-        for j in range(nt):
-            if valid[i, j]:
-                index[i, j] = len(verts) + 1  # OBJ indices are 1-based
-                verts.append(field.X[i, j])
-    faces = []
-    for i in range(nx - 1):
-        for j in range(nt - 1):
-            if valid[i, j] and valid[i + 1, j] and valid[i + 1, j + 1] \
-                    and valid[i, j + 1]:
-                faces.append((index[i, j], index[i + 1, j], index[i + 1, j + 1]))
-                faces.append((index[i, j], index[i + 1, j + 1], index[i, j + 1]))
+    index = np.cumsum(valid).reshape(valid.shape)  # 1-based on valid nodes
+    verts = field.X[valid]
+    quad = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+    qi, qj = np.nonzero(quad)
+    a, b = index[qi, qj], index[qi + 1, qj]
+    c, d = index[qi + 1, qj + 1], index[qi, qj + 1]
+    faces = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
 
     with open(path, "w") as fh:
         fh.write("# pseudo-spherical immersion mesh\n")
-        if not verts:
+        if not len(verts):
             fh.write("# warning: empty field, no valid nodes\n")
         fh.write(f"# vertices: {len(verts)} faces: {len(faces)}\n")
-        for v in verts:
-            fh.write(f"v {v[0]:.12g} {v[1]:.12g} {v[2]:.12g}\n")
-        for a, b, c in faces:
-            fh.write(f"f {a} {b} {c}\n")
+        # in blocks, so the Python floats and ints of one block are alive
+        # at a time
+        for k in range(0, len(verts), _BLOCK):
+            fh.writelines(f"v {x:.12g} {y:.12g} {z:.12g}\n"
+                          for x, y, z in verts[k:k + _BLOCK].tolist())
+        for k in range(0, len(faces), _BLOCK):
+            fh.writelines(f"f {a} {b} {c}\n"
+                          for a, b, c in faces[k:k + _BLOCK].tolist())
 
     sidecar = path + ".diag.txt" if not path.endswith(".obj") \
         else path[:-4] + ".diag.txt"
@@ -517,6 +582,6 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
         if diagnostics is not None:
             for line in diagnostics.lines():
                 fh.write(line + "\n")
-        elif not verts:
+        elif not len(verts):
             fh.write("warning: empty field\n")
     return path

@@ -261,15 +261,12 @@ class SolutionGrid:
         with open(path, "rb") as fh:
             header = fh.readline().decode("ascii")
             payload = fh.read()
-        fields = ""
-        parts = {}
-        for tok in header.split():
-            key, _, val = tok.partition("=")
-            parts[key] = val
-        head = {k: (int(parts[k]) if k in ("nx", "nt") else float(parts[k]))
-                for k in ("x0", "t0", "hx", "ht", "nx", "nt")}
-        names = parts["fields"].split(",")
-        grid = cls(**head)
+        grid = cls(**_parse_header(header))
+        fields = [tok[len("fields="):] for tok in header.split()
+                  if tok.startswith("fields=")]
+        if not fields:
+            raise ValueError("grid header missing fields")
+        names = fields[0].split(",")
         per = grid.nx * grid.nt
         data = np.frombuffer(payload, dtype="<f8")
         if data.size != per * len(names):

@@ -256,6 +256,28 @@ def test_immerse_from_stored_grid(capsys, tmp_path):
     assert "result: PASS" in out
 
 
+@pytest.mark.parametrize("family, missing", [
+    ("hyp-iii-lambda", "T, eta, lambda, tau, xi"),
+    ("hyp-iii-xi-tau", "eta, tau, xi"),
+    ("evo-hlzero", "eta, lambda"),
+])
+def test_immerse_missing_family_parameters(capsys, tmp_path, family, missing):
+    code, out = run(capsys, "immerse", "--family", family,
+                    "--solution", "linear", "--grid", "0:1:0:1:0.1",
+                    "--out", str(tmp_path / "o.obj"))
+    assert code == 2
+    assert out == f"constraint violation: params: missing parameters: {missing}\n"
+
+
+def test_immerse_malformed_binary_grid(capsys, tmp_path):
+    src = tmp_path / "junk.bin"
+    src.write_bytes(b"not a grid header\n" + bytes(16))
+    code, out = run(capsys, "immerse", "--family", "sg-basic",
+                    "--solution", str(src), "--out", str(tmp_path / "k.obj"))
+    assert code == 2
+    assert out == "error: grid header missing x0, t0, hx, ht, nx, nt\n"
+
+
 # -------------------------------------------------------------- config
 
 

@@ -204,6 +204,18 @@ def test_grid_binary_rejects_short_payload(tmp_path):
         SolutionGrid.from_binary(path)
 
 
+@pytest.mark.parametrize("header, key", [
+    (b"garbage\n", "x0"),
+    (b"x0=0.0 t0=0.0 hx=1.0 ht=1.0 nx=1 fields=u dtype=<f8\n", "nt"),
+    (b"x0=0.0 t0=0.0 hx=1.0 ht=1.0 nx=1 nt=1 dtype=<f8\n", "fields"),
+])
+def test_grid_binary_rejects_malformed_header(tmp_path, header, key):
+    path = tmp_path / "grid.bin"
+    path.write_bytes(header + np.zeros(1, dtype="<f8").tobytes())
+    with pytest.raises(ValueError, match=f"missing {key}"):
+        SolutionGrid.from_binary(path)
+
+
 # ------------------------------------------------------------ traveling waves
 
 
