@@ -45,10 +45,6 @@ class FamilyId(Enum):
     HYP_III_LAMBDA = "hyp-iii-lambda"
     HYP_III_XI_TAU = "hyp-iii-xi-tau"
 
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
     @classmethod
     def from_name(cls, name: str) -> "FamilyId":
         key = name.strip().lower().replace("_", "-")
@@ -88,6 +84,8 @@ class FamilySpec:
     # expression is written so the identity cancels structurally
     alpha: Expr = None
     report: list = field(default_factory=list)
+    # finite-jet verdicts for this table, keyed by (max_order, l, gamma_im)
+    verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def note(self, line: str):
         self.report.append(line)
@@ -112,7 +110,7 @@ def _sign_of(params, key="sign"):
         return 1
     if raw in (-1, -1.0, "-", "-1", "minus"):
         return -1
-    raise ConstraintError("sign", f"sign flag must be +1 or -1, got {raw!r}")
+    raise ConstraintError(key, f"sign flag must be +1 or -1, got {raw!r}")
 
 
 class _Params:
@@ -690,11 +688,6 @@ def validate_evolution_constraints(spec: FamilySpec):
     return q
 
 
-def generate_F(spec: FamilySpec) -> Expr:
-    """The right-hand side the table forces; identical to spec.F."""
-    return spec.F
-
-
 # ------------------------------------------------------------ random draws
 
 _EVO_F11_POOL = ("z0", "exp(z0)", "2*z0 + 1", "z0 + z0^3/3")
@@ -760,42 +753,3 @@ def sample_params(family, rng=None, seed=None) -> dict:
         return {"eta": u(0.5, 2.0), "xi": u(0.3, 0.7), "tau": u(3.5, 5.0)}
     raise ValueError(family)
 
-
-# --------------------------------------------------------------- manifests
-
-def format_manifest(spec: FamilySpec) -> str:
-    lines = [f"family = {spec.id.value}"]
-    for key in sorted(spec.params):
-        v = spec.params[key]
-        lines.append(f"param.{key} = {v}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_manifest(text: str):
-    """Read `family = <id>` plus `param.<name> = <value>` lines."""
-    family = None
-    params = {}
-    for n, rawline in enumerate(text.splitlines(), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"manifest line {n}: expected key = value, got {rawline!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        value = value.strip()
-        if key == "family":
-            family = FamilyId.from_name(value)
-        elif key.startswith("param."):
-            name = key[len("param."):]
-            try:
-                params[name] = float(value)
-            except ValueError:
-                params[name] = value
-        elif key in ("f11", "f12", "f22", "f31"):
-            params[key] = value
-        else:
-            raise ValueError(f"manifest line {n}: unknown key {key!r}")
-    if family is None:
-        raise ValueError("manifest does not name a family")
-    return family, params

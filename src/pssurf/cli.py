@@ -27,13 +27,13 @@ import numpy as np
 from .catalog import ConstraintError, FamilyId, build
 from .forms import verify_family
 from .frame import export_mesh, integrate_frame, validate_surface
-from .sff import NoImmersion, closed_form, finite_jet_obstruction, verify_immersion
+from .sff import (IMMERSION_KEYS, NoImmersion, closed_form,
+                  finite_jet_obstruction, verify_immersion)
 from .solutions import SolutionGrid, linear_solution, sg_kink
 
 # family parameters exposed as flags; lambda needs a safe attribute name
 _PARAM_FLAGS = ("eta", "alpha", "beta", "gamma", "delta", "nu", "xi", "zeta",
                 "tau", "A", "B", "Q", "T", "sign")
-_IMMERSION_FLAGS = ("l", "gamma_im", "sign_im")
 
 
 @dataclass
@@ -50,7 +50,7 @@ class RunConfig:
     report: str = None
     order: int = 1
     points: int = 64
-    tol: float = 1e-9
+    tol: float = 1e-8
     seed: int = 1234
     eps_deg: float = None
     k_tol: float = 1e-2
@@ -148,8 +148,8 @@ def _param_header(cfg):
 
 
 def _split_params(cfg):
-    fam = {k: v for k, v in cfg.params.items() if k not in _IMMERSION_FLAGS}
-    imm = {k: v for k, v in cfg.params.items() if k in _IMMERSION_FLAGS}
+    fam = {k: v for k, v in cfg.params.items() if k not in IMMERSION_KEYS}
+    imm = {k: v for k, v in cfg.params.items() if k in IMMERSION_KEYS}
     return fam, imm
 
 
@@ -173,7 +173,8 @@ def cmd_verify(cfg: RunConfig) -> int:
         lines.append(f"immersion closed-form: none ({exc})")
         sff = None
     if sff is not None:
-        imm = verify_immersion(spec.triple, sff, n=cfg.points, seed=cfg.seed)
+        imm = verify_immersion(spec.triple, sff, n=cfg.points, tol=cfg.tol,
+                               seed=cfg.seed)
         lines.append("immersion closed-form: " + (sff.label or "present"))
         lines.extend("  " + l for l in imm.lines())
         imm_ok = imm.ok
@@ -193,9 +194,8 @@ def cmd_obstruct(cfg: RunConfig) -> int:
     family = _family_of(cfg)
     fam_params, imm_params = _split_params(cfg)
     spec = build(family, fam_params)
-    verdict = finite_jet_obstruction(
-        spec, max_order=cfg.order,
-        l=imm_params.get("l", 4.0), gamma_im=imm_params.get("gamma_im", 1.0))
+    strip_consts = {k: v for k, v in imm_params.items() if k != "sign_im"}
+    verdict = finite_jet_obstruction(spec, max_order=cfg.order, **strip_consts)
     lines = [f"family: {family.value}", _param_header(cfg)]
     lines.extend(verdict.lines())
     _emit(lines, cfg.report)
@@ -323,7 +323,7 @@ def make_config(args) -> RunConfig:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)
-    for name in _PARAM_FLAGS + ("l", "gamma_im", "sign_im"):
+    for name in _PARAM_FLAGS + IMMERSION_KEYS:
         value = getattr(args, name, None)
         if value is not None:
             cfg.params[name] = value

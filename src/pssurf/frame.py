@@ -121,18 +121,14 @@ class _Coefficients:
 
     def __init__(self, tr: PssTriple, sff: SecondFundamentalForm,
                  grid: SolutionGrid, params=None):
-        merged = _merged_params(tr, sff, params)
+        merged, env, f = _table_grids(tr, sff, grid, params)
         self.params = merged
-        env = _grid_env(grid, merged)
-        _require_names(tr, sff, env)
         shape = (grid.nx, grid.nt)
         # degenerate nodes produce inf/nan here; they are masked below
         with np.errstate(all="ignore"):
-            f = {(i, j): _eval_on(tr.f(i, j), env, shape)
-                 for i in (1, 2, 3) for j in (1, 2)}
             a, b, c = (_eval_on(e, env, shape) for e in sff.as_tuple())
             self.f = f
-            self.d12 = f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
+            self.d12 = _d12(f)
             self.wx = _connection_rows(f, a, b, c, 1)
             self.wt = _connection_rows(f, a, b, c, 2)
         finite = np.isfinite(self.d12)
@@ -148,6 +144,23 @@ class _Coefficients:
         """Connection blocks at the nodes (i, j); i and j may be index arrays."""
         rows = self.wx if direction == "x" else self.wt
         return _connection_matrix(*(w[i, j] for w in rows))
+
+
+def _table_grids(tr, sff, grid, params):
+    """The merged parameters, the grid environment and the six f_ij grids."""
+    merged = _merged_params(tr, sff, params)
+    env = _grid_env(grid, merged)
+    _require_names(tr, sff, env)
+    shape = (grid.nx, grid.nt)
+    with np.errstate(all="ignore"):
+        f = {(i, j): _eval_on(tr.f(i, j), env, shape)
+             for i in (1, 2, 3) for j in (1, 2)}
+    return merged, env, f
+
+
+def _d12(f):
+    with np.errstate(all="ignore"):
+        return f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
 
 
 def _merged_params(tr, sff, params):
@@ -208,7 +221,7 @@ def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
 
     f = {(i, j): ev(tr.f(i, j)) for i in (1, 2, 3) for j in (1, 2)}
     a, b, c = (ev(e) for e in sff.as_tuple())
-    d12 = f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
+    d12 = _d12(f)
     if eps_deg is not None and abs(d12) <= eps_deg:
         raise ConstraintError(
             "node", f"degenerate node: |d12| = {abs(d12):.3e} <= {eps_deg:.3e}")
@@ -487,11 +500,10 @@ def validate_surface(field: FrameField, tr: PssTriple,
                      sff: SecondFundamentalForm, params=None) -> SurfaceDiagnostics:
     """First-fundamental-form, curvature and normal checks on the field."""
     grid = field.grid
-    coeffs = _Coefficients(tr, sff, grid, params)
+    _, _, f = _table_grids(tr, sff, grid, params)
     X = field.X
     valid = field.valid
 
-    f = coeffs.f
     g_xx = f[1, 1] ** 2 + f[2, 1] ** 2
     g_xt = f[1, 1] * f[1, 2] + f[2, 1] * f[2, 2]
     g_tt = f[1, 2] ** 2 + f[2, 2] ** 2
@@ -513,7 +525,7 @@ def validate_surface(field: FrameField, tr: PssTriple,
                         ((Xt * Xt).sum(-1), g_tt)):
             metric_errs.append(np.abs(fd[sel] - ref[sel]) / (1.0 + np.abs(ref[sel])))
         # Xx x Xt = d12 * e3, so the unit cross carries the sign of d12
-        cross = np.cross(Xx[sel], Xt[sel]) * np.sign(coeffs.d12[sel])[:, None]
+        cross = np.cross(Xx[sel], Xt[sel]) * np.sign(_d12(f)[sel])[:, None]
         norms = np.linalg.norm(cross, axis=-1, keepdims=True)
         ok = norms[:, 0] > 0
         unit = cross[ok] / norms[ok]

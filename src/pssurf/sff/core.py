@@ -2,8 +2,9 @@
 
 A surface patch carries ac - b^2 = -1 (Gauss) and a pair of first-order
 compatibility equations (Codazzi) tying (a, b, c) to the table.  This
-module holds the closed-form solutions, the open strips they live on,
-and the residual computations used to check them.
+module holds the form type, the open strips the universal forms live on,
+and the residual computations used to check them; which form a table
+admits is decided by the finite-jet analysis in ``obstruction``.
 """
 
 import math
@@ -11,29 +12,23 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..catalog import ConstraintError, FamilyId, FamilySpec, build
+from ..catalog import ConstraintError
 from ..expr import (
     Const,
     Expr,
+    Fun,
     Param,
     T,
     X,
     evaluate,
     is_zero,
     jets_of,
-    parse,
-    partial,
     simplify,
     sqrt,
-    to_text,
     total_t,
     total_x,
-    z,
 )
-from ..expr.nodes import Fun
 from ..forms import PssTriple, delta
-
-Z0 = z(0)
 
 
 class NoImmersion(ValueError):
@@ -214,27 +209,12 @@ def verify_immersion(tr: PssTriple, sff: SecondFundamentalForm,
     return ImmersionReport(gauss=g, codazzi=(v1, v2), ok=ok)
 
 
-# ------------------------------------------------------------ closed forms
-
-_IMMERSION_KEYS = ("l", "gamma_im", "sign_im")
-
-
-def _split_immersion_params(params):
-    params = dict(params or {})
-    imm = {}
-    for key in _IMMERSION_KEYS:
-        if key in params:
-            imm[key] = params.pop(key)
-    return params, imm
+# ------------------------------------------------------------ universal forms
 
 
 def universal_form(strip: DomainStrip, params=None) -> SecondFundamentalForm:
-    """The jet-free family a^2 = l*E - gamma_im^2*E^2 - 1, b = gamma_im*E on the strip."""
-    return _universal_trio(strip, params or {})
-
-
-def _universal_trio(strip: DomainStrip, params):
-    """a, b, c built from E = exp(2*s); Gauss holds structurally."""
+    """The jet-free family a^2 = l*E - gamma_im^2*E^2 - 1, b = gamma_im*E on
+    the strip, with E = exp(2*s); Gauss holds structurally."""
     l = Param("l")
     gam = Param("gamma_im")
     E = simplify(Fun("exp", simplify(2 * strip.form())))
@@ -247,119 +227,3 @@ def _universal_trio(strip: DomainStrip, params):
         a=a, b=b, c=c, jet_order=None, strip=strip, params=merged,
         constraints=strip.constraint_exprs(margin_pad=0.02),
     )
-
-
-def closed_form(family, params=None) -> SecondFundamentalForm:
-    """The classified second fundamental form for the family, or NoImmersion.
-
-    params may carry the family parameters together with the immersion
-    constants l, gamma_im and the flag sign_im.
-    """
-    if isinstance(family, FamilySpec):
-        spec = family
-        fam_params, imm = _split_immersion_params(params)
-        if fam_params:
-            raise ValueError("family parameters must be given when building the FamilySpec")
-    else:
-        fam_params, imm = _split_immersion_params(params)
-        spec = build(family, fam_params)
-    fam = spec.id
-    s_im = 1 if imm.get("sign_im", 1) in (1, 1.0, "+", "+1") else -1
-    l_v = float(imm.get("l", 4.0))
-    g_v = float(imm.get("gamma_im", 1.0))
-
-    if fam is FamilyId.SG_BASIC:
-        a = simplify(Const(s_im) * parse("sin(z0/2)") / parse("cos(z0/2)"))
-        c = simplify(-Const(s_im) * parse("cos(z0/2)") / parse("sin(z0/2)"))
-        return SecondFundamentalForm(
-            a=a, b=Const(0), c=c, jet_order=0,
-            params=dict(spec.params),
-            constraints=(parse("sin(z0)^2"),), label="sg-basic")
-
-    if fam in (FamilyId.SG_ETA, FamilyId.HYP_I_QA, FamilyId.HYP_I_GENERAL):
-        return _qa_closed_form(spec, s_im)
-
-    if fam is FamilyId.EVO_HLZERO:
-        strip = DomainStrip(sign=spec.params["sign"], p=Param("eta"),
-                            q=Param("lambda"), l=l_v, gamma_im=g_v,
-                            params=_numeric_params(spec.params))
-        sff = _universal_trio(strip, spec.params)
-        return _with_label(sff, "evo-hlzero universal")
-
-    if fam is FamilyId.HYP_III_LAMBDA:
-        # the strip form's t-coefficient is the table's f22 = lambda/eta -/+ xi
-        strip = DomainStrip(sign=spec.params["sign"], p=Param("eta"),
-                            q=spec.f[1][1], l=l_v, gamma_im=g_v,
-                            params=_numeric_params(spec.params))
-        sff = _universal_trio(strip, spec.params)
-        return _with_label(sff, "linear-equation universal")
-
-    if fam is FamilyId.HYP_III_XI_TAU:
-        strip = DomainStrip(sign=1, p=Param("eta"), q=Const(0), l=l_v,
-                            gamma_im=g_v, params=_numeric_params(spec.params))
-        sff = _universal_trio(strip, spec.params)
-        return _with_label(sff, "integrable-table universal")
-
-    if fam is FamilyId.EVO_HLNONZERO:
-        raise NoImmersion(
-            "coefficients of any finite jet order force f11_z0 = 0, "
-            "contradicting the table")
-    if fam is FamilyId.HYP_II_GAMMA_NE1:
-        raise NoImmersion(
-            "the compatibility equations force "
-            "(B^2 - A^2*gamma)*z1^2 - A^2*beta = 0, which no admissible "
-            "parameters satisfy")
-    if fam is FamilyId.HYP_II_GAMMA1:
-        raise NoImmersion(
-            "coefficients must be independent of the jets, and then b = 0 "
-            "with a = c contradicts ac - b^2 = -1")
-    if fam is FamilyId.HYP_III_ZERO:
-        raise NoImmersion(
-            "coefficients must be independent of the jets, and then b = 0 "
-            "with a = c contradicts ac - b^2 = -1")
-    raise NoImmersion(f"no classified second fundamental form for {fam.value}")
-
-
-def _with_label(sff: SecondFundamentalForm, label):
-    return SecondFundamentalForm(
-        a=sff.a, b=sff.b, c=sff.c, jet_order=sff.jet_order, strip=sff.strip,
-        params=sff.params, constraints=sff.constraints, label=label)
-
-
-def _qa_closed_form(spec: FamilySpec, s_im) -> SecondFundamentalForm:
-    """Zero-jet-order coefficients for the quadratic-argument tables."""
-    fam = spec.id
-    eta = Param("eta")
-    if fam is FamilyId.SG_ETA:
-        A = Const(-1)
-        Q = Const(0)
-        F = parse("sin(z0)")
-    else:
-        if fam is FamilyId.HYP_I_GENERAL:
-            if spec.params.get("B", None) != 0.0:
-                if spec.params.get("fkind") in ("sinh", "cosh"):
-                    raise NoImmersion(
-                        "no immersion of finite jet order exists when the "
-                        "linearizing constant alpha is negative")
-                raise NoImmersion(
-                    "the compatibility equations admit no finite-jet-order "
-                    "coefficients when B != 0")
-        if spec.params.get("fkind") in ("sinh", "cosh"):
-            raise NoImmersion(
-                "no immersion of finite jet order exists when the "
-                "linearizing constant alpha is negative")
-        A = Param("A")
-        Q = Const(0) if spec.params.get("Q") == 0.0 else Param("Q")
-        F = spec.F
-    Fp = partial(F, Z0)
-    s = Const(s_im)
-    wden = simplify(Q * Q / (A * A) + eta * eta)
-    a = simplify(s * (2 * eta / (A * wden)) * (eta * A * A * Fp / F + Q))
-    b = simplify(-s * (1 / wden) * (2 * eta * Q * Fp / F + Q * Q / (A * A) - eta * eta))
-    c = simplify(s * (2 * Q / (A * wden)) * (Q * Fp / F - eta))
-    constraints = tuple(spec.triple.constraints) + (simplify(F * F),)
-    params = dict(spec.params)
-    params.pop("fkind", None)
-    return SecondFundamentalForm(
-        a=a, b=b, c=c, jet_order=0, params=params,
-        constraints=constraints, label="zero-jet-order coefficients")

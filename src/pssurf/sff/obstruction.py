@@ -19,7 +19,7 @@ deterministically by branch tag.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 from ..expr import (
@@ -31,13 +31,15 @@ from ..expr import (
     jets_of,
     partial,
     simplify,
+    substitute,
     to_text,
     z,
 )
 from ..forms import PssTriple, delta
-from ..catalog import FamilySpec, hlpm
+from ..catalog import FamilySpec, _sign_of, build, hlpm
 from .core import (
     DomainStrip,
+    NoImmersion,
     SecondFundamentalForm,
     _numeric_params,
     gauss_residual,
@@ -45,7 +47,12 @@ from .core import (
     verify_immersion,
 )
 
-__all__ = ["Outcome", "TraceStep", "ObstructionVerdict", "finite_jet_obstruction"]
+__all__ = ["IMMERSION_KEYS", "Outcome", "TraceStep", "ObstructionVerdict",
+           "closed_form", "finite_jet_obstruction"]
+
+# parameters of an immersion rather than of a family: the strip constants of
+# a universal form and the sign of a zero-jet form
+IMMERSION_KEYS = ("l", "gamma_im", "sign_im")
 
 
 class Outcome(Enum):
@@ -98,17 +105,67 @@ def finite_jet_obstruction(tr, max_order=1, l=4.0,
     """Run the branch analysis for jets up to max_order (0 or 1).
 
     l and gamma_im fix the strip constants of any universal-family output.
+    Given a family spec, the verdict is memoized on it by (max_order, l,
+    gamma_im).
     """
-    if isinstance(tr, FamilySpec):
-        tr = tr.triple
+    spec = tr if isinstance(tr, FamilySpec) else None
+    if spec is not None:
+        tr = spec.triple
     if not isinstance(tr, PssTriple):
         raise TypeError("expected a coefficient table or a family spec")
     if max_order not in (0, 1):
         raise ValueError("finite-jet analysis supports order 0 and 1 only")
     strip_consts = (float(l), float(gamma_im))
-    if tr.ctx.kind == "evolution":
-        return _evolution_analysis(tr, max_order, strip_consts)
-    return _hyperbolic_analysis(tr, max_order, strip_consts)
+    key = (max_order,) + strip_consts
+    if spec is not None and key in spec.verdicts:
+        return spec.verdicts[key]
+    analysis = (_evolution_analysis if tr.ctx.kind == "evolution"
+                else _hyperbolic_analysis)
+    verdict = analysis(tr, max_order, strip_consts)
+    if spec is not None:
+        spec.verdicts[key] = verdict
+    return verdict
+
+
+_LABELS = {Outcome.ZERO_JET_FAMILY: "zero-jet-order coefficients",
+           Outcome.UNIVERSAL_FAMILY: "universal coefficients on a strip"}
+
+
+def closed_form(family, params=None) -> SecondFundamentalForm:
+    """The second fundamental form the finite-jet verdict classifies.
+
+    family is a FamilySpec or a family name; with a name, params may carry
+    the family parameters, which build the spec.  params may also carry the
+    IMMERSION_KEYS: l and gamma_im go to finite_jet_obstruction, and
+    sign_im = -1 picks the negated zero-jet form (Gauss and Codazzi are
+    invariant under (a, b, c) -> -(a, b, c)); universal forms ignore it.
+    Parameters pinned to exactly 0 are substituted before simplifying.
+    Raises NoImmersion with the final step of the verdict's trace when no
+    form of finite jet order exists.
+    """
+    params = dict(params or {})
+    imm = {k: params.pop(k) for k in IMMERSION_KEYS if k in params}
+    if isinstance(family, FamilySpec):
+        if params:
+            raise ValueError(
+                "family parameters must be given when building the FamilySpec")
+        spec = family
+    else:
+        spec = build(family, params)
+    sign = _sign_of(imm, "sign_im")
+    imm.pop("sign_im", None)
+    verdict = finite_jet_obstruction(spec, **imm)
+    if verdict.sff is None:
+        raise NoImmersion(verdict.trace[-1].note)
+    sff = verdict.sff
+    coeffs = sff.as_tuple()
+    zeros = {Param(k): Const(0) for k, v in sff.params.items() if v == 0.0}
+    if zeros:
+        coeffs = tuple(simplify(substitute(e, zeros)) for e in coeffs)
+    if sign < 0 and verdict.outcome is Outcome.ZERO_JET_FAMILY:
+        coeffs = tuple(simplify(-e) for e in coeffs)
+    a, b, c = coeffs
+    return replace(sff, a=a, b=b, c=c, label=_LABELS[verdict.outcome])
 
 
 # ------------------------------------------------------------ shared helpers
@@ -160,7 +217,7 @@ def _diagonal_candidate(tr, s):
         constraints=(simplify(f11 * f11 * f21 * f21),))
 
 
-def _strip_candidate(tr, s, q_expr, strip_consts=(4.0, 1.0)):
+def _strip_candidate(tr, s, q_expr, strip_consts):
     strip = DomainStrip(sign=s, p=tr.f(2, 1), q=q_expr, l=strip_consts[0],
                         gamma_im=strip_consts[1],
                         params=_numeric_params(tr.params))
@@ -176,7 +233,7 @@ def _verified_step(branch, cand, rep):
 # ------------------------------------------------------------ hyperbolic
 
 
-def _hyperbolic_analysis(tr, max_order, strip_consts=(4.0, 1.0)):
+def _hyperbolic_analysis(tr, max_order, strip_consts):
     steps = []
     f11, f12 = tr.f(1, 1), tr.f(1, 2)
     f21, f22 = tr.f(2, 1), tr.f(2, 2)
@@ -357,8 +414,8 @@ def _exponential_shape(tr, steps, ratio, max_order):
         v_g = _zero(tr, g)
         steps.append(TraceStep(
             "universal", g,
-            "Gauss after b = 0 and a = c; certified nonzero"
-            f" (max rel {v_g.max_rel:.2e})"))
+            "coefficients independent of the jets: Gauss after b = 0 and"
+            f" a = c; certified nonzero (max rel {v_g.max_rel:.2e})"))
         return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
                                   None, max_order)
 
@@ -378,7 +435,8 @@ def _exponential_shape(tr, steps, ratio, max_order):
         steps.append(TraceStep(
             "universal", poly,
             "same relation after clearing the exponential factor and"
-            f" denominators; certified nonzero (max rel {v_poly.max_rel:.2e})"))
+            f" denominators; certified nonzero (max rel {v_poly.max_rel:.2e}),"
+            " so no admissible parameters satisfy it"))
     return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
                               None, max_order)
 
@@ -399,7 +457,7 @@ def _cleared_polynomial(tr, ratio):
 # ------------------------------------------------------------ evolution
 
 
-def _evolution_analysis(tr, max_order, strip_consts=(4.0, 1.0)):
+def _evolution_analysis(tr, max_order, strip_consts):
     steps = []
     f11, f21, f22 = tr.f(1, 1), tr.f(2, 1), tr.f(2, 2)
     F = tr.ctx.rhs
@@ -445,7 +503,7 @@ def _evolution_analysis(tr, max_order, strip_consts=(4.0, 1.0)):
         f" (max rel {v_l.max_rel:.2e}), so the jet-free system is rigid"))
     steps.append(TraceStep(
         "universal", f11_z0,
-        "forced to vanish by the rigid system; certified nonzero"
+        "f11_z0 is forced to vanish by the rigid system; certified nonzero"
         f" (max rel {v_f.max_rel:.2e})"))
     return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
                               None, max_order)

@@ -5,10 +5,7 @@ from pssurf.catalog import (
     ConstraintError,
     FamilyId,
     build,
-    format_manifest,
-    generate_F,
     hlpm,
-    parse_manifest,
     sample_params,
     validate_evolution_constraints,
 )
@@ -22,7 +19,6 @@ def test_family_id_names():
     assert FamilyId.from_name("sg_basic") is FamilyId.SG_BASIC
     with pytest.raises(ValueError, match="known families"):
         FamilyId.from_name("nope")
-    assert FamilyId.SG_ETA.cli_name == "sg-eta"
 
 
 @pytest.mark.parametrize("family", list(FamilyId), ids=lambda f: f.value)
@@ -144,49 +140,7 @@ def test_parameter_aliases():
     assert spec.params["xi"] == 0.25
 
 
-def test_generate_F_returns_table_equation():
-    spec = build("sg-eta", {"eta": 2.0})
-    assert generate_F(spec) is spec.F
-    assert to_text(spec.F) == "sin(z0)"
-
-
 def test_sample_params_deterministic():
     for family in FamilyId:
         assert sample_params(family, seed=42) == sample_params(family, seed=42)
 
-
-def test_manifest_round_trip():
-    spec = build("hyp-iii-lambda",
-                 {"lambda": 1.25, "eta": 1.0, "T": 1.0, "xi": 0.5,
-                  "tau": 0.25, "sign": -1})
-    family, params = parse_manifest(format_manifest(spec))
-    again = build(family, params)
-    assert again.params == spec.params
-    assert [to_text(e) for row in again.f for e in row] == \
-        [to_text(e) for row in spec.f for e in row]
-
-
-def test_manifest_function_entries_and_comments():
-    text = """
-    # an evolution table
-    family = evo-hlzero
-    param.eta = 1
-    param.sign = -1
-    f11 = exp(z0)
-    f12 = exp(z0)*z1  # trailing comment
-    """
-    family, params = parse_manifest(text)
-    assert family is FamilyId.EVO_HLZERO
-    spec = build(family, params)
-    assert spec.params["sign"] == -1
-    assert verify_family(spec.triple).ok
-
-
-@pytest.mark.parametrize("text,err", [
-    ("param.eta = 1\n", "does not name a family"),
-    ("family = sg-eta\nwhatever = 3\n", "unknown key"),
-    ("family = sg-eta\nparam.eta\n", "expected key = value"),
-])
-def test_manifest_errors(text, err):
-    with pytest.raises(ValueError, match=err):
-        parse_manifest(text)

@@ -114,6 +114,33 @@ def test_verify_zero_eta_rejected(capsys):
     assert "constraint violation" in out
 
 
+@pytest.mark.parametrize("command", ["verify", "immerse"])
+def test_bad_sign_im_rejected(capsys, tmp_path, command):
+    extra = (["--solution", "kink", "--grid", "-1:1:-1:1:0.5",
+              "--out", str(tmp_path / "m.obj")] if command == "immerse" else [])
+    code, out = run(capsys, command, "--family", "sg-basic", "--sign-im", "2",
+                    *extra)
+    assert code == 2
+    assert out.count("\n") == 1
+    assert out.startswith("constraint violation: sign_im")
+
+
+def test_verify_negative_sign_im_passes(capsys):
+    code, out = run(capsys, "verify", "--family", "sg-basic", "--sign-im", "-1")
+    assert code == 0
+    assert "immersion data consistent" in out
+
+
+def test_verify_honours_tol(capsys):
+    code, out = run(capsys, "verify", "--family", "sg-eta", "--eta", "1.3")
+    assert code == 0
+    code, out = run(capsys, "verify", "--family", "sg-eta", "--eta", "1.3",
+                    "--tol", "1e-30")
+    assert code == 1
+    assert "immersion data FAILS" in out
+    assert "result: FAIL" in out
+
+
 def test_verify_report_deterministic(capsys, tmp_path):
     r1, r2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for r in (r1, r2):

@@ -285,3 +285,54 @@ def test_verified_universal_candidate_actually_verifies():
     v = finite_jet_obstruction(spec)
     rep = verify_immersion(spec.triple, v.sff)
     assert rep.ok, "\n".join(rep.lines())
+
+
+# ------------------------------------------------------------ closed form as a view
+
+
+_VIEW_CASES = [(fam, {}) for fam in sorted(_VERDICTS)] + [
+    ("sg-eta", {"eta": 1.3}),
+    ("hyp-i", {"B": 0.0, "A": 1.5, "fkind": "sin"}),
+]
+
+
+@pytest.mark.parametrize("fam,params", _VIEW_CASES,
+                         ids=[f + "".join(f"-{k}={v}" for k, v in p.items())
+                              for f, p in _VIEW_CASES])
+def test_closed_form_is_a_view_of_the_verdict(fam, params):
+    spec = build(fam, dict(params))
+    try:
+        form = closed_form(spec)
+    except NoImmersion as exc:
+        form, message = None, str(exc)
+    assert len(spec.verdicts) == 1
+    memo = next(iter(spec.verdicts.values()))
+    verdict = finite_jet_obstruction(spec)
+    assert verdict is memo
+    assert (form is not None) == verdict.admits_immersion
+    if form is None:
+        assert message == verdict.trace[-1].note
+        return
+    # sign_im = -1 negates a zero-jet form and leaves a universal one alone
+    negated = closed_form(spec, {"sign_im": -1})
+    flip = -1 if verdict.outcome is Outcome.ZERO_JET_FAMILY else 1
+    tr = spec.triple
+    cons = tuple(tr.constraints) + tuple(form.constraints)
+    for got, want, neg in zip(form.as_tuple(), verdict.sff.as_tuple(),
+                              negated.as_tuple()):
+        assert tr.check_zero(simplify(got - want), constraints=cons), \
+            (to_text(got), to_text(want))
+        assert tr.check_zero(simplify(neg - flip * got), constraints=cons), \
+            (to_text(neg), to_text(got))
+    assert len(spec.verdicts) == 1
+
+
+def test_closed_form_drops_jets_of_pinned_zero_parameters():
+    # with B = 0 the verdict's form still carries B*z1 terms
+    sff = closed_form("hyp-i", {"B": 0.0, "A": 1.5, "fkind": "sin"})
+    assert jet_order_of(*sff.as_tuple()) == 0
+
+
+def test_closed_form_rejects_bad_sign_im():
+    with pytest.raises(ConstraintError, match="sign_im"):
+        closed_form("sg-basic", {"sign_im": 2})
