@@ -84,7 +84,7 @@ class FamilySpec:
     # expression is written so the identity cancels structurally
     alpha: Expr = None
     report: list = field(default_factory=list)
-    # finite-jet verdicts for this table, keyed by (max_order, l, gamma_im)
+    # finite-jet verdicts for this table, keyed by (l, gamma_im)
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
 
     def note(self, line: str):
@@ -92,7 +92,7 @@ class FamilySpec:
 
 
 # aliases accepted on input; the right-hand names are canonical
-_ALIASES = {"lam": "lambda", "zeta": "xi", "gamma_im": "gamma_im", "s": "sign"}
+_ALIASES = {"lam": "lambda", "zeta": "xi", "s": "sign"}
 
 _EPS = 1e-9
 

@@ -20,7 +20,7 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class RunConfig:
     C: float = 1.0
     out: str = None
     report: str = None
-    order: int = 1
     points: int = 64
     tol: float = 1e-8
     seed: int = 1234
@@ -86,9 +85,11 @@ def _coerce(text):
     return text
 
 
-_OPTION_KEYS = {"family", "grid", "solution", "a", "p", "C", "out", "report",
-                "order", "points", "tol", "seed", "eps-deg", "k-tol",
-                "metric-tol"}
+# every RunConfig field but the command and the parameters is an option;
+# config files spell its underscores as dashes
+_OPTIONS = tuple(f.name for f in fields(RunConfig)
+                 if f.name not in ("command", "params"))
+_OPTION_KEYS = {name.replace("_", "-") for name in _OPTIONS}
 
 
 def _apply_config(cfg: RunConfig, sections):
@@ -126,11 +127,7 @@ def parse_grid(text):
 def _family_of(cfg):
     if not cfg.family:
         raise ConstraintError("family", "no family given")
-    for member in FamilyId:
-        if member.value == cfg.family:
-            return member
-    names = ", ".join(m.value for m in FamilyId)
-    raise ConstraintError("family", f"unknown family {cfg.family!r}; one of: {names}")
+    return FamilyId.from_name(cfg.family)
 
 
 def _emit(lines, report_path):
@@ -186,16 +183,12 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_obstruct(cfg: RunConfig) -> int:
-    if cfg.order not in (0, 1):
-        sys.stdout.write(
-            "finite-jet analysis is implemented for dependence on u and u_x\n"
-            "only (order 0 and 1); higher-order jets are out of scope here\n")
-        return 2
     family = _family_of(cfg)
     fam_params, imm_params = _split_params(cfg)
     spec = build(family, fam_params)
-    strip_consts = {k: v for k, v in imm_params.items() if k != "sign_im"}
-    verdict = finite_jet_obstruction(spec, max_order=cfg.order, **strip_consts)
+    # a config file's [params] may carry sign_im for verify and immerse
+    imm_params.pop("sign_im", None)
+    verdict = finite_jet_obstruction(spec, **imm_params)
     lines = [f"family: {family.value}", _param_header(cfg)]
     lines.extend(verdict.lines())
     _emit(lines, cfg.report)
@@ -263,15 +256,11 @@ def _add_common(sp):
     sp.add_argument("--family")
     sp.add_argument("--config")
     sp.add_argument("--report")
-    sp.add_argument("--seed", type=int)
-    sp.add_argument("--points", type=int)
-    sp.add_argument("--tol", type=float)
     for name in _PARAM_FLAGS:
         sp.add_argument(f"--{name}", type=float)
     sp.add_argument("--lambda", dest="lambda_", type=float, metavar="LAMBDA")
     sp.add_argument("--l", type=float)
     sp.add_argument("--gamma-im", dest="gamma_im", type=float)
-    sp.add_argument("--sign-im", dest="sign_im", type=float)
 
 
 # grid specs such as -3:3:-3:3:0.02 start with a dash; widen the token
@@ -289,13 +278,18 @@ def build_parser():
 
     v = sub.add_parser("verify", help="check the structure equations")
     _add_common(v)
+    # sampling of the immersion's zero tests
+    v.add_argument("--points", type=int)
+    v.add_argument("--seed", type=int)
+    v.add_argument("--tol", type=float)
 
     o = sub.add_parser("obstruct", help="finite-jet obstruction analysis")
     _add_common(o)
-    o.add_argument("--order", type=int)
 
     i = sub.add_parser("immerse", help="build and export an immersed surface")
     _add_common(i)
+    for sp in (v, i):
+        sp.add_argument("--sign-im", dest="sign_im", type=float)
     i.add_argument("--solution")
     i.add_argument("--grid")
     i.add_argument("--a", type=float)
@@ -317,9 +311,7 @@ def make_config(args) -> RunConfig:
         if not os.path.exists(path):
             raise ConstraintError("config", f"no such config file: {path}")
         _apply_config(cfg, read_config(path))
-    for name in ("family", "grid", "solution", "a", "p", "C", "out", "report",
-                 "order", "points", "tol", "seed", "eps_deg", "k_tol",
-                 "metric_tol"):
+    for name in _OPTIONS:
         value = getattr(args, name, None)
         if value is not None:
             setattr(cfg, name, value)

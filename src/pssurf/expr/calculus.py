@@ -123,7 +123,7 @@ def _total_free(e: Expr, direction: str) -> Expr:
 class EquationContext:
     """A PDE in solved form, able to prolong and reduce jets."""
 
-    def __init__(self, kind: str, rhs: Expr, max_order: int = MAX_PROLONG_ORDER):
+    def __init__(self, kind: str, rhs: Expr):
         if kind not in ("evolution", "hyperbolic"):
             raise ValueError(f"kind must be evolution or hyperbolic, got {kind!r}")
         rhs = simplify(as_expr(rhs))
@@ -136,17 +136,12 @@ class EquationContext:
                     f"hyperbolic right-hand side may only contain z0 and z1, found {j.name}")
         self.kind = kind
         self.rhs = rhs
-        self.max_order = max_order
         self._memo: dict[tuple[int, int], Expr] = {}
         self._busy: set[tuple[int, int]] = set()
         if kind == "evolution":
             self._memo[(0, 1)] = rhs
         else:
             self._memo[(1, 1)] = rhs
-
-    @property
-    def lhs_jet(self) -> Jet:
-        return Jet(0, 1) if self.kind == "evolution" else Jet(1, 1)
 
     def reduces(self, j: Jet) -> bool:
         """Does this equation rewrite jet j?"""
@@ -162,9 +157,9 @@ class EquationContext:
             return hit
         if not self.reduces(j):
             return j
-        if j.dx + j.dt > self.max_order:
+        if j.dx + j.dt > MAX_PROLONG_ORDER:
             raise ValueError(
-                f"prolongation of {j.name} exceeds order cap {self.max_order}")
+                f"prolongation of {j.name} exceeds order cap {MAX_PROLONG_ORDER}")
         if key in self._busy:
             raise ValueError(
                 f"equation is not in solved form: prolongation of {j.name} is cyclic")

@@ -203,10 +203,6 @@ class Jet(Expr):
             return f"w{self.dt}"
         return f"ux{self.dx}t{self.dt}"
 
-    @property
-    def is_pure(self) -> bool:
-        return self.dx == 0 or self.dt == 0
-
     def _make_key(self):
         return (3, self.dx + self.dt, self.dx, self.dt)
 

@@ -96,8 +96,10 @@ def evaluate(e: Expr, env: dict) -> float:
 
 
 def _compile(e: Expr):
+    # constants are numpy scalars, so zero to a negative power gives inf
+    # (numpy semantics) instead of raising ZeroDivisionError
     if isinstance(e, Const):
-        v = float(e.value)
+        v = np.float64(e.value)
         return lambda env: v
     if isinstance(e, (Param, Var, Jet)):
         nm = e.name
@@ -109,11 +111,7 @@ def _compile(e: Expr):
     if isinstance(e, Pow):
         b = _compile(e.base)
         if isinstance(e.exponent, Const):
-            ev = e.exponent.value
-            if e.exponent.is_exact and ev.denominator == 1:
-                n = int(ev)
-                return lambda env: b(env) ** float(n)
-            c = float(ev)
+            c = np.float64(e.exponent.value)
             return lambda env: b(env) ** c
         p = _compile(e.exponent)
         return lambda env: b(env) ** p(env)

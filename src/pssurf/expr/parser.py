@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .nodes import (
-    Const, Div, Expr, FUNCTION_NAMES, Fun, Jet, Mul, Neg, Param, Pow, Var,
+    Add, Const, Div, Expr, FUNCTION_NAMES, Fun, Jet, Mul, Neg, Param, Pow, Var,
 )
 
 KNOWN_PARAMS = (
@@ -23,6 +23,9 @@ _JET_Z_RE = re.compile(r"z(\d+)$")
 _JET_W_RE = re.compile(r"w(\d+)$")
 _JET_MIXED_RE = re.compile(r"ux(\d+)t(\d+)$")
 _OPS = "+-*/^()"
+# deepest nesting of parentheses, signs and exponents; every tree walk of
+# the library recurses, so deeper input is refused before it is built
+MAX_DEPTH = 50
 
 
 class ParseError(ValueError):
@@ -72,6 +75,7 @@ class _Parser:
         self.src = src
         self.toks = _tokenize(src)
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.toks[self.i]
@@ -96,26 +100,43 @@ class _Parser:
         return e
 
     def expr(self) -> Expr:
-        e = self.term()
+        # a +/- chain is one n-ary sum, so its length adds no depth
+        terms = [self.term()]
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
             rhs = self.term()
-            e = e + rhs if op == "+" else e - rhs
-        return e
+            terms.append(rhs if op == "+" else Neg(rhs))
+        return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expr:
-        e = self.unary()
+        # likewise one n-ary product; a division after the first is a
+        # factor rhs^-1, which simplifies exactly as the nested quotient
+        factors = [self.unary()]
+        divided = False
         while self.peek().kind in ("*", "/"):
             op = self.next().kind
             rhs = self.unary()
-            e = Mul((e, rhs)) if op == "*" else Div(e, rhs)
-        return e
+            if op == "*":
+                factors.append(rhs)
+            elif divided:
+                factors.append(Pow(rhs, Const(-1)))
+            else:
+                factors, divided = [Div(_product(factors), rhs)], True
+        return _product(factors)
 
     def unary(self) -> Expr:
-        if self.peek().kind == "-":
+        t = self.peek()
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
+            raise ParseError(
+                f"expression nests deeper than {MAX_DEPTH} levels", t.pos)
+        if t.kind == "-":
             self.next()
-            return Neg(self.unary())
-        return self.power()
+            e = Neg(self.unary())
+        else:
+            e = self.power()
+        self.depth -= 1
+        return e
 
     def power(self) -> Expr:
         base = self.atom()
@@ -175,6 +196,10 @@ class _Parser:
         raise ParseError(
             f"unknown name {name!r}; parameters are "
             + ", ".join(KNOWN_PARAMS), t.pos)
+
+
+def _product(factors):
+    return factors[0] if len(factors) == 1 else Mul(tuple(factors))
 
 
 def parse(src: str) -> Expr:

@@ -93,13 +93,10 @@ def _canon_pow(base: Expr, expo: Expr) -> Expr:
                 return ZERO
             if base.value == 1:
                 return ONE
-            if isinstance(ev, Fraction) and ev.denominator == 1:
-                n = int(ev)
-                if base.is_exact:
-                    if base.value != 0 or n > 0:
-                        return Const(base.value ** n)
-                else:
-                    return Const(base.value ** n)
+            # zero to a negative power stays unfolded, exact or float
+            if (isinstance(ev, Fraction) and ev.denominator == 1
+                    and base.value != 0):
+                return Const(base.value ** int(ev))
         # (u^c1)^c2 with integer c2 merges exactly
         if isinstance(base, Pow) and isinstance(base.exponent, Const):
             if isinstance(ev, Fraction) and ev.denominator == 1:

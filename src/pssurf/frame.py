@@ -110,19 +110,13 @@ class FrameField:
     def count_valid(self):
         return int(self.valid.sum())
 
-    def state_at(self, i, j) -> FrameState:
-        return FrameState(X=self.X[i, j].copy(), e1=self.frames[i, j, 0].copy(),
-                          e2=self.frames[i, j, 1].copy(),
-                          e3=self.frames[i, j, 2].copy())
-
 
 class _Coefficients:
     """Connection-form coefficient grids for one table and form pair."""
 
     def __init__(self, tr: PssTriple, sff: SecondFundamentalForm,
-                 grid: SolutionGrid, params=None):
-        merged, env, f = _table_grids(tr, sff, grid, params)
-        self.params = merged
+                 grid: SolutionGrid):
+        merged, env, f = _table_grids(tr, sff, grid)
         shape = (grid.nx, grid.nt)
         # degenerate nodes produce inf/nan here; they are masked below
         with np.errstate(all="ignore"):
@@ -146,9 +140,9 @@ class _Coefficients:
         return _connection_matrix(*(w[i, j] for w in rows))
 
 
-def _table_grids(tr, sff, grid, params):
+def _table_grids(tr, sff, grid):
     """The merged parameters, the grid environment and the six f_ij grids."""
-    merged = _merged_params(tr, sff, params)
+    merged = _merged_params(tr, sff)
     env = _grid_env(grid, merged)
     _require_names(tr, sff, env)
     shape = (grid.nx, grid.nt)
@@ -163,11 +157,8 @@ def _d12(f):
         return f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
 
 
-def _merged_params(tr, sff, params):
-    merged = _numeric_params(tr.params)
-    merged.update(_numeric_params(sff.params))
-    merged.update(_numeric_params(params or {}))
-    return merged
+def _merged_params(tr, sff):
+    return {**_numeric_params(tr.params), **_numeric_params(sff.params)}
 
 
 def _require_names(tr, sff, env):
@@ -201,7 +192,7 @@ def _connection_matrix(w1, w2, w21, w31, w32):
 
 
 def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
-                           params=None, eps_deg=None):
+                           eps_deg=None):
     """The 4x4 connection blocks (Mx, Mt) at one node.
 
     node maps x, t and the jet leaves (z0, z1, ...) to values.  The full
@@ -209,7 +200,7 @@ def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
     product of each block with the 3x3 identity.  A node with |d12| below
     eps_deg is degenerate and rejected.
     """
-    env = _merged_params(tr, sff, params)
+    env = _merged_params(tr, sff)
     env.update({k: float(v) for k, v in node.items()})
     env.setdefault("x", 0.0)
     env.setdefault("t", 0.0)
@@ -356,7 +347,7 @@ def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
 
 def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
                     grid: SolutionGrid, seed: FrameState = None,
-                    seed_index=None, params=None, eps_deg=None) -> FrameField:
+                    seed_index=None, eps_deg=None) -> FrameField:
     """Integrate the frame over the admissible part of the grid.
 
     The admissibility mask keeps nodes with |d12| above eps_deg (default
@@ -368,7 +359,7 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
     seed = seed or FrameState.identity()
     if seed.orthonormality_defect() > 1e-8:
         raise ValueError("seed frame must be orthonormal")
-    coeffs = _Coefficients(tr, sff, grid, params)
+    coeffs = _Coefficients(tr, sff, grid)
 
     finite_d12 = np.where(coeffs.finite, np.abs(coeffs.d12), 0.0)
     if eps_deg is None:
@@ -497,10 +488,10 @@ def _angle_defect_curvature(X, valid):
 
 
 def validate_surface(field: FrameField, tr: PssTriple,
-                     sff: SecondFundamentalForm, params=None) -> SurfaceDiagnostics:
+                     sff: SecondFundamentalForm) -> SurfaceDiagnostics:
     """First-fundamental-form, curvature and normal checks on the field."""
     grid = field.grid
-    _, _, f = _table_grids(tr, sff, grid, params)
+    _, _, f = _table_grids(tr, sff, grid)
     X = field.X
     valid = field.valid
 

@@ -84,12 +84,13 @@ class DomainStrip:
         env.update(params or {})
         return evaluate(self.p, env), evaluate(self.q, env)
 
-    def constraint_exprs(self, margin_pad=0.0):
-        # for rejection sampling: both must stay positive inside the strip
+    def constraint_exprs(self):
+        # for rejection sampling: both must stay positive inside the strip,
+        # kept 0.02 clear of its edges where a^2 vanishes
         s = self.form()
-        out = [simplify(s - Const(self.lower + margin_pad))]
+        out = [simplify(s - Const(self.lower + 0.02))]
         if math.isfinite(self.upper):
-            out.append(simplify(Const(self.upper - margin_pad) - s))
+            out.append(simplify(Const(self.upper - 0.02) - s))
         return tuple(out)
 
 
@@ -154,13 +155,13 @@ def gauss_residual(sff: SecondFundamentalForm) -> Expr:
     return simplify(sff.a * sff.c - sff.b * sff.b + Const(1))
 
 
-def codazzi_residuals(tr: PssTriple, sff: SecondFundamentalForm, reduce=True):
+def codazzi_residuals(tr: PssTriple, sff: SecondFundamentalForm):
     """The two compatibility residuals; zero mod the equation iff Codazzi holds.
 
-    Derivatives are total in (x, t); with reduce=True mixed jets are
-    eliminated through the table's equation context.
+    Derivatives are total in (x, t); mixed jets are eliminated through the
+    table's equation context.
     """
-    ctx = tr.ctx if reduce else None
+    ctx = tr.ctx
     a, b, c = sff.a, sff.b, sff.c
     f11, f12 = tr.f(1, 1), tr.f(1, 2)
     f21, f22 = tr.f(2, 1), tr.f(2, 2)
@@ -221,9 +222,8 @@ def universal_form(strip: DomainStrip, params=None) -> SecondFundamentalForm:
     a = simplify(sqrt(l * E - gam * gam * E * E - 1))
     b = simplify(gam * E)
     c = simplify((b * b - 1) / a)
-    merged = _numeric_params(params)
-    merged.update({"l": strip.l, "gamma_im": strip.gamma_im})
+    merged = {**_numeric_params(params), "l": strip.l, "gamma_im": strip.gamma_im}
     return SecondFundamentalForm(
         a=a, b=b, c=c, jet_order=None, strip=strip, params=merged,
-        constraints=strip.constraint_exprs(margin_pad=0.02),
+        constraints=strip.constraint_exprs(),
     )

@@ -27,7 +27,6 @@ from ..expr import (
     Expr,
     Param,
     free_names,
-    is_zero,
     jets_of,
     partial,
     simplify,
@@ -78,14 +77,13 @@ class ObstructionVerdict:
     outcome: Outcome
     trace: tuple
     sff: SecondFundamentalForm = None
-    max_order: int = 1
 
     @property
     def admits_immersion(self):
         return self.outcome is not Outcome.INCONSISTENT
 
     def lines(self):
-        out = [f"verdict: {self.outcome.value} (jets up to order {self.max_order})"]
+        out = [f"verdict: {self.outcome.value} (jets up to order 1)"]
         out.extend(step.line() for step in self.trace)
         if self.sff is not None:
             out.append(f"a = {to_text(self.sff.a)}")
@@ -100,30 +98,27 @@ class ObstructionVerdict:
         return out
 
 
-def finite_jet_obstruction(tr, max_order=1, l=4.0,
-                           gamma_im=1.0) -> ObstructionVerdict:
-    """Run the branch analysis for jets up to max_order (0 or 1).
+def finite_jet_obstruction(tr, l=4.0, gamma_im=1.0) -> ObstructionVerdict:
+    """Run the branch analysis for jets up to order 1.
 
-    l and gamma_im fix the strip constants of any universal-family output.
-    Given a family spec, the verdict is memoized on it by (max_order, l,
-    gamma_im).
+    A finite-jet form depends on u alone or on x and t alone, so no higher
+    order changes the verdict.  l and gamma_im fix the strip constants of
+    any universal-family output.  Given a family spec, the verdict is
+    memoized on it by (l, gamma_im).
     """
     spec = tr if isinstance(tr, FamilySpec) else None
     if spec is not None:
         tr = spec.triple
     if not isinstance(tr, PssTriple):
         raise TypeError("expected a coefficient table or a family spec")
-    if max_order not in (0, 1):
-        raise ValueError("finite-jet analysis supports order 0 and 1 only")
     strip_consts = (float(l), float(gamma_im))
-    key = (max_order,) + strip_consts
-    if spec is not None and key in spec.verdicts:
-        return spec.verdicts[key]
+    if spec is not None and strip_consts in spec.verdicts:
+        return spec.verdicts[strip_consts]
     analysis = (_evolution_analysis if tr.ctx.kind == "evolution"
                 else _hyperbolic_analysis)
-    verdict = analysis(tr, max_order, strip_consts)
+    verdict = analysis(tr, strip_consts)
     if spec is not None:
-        spec.verdicts[key] = verdict
+        spec.verdicts[strip_consts] = verdict
     return verdict
 
 
@@ -171,13 +166,6 @@ def closed_form(family, params=None) -> SecondFundamentalForm:
 # ------------------------------------------------------------ shared helpers
 
 
-def _zero(tr, e, extra=()):
-    kw = tr.zero_kwargs()
-    if extra:
-        kw["constraints"] = tuple(kw.get("constraints", ())) + tuple(extra)
-    return is_zero(e, **kw)
-
-
 def _vanishes(v):
     return v.status in ("proven", "numeric")
 
@@ -186,35 +174,19 @@ def _is_const(e):
     return not jets_of(e) and {"x", "t"}.isdisjoint(free_names(e))
 
 
-def _signs(tr):
+def _sign(tr):
     s = tr.params.get("sign")
-    first = -1 if s is not None and s < 0 else 1
-    return (first, -first)
+    return -1 if s is not None and s < 0 else 1
 
 
-def _case1_candidate(tr, s):
-    # a from the delta identity f21*d13 - f11*d23 = f31*d12, b and c from the
-    # substitution that closes Gauss identically
-    f11, f21, f31 = tr.f(1, 1), tr.f(2, 1), tr.f(3, 1)
-    d12, d23 = delta(tr, 1, 2), delta(tr, 2, 3)
-    a = simplify(Const(-2 * s) * f21 * d23 / (f31 * d12))
-    r = simplify(f11 / f21)
-    b = simplify(Const(s) - r * a)
-    c = simplify(r * r * a - Const(2 * s) * r)
+def _pinned_candidate(tr, s, a, jet_order, constraint):
+    # b and c from the substitution that closes Gauss identically
+    r = simplify(tr.f(1, 1) / tr.f(2, 1))
     return SecondFundamentalForm(
-        a=a, b=b, c=c, jet_order=0,
-        params=_numeric_params(tr.params),
-        constraints=(simplify(f31 * f31 * d12 * d12),))
-
-
-def _diagonal_candidate(tr, s):
-    f11, f21 = tr.f(1, 1), tr.f(2, 1)
-    a = simplify(Const(s) * f21 / f11)
-    c = simplify(Const(-s) * f11 / f21)
-    return SecondFundamentalForm(
-        a=a, b=Const(0), c=c, jet_order=0,
-        params=_numeric_params(tr.params),
-        constraints=(simplify(f11 * f11 * f21 * f21),))
+        a=a, b=simplify(Const(s) - r * a),
+        c=simplify(r * r * a - Const(2 * s) * r),
+        jet_order=jet_order, params=_numeric_params(tr.params),
+        constraints=(simplify(constraint),))
 
 
 def _strip_candidate(tr, s, q_expr, strip_consts):
@@ -224,16 +196,32 @@ def _strip_candidate(tr, s, q_expr, strip_consts):
     return universal_form(strip, tr.params)
 
 
-def _verified_step(branch, cand, rep):
+def _closing_verdict(tr, steps, cand, *derivation):
+    """The verdict returning cand if it closes Gauss and Codazzi, else None.
+
+    derivation holds the (constraint, note) pairs that led to cand; they
+    and the verification enter the trace only when cand closes the pair.
+    A zero-jet candidate and its negation pass or fail together, since
+    both equations are invariant under (a, b, c) -> -(a, b, c).
+    """
+    rep = verify_immersion(tr, cand)
+    if not rep.ok:
+        return None
+    if cand.strip is None:
+        outcome, branch = Outcome.ZERO_JET_FAMILY, "zero-jet"
+    else:
+        outcome, branch = Outcome.UNIVERSAL_FAMILY, "universal"
     worst = max(rep.gauss.max_rel, rep.codazzi[0].max_rel, rep.codazzi[1].max_rel)
-    return TraceStep(branch, gauss_residual(cand),
-                     f"candidate closes Gauss and Codazzi (max rel {worst:.2e})")
+    steps.extend(TraceStep(branch, e, note) for e, note in derivation)
+    steps.append(TraceStep(branch, gauss_residual(cand),
+                           f"candidate closes Gauss and Codazzi (max rel {worst:.2e})"))
+    return ObstructionVerdict(outcome, tuple(steps), cand)
 
 
 # ------------------------------------------------------------ hyperbolic
 
 
-def _hyperbolic_analysis(tr, max_order, strip_consts):
+def _hyperbolic_analysis(tr, strip_consts):
     steps = []
     f11, f12 = tr.f(1, 1), tr.f(1, 2)
     f21, f22 = tr.f(2, 1), tr.f(2, 2)
@@ -241,115 +229,97 @@ def _hyperbolic_analysis(tr, max_order, strip_consts):
     d12, d13, d23 = delta(tr, 1, 2), delta(tr, 1, 3), delta(tr, 2, 3)
     F = tr.ctx.rhs
     Z0, Z1 = z(0), z(1)
+    s = _sign(tr)
 
     if jets_of(f21):
         # non-constant f21: the linear extraction in the top jets degenerates;
-        # the rule tests the diagonal ansatz b = 0, which closes Gauss exactly
-        for s in _signs(tr):
-            cand = _diagonal_candidate(tr, s)
-            rep = verify_immersion(tr, cand)
-            if rep.ok:
-                steps.append(TraceStep(
-                    "zero-jet", cand.b,
-                    "f21 carries jets; diagonal ansatz with b = 0"))
-                steps.append(_verified_step("zero-jet", cand, rep))
-                return ObstructionVerdict(Outcome.ZERO_JET_FAMILY,
-                                          tuple(steps), cand, max_order)
-        raise ValueError("table shape outside the classified cases")
+        # the rule tests the diagonal ansatz b = 0, the pinned form with
+        # a = s*f21/f11
+        cand = _pinned_candidate(tr, s, simplify(Const(s) * f21 / f11), 0,
+                                 f11 * f11 * f21 * f21)
+        verdict = _closing_verdict(
+            tr, steps, cand,
+            (cand.b, "f21 carries jets; diagonal ansatz with b = 0"))
+        if verdict is None:
+            raise ValueError("table shape outside the classified cases")
+        return verdict
 
     # Branch A: the factor of the top-jet linear system vanishes, so b and c
     # are pinned by a.  The x-jet extraction then decides the branch.
     f11_z1 = partial(f11, Z1)
-    v_z1 = _zero(tr, f11_z1)
-    if _vanishes(v_z1):
-        for s in _signs(tr):
-            cand = _case1_candidate(tr, s)
-            rep = verify_immersion(tr, cand)
-            if rep.ok:
-                steps.append(TraceStep(
-                    "zero-jet", f11_z1,
-                    "f11 free of z1; the x-extraction pins a through the"
-                    " delta identity"))
-                steps.append(TraceStep(
-                    "zero-jet",
-                    simplify(f31 * d12 * cand.a + Const(2 * s) * f21 * d23),
-                    "defining relation for a"))
-                steps.append(_verified_step("zero-jet", cand, rep))
-                return ObstructionVerdict(Outcome.ZERO_JET_FAMILY,
-                                          tuple(steps), cand, max_order)
+    if _vanishes(tr.check_zero(f11_z1)):
+        # a from the delta identity f21*d13 - f11*d23 = f31*d12
+        a = simplify(Const(-2 * s) * f21 * d23 / (f31 * d12))
+        cand = _pinned_candidate(tr, s, a, 0, f31 * f31 * d12 * d12)
+        verdict = _closing_verdict(
+            tr, steps, cand,
+            (f11_z1, "f11 free of z1; the x-extraction pins a through the"
+                     " delta identity"),
+            (simplify(f31 * d12 * a + Const(2 * s) * f21 * d23),
+             "defining relation for a"))
+        if verdict is not None:
+            return verdict
         steps.append(TraceStep(
             "zero-jet", f11_z1,
-            "f11 free of z1, but neither sign of the pinned candidate"
-            " satisfies the compatibility pair"))
+            "f11 free of z1, but the pinned candidate fails the"
+            " compatibility pair"))
+    elif _vanishes(tr.check_zero(f22)):
+        steps.append(TraceStep(
+            "zero-jet", f22,
+            "f22 vanishes: the extraction forces a = 0, incompatible"
+            " with ac - b^2 = -1"))
     else:
-        v22 = _zero(tr, f22)
-        if _vanishes(v22):
+        # consistency relation for a jet-dependent a: F*f21*f11_z1 must
+        # equal (f11^2 + f21^2)*f32
+        rf = simplify(F * f21 * f11_z1 - (f11 * f11 + f21 * f21) * f32)
+        v_rf = tr.check_zero(rf)
+        if _vanishes(v_rf):
+            a = simplify(Const(2 * s) * f21 * f22 / d12)
+            cand = _pinned_candidate(tr, s, a, 1, d12 * d12)
+            verdict = _closing_verdict(
+                tr, steps, cand, (rf, "consistency relation holds"))
+            if verdict is not None:
+                return verdict
             steps.append(TraceStep(
-                "zero-jet", f22,
-                "f22 vanishes: the extraction forces a = 0, incompatible"
-                " with ac - b^2 = -1"))
+                "zero-jet", rf,
+                "consistency relation holds but the pinned candidate"
+                " fails the compatibility pair"))
         else:
-            # consistency relation for a jet-dependent a: F*f21*f11_z1 must
-            # equal (f11^2 + f21^2)*f32
-            rf = simplify(F * f21 * f11_z1 - (f11 * f11 + f21 * f21) * f32)
-            v_rf = _zero(tr, rf)
-            if _vanishes(v_rf):
-                for s in _signs(tr):
-                    a = simplify(Const(2 * s) * f21 * f22 / d12)
-                    r = simplify(f11 / f21)
-                    cand = SecondFundamentalForm(
-                        a=a, b=simplify(Const(s) - r * a),
-                        c=simplify(r * r * a - Const(2 * s) * r),
-                        jet_order=1, params=_numeric_params(tr.params),
-                        constraints=(simplify(d12 * d12),))
-                    rep = verify_immersion(tr, cand)
-                    if rep.ok:
-                        steps.append(TraceStep(
-                            "zero-jet", rf, "consistency relation holds"))
-                        steps.append(_verified_step("zero-jet", cand, rep))
-                        return ObstructionVerdict(Outcome.ZERO_JET_FAMILY,
-                                                  tuple(steps), cand, max_order)
-                steps.append(TraceStep(
-                    "zero-jet", rf,
-                    "consistency relation holds but the pinned candidate"
-                    " fails the compatibility pair"))
-            else:
-                steps.append(TraceStep(
-                    "zero-jet", rf,
-                    "consistency relation for the jet-dependent branch;"
-                    f" certified nonzero (max rel {v_rf.max_rel:.2e})"))
+            steps.append(TraceStep(
+                "zero-jet", rf,
+                "consistency relation for the jet-dependent branch;"
+                f" certified nonzero (max rel {v_rf.max_rel:.2e})"))
 
     # Branch B: the factor is nonzero, so a, b, c are independent of the jets
     # and the pair reduces to a system in x and t alone.  The reduction needs
     # the metric entries to have no mixed z1, z0 jets.
     for g in (f11, f12, f21, f22):
         m = simplify(partial(partial(g, Z1), Z0))
-        if not _vanishes(_zero(tr, m)):
+        if not _vanishes(tr.check_zero(m)):
             raise ValueError("table shape outside the classified cases")
 
     if _is_const(f22):
-        for s in _signs(tr):
-            cand = _strip_candidate(tr, s, f22, strip_consts)
-            rep = verify_immersion(tr, cand)
-            if rep.ok:
-                steps.append(TraceStep(
-                    "universal", simplify(partial(cand.a, Z1)),
-                    "coefficients independent of the jets; the reduced"
-                    " system integrates to exponentials in x and t"))
-                steps.append(_verified_step("universal", cand, rep))
-                return ObstructionVerdict(Outcome.UNIVERSAL_FAMILY,
-                                          tuple(steps), cand, max_order)
+        # a flipped strip is a different form, so both signs are tried
+        for sign in (s, -s):
+            cand = _strip_candidate(tr, sign, f22, strip_consts)
+            verdict = _closing_verdict(
+                tr, steps, cand,
+                (simplify(partial(cand.a, Z1)),
+                 "coefficients independent of the jets; the reduced"
+                 " system integrates to exponentials in x and t"))
+            if verdict is not None:
+                return verdict
     else:
         ratio = simplify(f12 / f22)
         r_z0 = simplify(partial(ratio, Z0))
-        if _vanishes(_zero(tr, r_z0)):
-            return _exponential_shape(tr, steps, ratio, max_order)
+        if _vanishes(tr.check_zero(r_z0)):
+            return _exponential_shape(tr, steps, ratio)
 
     # mixed z1, z0 derivatives of the deltas make the reduced pair
     # nondegenerate, which kills the jet-free branch
     m13 = simplify(partial(partial(d13, Z1), Z0))
     m23 = simplify(partial(partial(d23, Z1), Z0))
-    v13, v23 = _zero(tr, m13), _zero(tr, m23)
+    v13, v23 = tr.check_zero(m13), tr.check_zero(m23)
     if not (_vanishes(v13) and _vanishes(v23)):
         witness = m13 if not _vanishes(v13) else m23
         steps.append(TraceStep(
@@ -360,12 +330,11 @@ def _hyperbolic_analysis(tr, max_order, strip_consts):
             "universal", simplify(m13 * m13 + m23 * m23),
             "nondegenerate mixed system forces b = 0 and a = c, leaving"
             " ac - b^2 = a^2 >= 0, never -1"))
-        return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
-                                  None, max_order)
+        return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
     raise ValueError("table shape outside the classified cases")
 
 
-def _exponential_shape(tr, steps, ratio, max_order):
+def _exponential_shape(tr, steps, ratio):
     # jet-free branch for tables whose t-column is a common exponential in z0
     f22, f32 = tr.f(2, 2), tr.f(3, 2)
     d12, d13, d23 = delta(tr, 1, 2), delta(tr, 1, 3), delta(tr, 2, 3)
@@ -377,18 +346,17 @@ def _exponential_shape(tr, steps, ratio, max_order):
         "t-column ratio f12/f22 constant in z0, as the w-extraction"
         " of the jet-free pair requires"))
 
-    v32 = _zero(tr, f32)
+    v32 = tr.check_zero(f32)
     if _vanishes(v32):
         # with f32 = 0 the reduced relation reads d23 = 0
-        v23 = _zero(tr, d23)
+        v23 = tr.check_zero(d23)
         steps.append(TraceStep(
             "universal", d23,
             "forced to vanish when f32 = 0; certified nonzero"
             f" (max rel {v23.max_rel:.2e})"))
-        return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
-                                  None, max_order)
+        return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
-    s = _signs(tr)[0]
+    s = _sign(tr)
     a_cand = simplify(Const(-2 * s) * d23 * f22 / (d12 * f32))
     steps.append(TraceStep(
         "universal",
@@ -397,33 +365,32 @@ def _exponential_shape(tr, steps, ratio, max_order):
 
     # constancy is decided by derivative certificates, not by expression shape
     a_const = ({"x", "t"}.isdisjoint(free_names(a_cand))
-               and _vanishes(_zero(tr, simplify(partial(a_cand, Z0))))
-               and _vanishes(_zero(tr, simplify(partial(a_cand, Z1)))))
+               and _vanishes(tr.check_zero(simplify(partial(a_cand, Z0))))
+               and _vanishes(tr.check_zero(simplify(partial(a_cand, Z1)))))
     if a_const:
         steps.append(TraceStep(
             "universal", simplify(partial(a_cand, Z0)),
             "pinned a is constant, so D_t a = 0 and the pair degenerates"
             " to a linear system in (d13, d23)"))
         m = simplify(d13 * d13 + d23 * d23)
-        v_m = _zero(tr, m)
+        v_m = tr.check_zero(m)
         steps.append(TraceStep(
             "universal", m,
             f"certified nonzero (max rel {v_m.max_rel:.2e}); the system"
             " forces b = 0 and a = c"))
         g = simplify(a_cand * a_cand + Const(1))
-        v_g = _zero(tr, g)
+        v_g = tr.check_zero(g)
         steps.append(TraceStep(
             "universal", g,
             "coefficients independent of the jets: Gauss after b = 0 and"
             f" a = c; certified nonzero (max rel {v_g.max_rel:.2e})"))
-        return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
-                                  None, max_order)
+        return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
     # jet-dependent pinned a: eliminating D_t a leaves one relation on the
     # table, which clearing denominators turns into a polynomial in z1
     rel = simplify(F * (partial(d23, Z1) * d12 - partial(d12, Z1) * d23)
                    + f22 * (d13 * d13 + d23 * d23))
-    v_rel = _zero(tr, rel)
+    v_rel = tr.check_zero(rel)
     steps.append(TraceStep(
         "universal", rel,
         "relation forced by D_t a of the pinned coefficient; certified"
@@ -431,14 +398,13 @@ def _exponential_shape(tr, steps, ratio, max_order):
 
     poly = _cleared_polynomial(tr, ratio)
     if poly is not None:
-        v_poly = _zero(tr, poly)
+        v_poly = tr.check_zero(poly)
         steps.append(TraceStep(
             "universal", poly,
             "same relation after clearing the exponential factor and"
             f" denominators; certified nonzero (max rel {v_poly.max_rel:.2e}),"
             " so no admissible parameters satisfy it"))
-    return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
-                              None, max_order)
+    return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
 
 def _cleared_polynomial(tr, ratio):
@@ -457,7 +423,7 @@ def _cleared_polynomial(tr, ratio):
 # ------------------------------------------------------------ evolution
 
 
-def _evolution_analysis(tr, max_order, strip_consts):
+def _evolution_analysis(tr, strip_consts):
     steps = []
     f11, f21, f22 = tr.f(1, 1), tr.f(2, 1), tr.f(2, 2)
     F = tr.ctx.rhs
@@ -466,7 +432,7 @@ def _evolution_analysis(tr, max_order, strip_consts):
     # Branch A: vanishing factor pins b and c by a; the z2 coefficient of the
     # pair then forces f11_z0 * F_z2 = 0, against the table constraints.
     blocker = simplify(partial(f11, Z0) * partial(F, Z2))
-    v_b = _zero(tr, blocker)
+    v_b = tr.check_zero(blocker)
     if _vanishes(v_b):
         raise ValueError("table shape outside the classified cases")
     steps.append(TraceStep(
@@ -476,27 +442,24 @@ def _evolution_analysis(tr, max_order, strip_consts):
 
     # Branch B: jet-free coefficients.
     q = hlpm(f11, tr.f(3, 1))
-    v_l = _zero(tr, q.L)
+    v_l = tr.check_zero(q.L)
     if _vanishes(v_l):
         # proportional frame columns: the reduced system integrates to
         # exponentials with x-coefficient f21 and t-coefficient f22
         if not _is_const(f22):
             raise ValueError("table shape outside the classified cases")
-        for s in _signs(tr):
+        for s in (_sign(tr), -_sign(tr)):
             cand = _strip_candidate(tr, s, f22, strip_consts)
-            rep = verify_immersion(tr, cand)
-            if rep.ok:
-                steps.append(TraceStep(
-                    "universal", q.L,
-                    "frame columns proportional; the jet-free pair"
-                    " integrates to exponentials in x and t"))
-                steps.append(_verified_step("universal", cand, rep))
-                return ObstructionVerdict(Outcome.UNIVERSAL_FAMILY,
-                                          tuple(steps), cand, max_order)
+            verdict = _closing_verdict(
+                tr, steps, cand,
+                (q.L, "frame columns proportional; the jet-free pair"
+                      " integrates to exponentials in x and t"))
+            if verdict is not None:
+                return verdict
         raise ValueError("table shape outside the classified cases")
 
     f11_z0 = partial(f11, Z0)
-    v_f = _zero(tr, f11_z0)
+    v_f = tr.check_zero(f11_z0)
     steps.append(TraceStep(
         "universal", q.L,
         "pairing of the frame columns; certified nonzero"
@@ -505,5 +468,4 @@ def _evolution_analysis(tr, max_order, strip_consts):
         "universal", f11_z0,
         "f11_z0 is forced to vanish by the rigid system; certified nonzero"
         f" (max rel {v_f.max_rel:.2e})"))
-    return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps),
-                              None, max_order)
+    return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))

@@ -93,9 +93,6 @@ class AnalyticSolution:
     equation: str
     residual: Evaluable  # declared-equation residual, zero on solutions
 
-    def residual_scale(self, x, t):
-        return 1.0 + np.abs(self.u(x, t))
-
 
 def _from_expr(u_expr, rhs, params=None, equation=""):
     """Build the solution record from a closed form and the equation rhs.

@@ -1,11 +1,12 @@
 """End-to-end command-line behavior: exit codes, reports, config handling."""
 
+import argparse
 import subprocess
 import sys
 
 import pytest
 
-from pssurf.cli import main, parse_grid, read_config
+from pssurf.cli import build_parser, main, parse_grid, read_config
 from pssurf.catalog import ConstraintError
 from pssurf.solutions import SolutionGrid, sg_kink
 
@@ -101,11 +102,21 @@ def test_verify_unknown_family(capsys):
     code, out = run(capsys, "verify", "--family", "nope")
     assert code == 2
     assert "unknown family" in out
+    assert out.count("\n") == 1 and "hyp-iii-xi-tau" in out
 
 
 def test_verify_missing_family(capsys):
     code, out = run(capsys, "verify")
     assert code == 2
+    assert out == "constraint violation: family: no family given\n"
+
+
+@pytest.mark.parametrize("name", ["sg-basic", "sg_basic", "SG_BASIC"])
+def test_verify_accepts_every_family_spelling(capsys, name):
+    # the CLI takes the same names as catalog.build
+    code, out = run(capsys, "verify", "--family", name)
+    assert code == 0
+    assert out.startswith("family: sg-basic\n")
 
 
 def test_verify_zero_eta_rejected(capsys):
@@ -173,13 +184,6 @@ def test_obstruct_zero_jet_family(capsys):
     code, out = run(capsys, "obstruct", "--family", "hyp-i-qa")
     assert code == 0
     assert "ZeroJetFamily" in out
-
-
-def test_obstruct_high_order_unsupported(capsys):
-    code, out = run(capsys, "obstruct", "--family", "sg-basic",
-                    "--order", "2")
-    assert code == 2
-    assert "order 0 and 1" in out
 
 
 def test_obstruct_exit_zero_for_any_verdict(capsys):
@@ -303,6 +307,60 @@ def test_immerse_malformed_binary_grid(capsys, tmp_path):
                     "--solution", str(src), "--out", str(tmp_path / "k.obj"))
     assert code == 2
     assert out == "error: grid header missing x0, t0, hx, ht, nx, nt\n"
+
+
+# ------------------------------------------------------------ surface
+
+
+_COMMON = {"-h", "--help", "--family", "--config", "--report", "--eta",
+           "--alpha", "--beta", "--gamma", "--delta", "--nu", "--xi",
+           "--zeta", "--tau", "--A", "--B", "--Q", "--T", "--sign",
+           "--lambda", "--l", "--gamma-im"}
+_SURFACE = {
+    "verify": _COMMON | {"--points", "--seed", "--tol", "--sign-im"},
+    "obstruct": _COMMON,
+    "immerse": _COMMON | {"--sign-im", "--solution", "--grid", "--a", "--p",
+                          "--C", "--out", "--eps-deg", "--k-tol",
+                          "--metric-tol"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SURFACE))
+def test_cli_option_surface(command):
+    # each subcommand registers exactly the flags it reads
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {s for a in sub.choices[command]._actions for s in a.option_strings}
+    assert got == _SURFACE[command]
+
+
+@pytest.mark.parametrize("argv", [
+    ["obstruct", "--family", "sg-basic", "--order", "1"],
+    ["obstruct", "--family", "sg-basic", "--tol", "1e-30"],
+    ["obstruct", "--family", "sg-basic", "--sign-im", "2"],
+    ["obstruct", "--family", "sg-basic", "--seed", "3"],
+    ["immerse", "--family", "sg-basic", "--solution", "kink",
+     "--grid", "-1:1:-1:1:0.5", "--out", "m.obj", "--points", "3"],
+], ids=lambda argv: f"{argv[0]}-{argv[-2].lstrip('-')}")
+def test_unread_flags_are_usage_errors(monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)   # a run that got through writes m.obj here
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+
+
+@pytest.mark.parametrize("f11", [
+    "(" * 600 + "z0" + ")" * 600,
+    "z0 + 1/0",
+    "z0 + 1/0.0",
+], ids=["600-parentheses", "exact-1/0", "float-1/0.0"])
+def test_malformed_table_entry_is_one_line(capsys, tmp_path, f11):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[params]\nf11 = {f11}\n")
+    code, out = run(capsys, "verify", "--family", "evo-hlzero",
+                    "--config", str(cfg))
+    assert code == 2
+    assert out.count("\n") == 1
 
 
 # -------------------------------------------------------------- config

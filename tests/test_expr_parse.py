@@ -64,6 +64,40 @@ def test_mixed_jet_names():
         parse("ux0t2")
 
 
+def test_deep_nesting_is_a_parse_error():
+    with pytest.raises(ParseError, match="nests deeper"):
+        parse("(" * 600 + "z0" + ")" * 600)
+    assert parse("(" * 49 + "z0" + ")" * 49) == Jet(0, 0)
+
+
+def test_long_chains_are_one_node():
+    # a chain of 1500 operands adds no depth, so simplify does not recurse
+    total = parse(" + ".join(["z0"] * 1500))
+    assert isinstance(total, Add) and len(total.args) == 1500
+    assert simplify(total) == simplify(parse("1500*z0"))
+    product = parse("*".join(["z0"] * 1500))
+    assert isinstance(product, Mul) and len(product.args) == 1500
+    assert simplify(product) == simplify(parse("z0^1500"))
+    quotient = parse("z0" + "/2" * 1500)
+    assert simplify(quotient) == simplify(parse("z0/2^1500"))
+
+
+def test_chains_simplify_as_left_nested_trees():
+    # the binary trees a left-to-right fold builds, written with the node
+    # operators; the n-ary chains must reach the same canonical form
+    eta, beta, nu, x, z0, z1 = (parse(n) for n in
+                                ("eta", "beta", "nu", "x", "z0", "z1"))
+    cases = {
+        "eta - beta + nu": (eta - beta) + nu,
+        "x*z0/3*z1": ((x * z0) / 3) * z1,
+        "x/2/3.0/z1": ((x / 2) / 3.0) / z1,
+        "x - 2.5*z0 + 0.1*z0 - 0.7*z0": ((x - 2.5 * z0) + 0.1 * z0) - 0.7 * z0,
+        "0.1/3.0/7.0*eta": ((Const(0.1) / 3.0) / 7.0) * eta,
+    }
+    for src, nested in cases.items():
+        assert simplify(parse(src)) == simplify(nested), src
+
+
 def test_integer_stays_exact():
     e = simplify(parse("1/3 + 1/3 + 1/3"))
     assert e == Const(1)

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
-from pssurf.expr import Const, parse, simplify, to_text
+import numpy as np
+
+from pssurf.expr import Const, Pow, compile_expr, parse, simplify, to_text
 
 
 def s(src):
@@ -69,3 +71,13 @@ def test_nested_flattening():
 def test_division_normal_form():
     assert s("z0/(z1/z2)") == "z0*z2/z1"
     assert s("1/(1/z0)") == "z0"
+
+
+def test_zero_to_a_negative_power_stays_unfolded():
+    # exact or float, 0^-n is left as a power, and evaluates to inf
+    for src in ("1/0", "1/0.0", "0.0^(-3)"):
+        e = simplify(parse(src))
+        assert isinstance(e, Pow) and e.base.value == 0
+        with np.errstate(divide="ignore"):
+            assert compile_expr(e)({}) == np.inf
+    assert s("2.0^(-2)") == "0.25"

@@ -199,19 +199,6 @@ def test_obstruction_verdicts(fam, want):
         assert v.sff is not None
 
 
-@pytest.mark.parametrize("fam", sorted(_VERDICTS))
-def test_obstruction_same_verdict_at_order_zero(fam):
-    v0 = finite_jet_obstruction(build(fam, {}), max_order=0)
-    assert v0.outcome is _VERDICTS[fam]
-    assert v0.max_order == 0
-
-
-@pytest.mark.parametrize("order", [-1, 2, 3])
-def test_obstruction_rejects_higher_orders(order):
-    with pytest.raises(ValueError, match="order 0 and 1"):
-        finite_jet_obstruction(build("hyp-ii", {}), max_order=order)
-
-
 def test_obstruction_rejects_non_table_input():
     with pytest.raises(TypeError):
         finite_jet_obstruction("hyp-ii")
