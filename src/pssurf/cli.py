@@ -92,15 +92,20 @@ _OPTIONS = tuple(f.name for f in fields(RunConfig)
 _OPTION_KEYS = {name.replace("_", "-") for name in _OPTIONS}
 
 
-def _apply_config(cfg: RunConfig, sections):
-    merged = {}
-    merged.update(sections.get("", {}))
-    merged.update(sections.get(cfg.command, {}))
+def _apply_config(cfg: RunConfig, sections, dests):
+    """Top-level keys serve every subcommand; a key in the subcommand's own
+    section must be one of its options, dests being what argparse set."""
+    own = sections.get(cfg.command, {})
+    merged = {**sections.get("", {}), **own}
     for key, value in merged.items():
+        name = key.replace("-", "_")
         if key not in _OPTION_KEYS:
             raise ConstraintError(
                 "config", f"unknown option {key!r}; parameters go in [params]")
-        setattr(cfg, key.replace("-", "_"), _coerce(value))
+        if key in own and name not in dests:
+            raise ConstraintError(
+                "config", f"{key!r} is not an option of {cfg.command}")
+        setattr(cfg, name, _coerce(value))
     for key, value in sections.get("params", {}).items():
         cfg.params[key] = _coerce(value)
 
@@ -310,7 +315,7 @@ def make_config(args) -> RunConfig:
     if path:
         if not os.path.exists(path):
             raise ConstraintError("config", f"no such config file: {path}")
-        _apply_config(cfg, read_config(path))
+        _apply_config(cfg, read_config(path), vars(args))
     for name in _OPTIONS:
         value = getattr(args, name, None)
         if value is not None:

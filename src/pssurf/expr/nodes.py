@@ -120,8 +120,15 @@ def to_src(e: Expr) -> str:
     return to_text(e)
 
 
+# an exact value at or beyond this rounds to inf as a float
+_FLOAT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
 class Const(Expr):
-    """Exact rational constant when possible, float otherwise."""
+    """Exact rational constant when possible, float otherwise.
+
+    An exact value must convert to a float: sorting and numeric tests do.
+    """
 
     __slots__ = ("value",)
 
@@ -133,6 +140,9 @@ class Const(Expr):
             value = Fraction(value)
         elif not isinstance(value, (Fraction, float)):
             raise TypeError(f"bad constant {value!r}")
+        if (isinstance(value, Fraction)
+                and abs(value.numerator) >= _FLOAT_LIMIT * value.denominator):
+            raise ValueError("exact constant beyond the float range")
         self.value = value
 
     def _fields(self):

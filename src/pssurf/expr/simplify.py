@@ -20,6 +20,8 @@ floats; exact inputs stay exact.
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 
 from .nodes import (
@@ -96,7 +98,7 @@ def _canon_pow(base: Expr, expo: Expr) -> Expr:
             # zero to a negative power stays unfolded, exact or float
             if (isinstance(ev, Fraction) and ev.denominator == 1
                     and base.value != 0):
-                return Const(base.value ** int(ev))
+                return _fold_power(base, expo)
         # (u^c1)^c2 with integer c2 merges exactly
         if isinstance(base, Pow) and isinstance(base.exponent, Const):
             if isinstance(ev, Fraction) and ev.denominator == 1:
@@ -111,6 +113,28 @@ def _canon_pow(base: Expr, expo: Expr) -> Expr:
             return simplify(Mul(tuple(Pow(f, expo) for f in base.args)))
     if isinstance(base, Const) and base.value == 1:
         return ONE
+    return Pow(base, expo)
+
+
+_LOG_FLOAT_MAX = math.log(sys.float_info.max) - 1e-9  # rounding slack
+# (1 + 2^-20)^(2^20) alone takes seconds to expand exactly
+_EXACT_POWER_BITS = 4096
+
+
+def _fold_power(base: Const, expo: Const) -> Expr:
+    """base^n for a nonzero constant base and an integer n.  Judged from n
+    and log|base| before anything is computed, a power beyond the float
+    range, or whose exact value is too long, stays unfolded, as zero to a
+    negative power does."""
+    b, n = base.value, int(expo.value)
+    if isinstance(b, float):
+        log_size, bits = n * math.log(abs(b)), 0
+    else:
+        num, den = abs(b.numerator), b.denominator
+        log_size = n * (math.log(num) - math.log(den))
+        bits = abs(n) * max(num.bit_length(), den.bit_length())
+    if log_size < _LOG_FLOAT_MAX and bits <= _EXACT_POWER_BITS:
+        return Const(b ** n)
     return Pow(base, expo)
 
 

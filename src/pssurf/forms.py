@@ -38,10 +38,6 @@ class OneForm:
         object.__setattr__(self, "fx", simplify(as_expr(self.fx)))
         object.__setattr__(self, "ft", simplify(as_expr(self.ft)))
 
-    def apply(self, vx, vt) -> Expr:
-        """Pair the form with a vector given in the (d/dx, d/dt) basis."""
-        return simplify(self.fx * vx + self.ft * vt)
-
 
 @dataclass
 class PssTriple:
@@ -164,30 +160,3 @@ def verify_family(tr: PssTriple) -> FamilyReport:
         residual_factors=residuals,
         details=details,
     )
-
-
-@dataclass(frozen=True)
-class DualFrame:
-    """Vector fields e1, e2 dual to omega^1, omega^2, in the (d/dx, d/dt) basis."""
-
-    e1: tuple
-    e2: tuple
-
-
-def dual_frame(tr: PssTriple) -> DualFrame:
-    """e1 = (f22, -f21)/Delta12 and e2 = (-f12, f11)/Delta12, verified dual."""
-    d12 = delta(tr, 1, 2)
-    if tr.check_zero(d12).status != "nonzero":
-        raise ValueError("coframe is degenerate: Delta_12 vanishes identically")
-    e1 = (simplify(tr.f(2, 2) / d12), simplify(-tr.f(2, 1) / d12))
-    e2 = (simplify(-tr.f(1, 2) / d12), simplify(tr.f(1, 1) / d12))
-    forms = (tr.omega1, tr.omega2)
-    vectors = (e1, e2)
-    for i, form in enumerate(forms):
-        for j, vec in enumerate(vectors):
-            want = 1 if i == j else 0
-            verdict = tr.check_zero(simplify(form.apply(*vec) - as_expr(want)))
-            if not verdict:
-                raise ValueError(
-                    f"duality check failed: omega^{i + 1}(e_{j + 1}) != {want}")
-    return DualFrame(e1=e1, e2=e2)

@@ -43,7 +43,6 @@ __all__ = [
     "FrameState",
     "FrameField",
     "SurfaceDiagnostics",
-    "frame_ode_coefficients",
     "integrate_frame",
     "validate_surface",
     "export_mesh",
@@ -142,7 +141,7 @@ class _Coefficients:
 
 def _table_grids(tr, sff, grid):
     """The merged parameters, the grid environment and the six f_ij grids."""
-    merged = _merged_params(tr, sff)
+    merged = {**_numeric_params(tr.params), **_numeric_params(sff.params)}
     env = _grid_env(grid, merged)
     _require_names(tr, sff, env)
     shape = (grid.nx, grid.nt)
@@ -155,10 +154,6 @@ def _table_grids(tr, sff, grid):
 def _d12(f):
     with np.errstate(all="ignore"):
         return f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
-
-
-def _merged_params(tr, sff):
-    return {**_numeric_params(tr.params), **_numeric_params(sff.params)}
 
 
 def _require_names(tr, sff, env):
@@ -189,35 +184,6 @@ def _connection_matrix(w1, w2, w21, w31, w32):
     M[..., 3, 1] = -w31
     M[..., 3, 2] = -w32
     return M
-
-
-def frame_ode_coefficients(tr: PssTriple, sff: SecondFundamentalForm, node,
-                           eps_deg=None):
-    """The 4x4 connection blocks (Mx, Mt) at one node.
-
-    node maps x, t and the jet leaves (z0, z1, ...) to values.  The full
-    linear system on the stacked 12-vector (X, e1, e2, e3) is the Kronecker
-    product of each block with the 3x3 identity.  A node with |d12| below
-    eps_deg is degenerate and rejected.
-    """
-    env = _merged_params(tr, sff)
-    env.update({k: float(v) for k, v in node.items()})
-    env.setdefault("x", 0.0)
-    env.setdefault("t", 0.0)
-    _require_names(tr, sff, env)
-
-    def ev(e):
-        with np.errstate(all="ignore"):
-            return float(np.asarray(compile_expr(e)(dict(env))))
-
-    f = {(i, j): ev(tr.f(i, j)) for i in (1, 2, 3) for j in (1, 2)}
-    a, b, c = (ev(e) for e in sff.as_tuple())
-    d12 = _d12(f)
-    if eps_deg is not None and abs(d12) <= eps_deg:
-        raise ConstraintError(
-            "node", f"degenerate node: |d12| = {abs(d12):.3e} <= {eps_deg:.3e}")
-    return (_connection_matrix(*_connection_rows(f, a, b, c, 1)),
-            _connection_matrix(*_connection_rows(f, a, b, c, 2)))
 
 
 def _rk4_edge(Y, M0, M1, h):

@@ -123,7 +123,6 @@ class SecondFundamentalForm:
     a: Expr
     b: Expr
     c: Expr
-    jet_order: object = None  # max z-jet order, None when none appear
     strip: DomainStrip = None
     params: dict = field(default_factory=dict)
     constraints: tuple = ()
@@ -224,6 +223,6 @@ def universal_form(strip: DomainStrip, params=None) -> SecondFundamentalForm:
     c = simplify((b * b - 1) / a)
     merged = {**_numeric_params(params), "l": strip.l, "gamma_im": strip.gamma_im}
     return SecondFundamentalForm(
-        a=a, b=b, c=c, jet_order=None, strip=strip, params=merged,
+        a=a, b=b, c=c, strip=strip, params=merged,
         constraints=strip.constraint_exprs(),
     )

@@ -179,13 +179,13 @@ def _sign(tr):
     return -1 if s is not None and s < 0 else 1
 
 
-def _pinned_candidate(tr, s, a, jet_order, constraint):
+def _pinned_candidate(tr, s, a, constraint):
     # b and c from the substitution that closes Gauss identically
     r = simplify(tr.f(1, 1) / tr.f(2, 1))
     return SecondFundamentalForm(
         a=a, b=simplify(Const(s) - r * a),
         c=simplify(r * r * a - Const(2 * s) * r),
-        jet_order=jet_order, params=_numeric_params(tr.params),
+        params=_numeric_params(tr.params),
         constraints=(simplify(constraint),))
 
 
@@ -235,7 +235,7 @@ def _hyperbolic_analysis(tr, strip_consts):
         # non-constant f21: the linear extraction in the top jets degenerates;
         # the rule tests the diagonal ansatz b = 0, the pinned form with
         # a = s*f21/f11
-        cand = _pinned_candidate(tr, s, simplify(Const(s) * f21 / f11), 0,
+        cand = _pinned_candidate(tr, s, simplify(Const(s) * f21 / f11),
                                  f11 * f11 * f21 * f21)
         verdict = _closing_verdict(
             tr, steps, cand,
@@ -250,7 +250,7 @@ def _hyperbolic_analysis(tr, strip_consts):
     if _vanishes(tr.check_zero(f11_z1)):
         # a from the delta identity f21*d13 - f11*d23 = f31*d12
         a = simplify(Const(-2 * s) * f21 * d23 / (f31 * d12))
-        cand = _pinned_candidate(tr, s, a, 0, f31 * f31 * d12 * d12)
+        cand = _pinned_candidate(tr, s, a, f31 * f31 * d12 * d12)
         verdict = _closing_verdict(
             tr, steps, cand,
             (f11_z1, "f11 free of z1; the x-extraction pins a through the"
@@ -275,7 +275,7 @@ def _hyperbolic_analysis(tr, strip_consts):
         v_rf = tr.check_zero(rf)
         if _vanishes(v_rf):
             a = simplify(Const(2 * s) * f21 * f22 / d12)
-            cand = _pinned_candidate(tr, s, a, 1, d12 * d12)
+            cand = _pinned_candidate(tr, s, a, d12 * d12)
             verdict = _closing_verdict(
                 tr, steps, cand, (rf, "consistency relation holds"))
             if verdict is not None:

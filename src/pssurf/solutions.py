@@ -14,7 +14,6 @@ import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from .expr import (
     Const,
@@ -41,7 +40,6 @@ __all__ = [
     "sg_kink",
     "linear_solution",
     "goursat_solve",
-    "traveling_wave",
 ]
 
 U_BOUND = 1e6  # Goursat truncation threshold; exponential families blow up
@@ -50,31 +48,19 @@ U_BOUND = 1e6  # Goursat truncation threshold; exponential families blow up
 class Evaluable:
     """A closed form in x and t, callable on scalars or arrays."""
 
-    def __init__(self, source, params=None):
-        self.params = dict(params or {})
-        if isinstance(source, Expr):
-            self.expr = simplify(source)
-            self._fn = compile_expr(self.expr)
-        else:
-            self.expr = None
-            self._fn = source
+    def __init__(self, expr: Expr):
+        self.expr = simplify(expr)
+        self._fn = compile_expr(self.expr)
 
     def __call__(self, x, t):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
-        if self.expr is not None:
-            env = dict(self.params)
-            env["x"] = x
-            env["t"] = t
-            out = self._fn(env)
-        else:
-            out = self._fn(x, t)
+        out = self._fn({"x": x, "t": t})
         return np.broadcast_to(np.asarray(out, dtype=float),
                                np.broadcast_shapes(x.shape, t.shape)).copy()
 
     def __repr__(self):
-        body = to_text(self.expr) if self.expr is not None else "<tabulated>"
-        return f"Evaluable({body})"
+        return f"Evaluable({to_text(self.expr)})"
 
 
 _DERIV_NAMES = ("u", "u_x", "u_t", "u_xx", "u_xt", "u_tt")
@@ -94,13 +80,12 @@ class AnalyticSolution:
     residual: Evaluable  # declared-equation residual, zero on solutions
 
 
-def _from_expr(u_expr, rhs, params=None, equation=""):
+def _from_expr(u_expr, rhs, equation=""):
     """Build the solution record from a closed form and the equation rhs.
 
     rhs is an Expr in the jet leaves z0, z1 (hyperbolic convention), so the
     residual is u_xt - rhs(u, u_x).
     """
-    params = dict(params or {})
     ux = simplify(partial(u_expr, X))
     ut = simplify(partial(u_expr, T))
     uxt = simplify(partial(ux, T))
@@ -116,8 +101,8 @@ def _from_expr(u_expr, rhs, params=None, equation=""):
     res = simplify(uxt - on_solution)
     return AnalyticSolution(
         equation=equation,
-        residual=Evaluable(res, params),
-        **{k: Evaluable(v, params) for k, v in fields.items()},
+        residual=Evaluable(res),
+        **{k: Evaluable(v) for k, v in fields.items()},
     )
 
 
@@ -372,73 +357,3 @@ def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> Solution
             break
 
     return SolutionGrid.from_values(u, x0, t0, hx, ht, note=note)
-
-
-# ------------------------------------------------------------ traveling waves
-
-
-def traveling_wave(F, c: float, u0: float, du0: float, srange,
-                   params=None, rtol=1e-10, atol=1e-12) -> AnalyticSolution:
-    """Solve c*phi'' = F(phi, phi') on srange and lift u(x, t) = phi(x + c*t).
-
-    The profile is integrated with an adaptive 4th/5th-order stepper and
-    exposed through dense output; derivatives follow from the ansatz, with
-    phi'' read back from the reduced equation.
-    """
-    if c == 0:
-        raise ConstraintError("c", "wave speed must be nonzero")
-    c = float(c)
-    rhs = _rhs_function(F, params)
-    s0, s1 = (float(v) for v in srange)
-    if not s0 < s1 or s0 > 0 or s1 < 0:
-        raise ConstraintError(
-            "range", "profile range must contain s = 0, where u0 and u0'"
-            " are imposed")
-
-    def ode(s, y):
-        return [y[1], rhs(y[0], y[1]) / c]
-
-    y0 = [float(u0), float(du0)]
-    halves = {}
-    for end in (s0, s1):
-        if end == 0.0:
-            continue
-        sol = solve_ivp(ode, (0.0, end), y0, method="RK45",
-                        dense_output=True, rtol=rtol, atol=atol)
-        if not sol.success:
-            raise RuntimeError(f"traveling-wave stepper failed: {sol.message}")
-        halves[end < 0] = sol.sol
-
-    def profile(x, t, row):
-        s = np.asarray(x, dtype=float) + c * np.asarray(t, dtype=float)
-        if np.any(s < s0 - 1e-12) or np.any(s > s1 + 1e-12):
-            raise ValueError("requested point outside the integrated range")
-        flat = np.atleast_1d(s.reshape(-1))
-        out = np.empty((2, flat.size))
-        neg = flat < 0
-        for is_neg, seg in ((True, neg), (False, ~neg)):
-            if seg.any():
-                dense = halves.get(is_neg)
-                if dense is None:
-                    out[:, seg] = np.asarray(y0)[:, None]  # s = 0 endpoint
-                else:
-                    out[:, seg] = dense(flat[seg])
-        return out[row].reshape(np.shape(s))
-
-    def ddphi(x, t):
-        return rhs(profile(x, t, 0), profile(x, t, 1)) / c
-
-    fields = {
-        "u": Evaluable(lambda x, t: profile(x, t, 0)),
-        "u_x": Evaluable(lambda x, t: profile(x, t, 1)),
-        "u_t": Evaluable(lambda x, t: c * profile(x, t, 1)),
-        "u_xx": Evaluable(ddphi),
-        "u_xt": Evaluable(lambda x, t: c * ddphi(x, t)),
-        "u_tt": Evaluable(lambda x, t: c * c * ddphi(x, t)),
-    }
-    # u_xt is reported through the reduction, so this residual measures
-    # interpolation error only; profile accuracy is what tests pin down
-    residual = Evaluable(lambda x, t: c * ddphi(x, t)
-                         - rhs(profile(x, t, 0), profile(x, t, 1)))
-    return AnalyticSolution(equation="c*phi'' = F(phi, phi')",
-                            residual=residual, **fields)

@@ -353,7 +353,15 @@ def test_unread_flags_are_usage_errors(monkeypatch, tmp_path, argv):
     "(" * 600 + "z0" + ")" * 600,
     "z0 + 1/0",
     "z0 + 1/0.0",
-], ids=["600-parentheses", "exact-1/0", "float-1/0.0"])
+    "z0 + 10.0^400",
+    "z0 + 10^400",
+    "z0 + 2^100000",
+    "z0 + 1" + "0" * 400,
+    "z0 + 10^10^10",
+    "z0 + 10^200*10^200",
+], ids=["600-parentheses", "exact-1/0", "float-1/0.0", "float-10.0^400",
+        "exact-10^400", "exact-2^100000", "401-digit-literal", "10^10^10",
+        "exact-product"])
 def test_malformed_table_entry_is_one_line(capsys, tmp_path, f11):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[params]\nf11 = {f11}\n")
@@ -407,6 +415,21 @@ def test_config_unknown_key_rejected(capsys, tmp_path):
                     "--config", str(cfg))
     assert code == 2
     assert "[params]" in out
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("obstruct", "tol", "1e-30"),
+    ("immerse", "points", "3"),
+])
+def test_config_key_of_another_subcommand_rejected(capsys, tmp_path, command,
+                                                    key, value):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"[{command}]\n{key} = {value}\n")
+    code, out = run(capsys, command, "--family", "sg-basic",
+                    "--config", str(cfg))
+    assert code == 2
+    assert out.count("\n") == 1
+    assert repr(key) in out and command in out
 
 
 def test_missing_config_file(capsys):

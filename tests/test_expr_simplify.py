@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from pssurf.expr import Const, Pow, compile_expr, parse, simplify, to_text
 
@@ -81,3 +82,23 @@ def test_zero_to_a_negative_power_stays_unfolded():
         with np.errstate(divide="ignore"):
             assert compile_expr(e)({}) == np.inf
     assert s("2.0^(-2)") == "0.25"
+
+
+def test_power_beyond_the_float_range_stays_unfolded():
+    for src in ("10.0^400", "10^400", "2^1024", "2.0^1024", "0.1^-400",
+                "10^10^10"):
+        assert isinstance(simplify(parse(src)), Pow), src
+    assert s("2^1023") == str(2 ** 1023)
+    # an exact constant is kept only while it converts to a float
+    with pytest.raises(ValueError, match="float range"):
+        simplify(parse("10^200*10^200"))
+    with pytest.raises(ValueError, match="float range"):
+        parse("1" + "0" * 400)
+
+
+def test_long_exact_power_stays_unfolded():
+    # expanding (1 + 2^-60)^(2^60) exactly would take more memory than
+    # exists, although its value is about e
+    e = simplify(parse("(1 + 2^-60)^(2^60)"))
+    assert isinstance(e, Pow) and e.exponent.value == 2 ** 60
+    assert s("(3/2)^10") == "59049/1024"

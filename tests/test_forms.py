@@ -1,7 +1,5 @@
-import pytest
-
 from pssurf.expr import EquationContext, is_zero, parse, simplify, to_text
-from pssurf.forms import OneForm, PssTriple, delta, dual_frame, structure_residuals, verify_family
+from pssurf.forms import OneForm, PssTriple, delta, structure_residuals, verify_family
 
 SIN_GORDON = EquationContext("hyperbolic", parse("sin(z0)"))
 
@@ -88,24 +86,4 @@ def test_degenerate_triple_rejected():
     report = verify_family(flat)
     assert not report.nondegenerate
     collapsed = PssTriple(tr.omega1, tr.omega1, tr.omega3, ctx=tr.ctx, ranges=tr.ranges)
-    with pytest.raises(ValueError):
-        dual_frame(collapsed)
-
-
-def test_dual_frame_basic_sg():
-    tr = basic_sg()
-    frame = dual_frame(tr)
-    got = tr.omega1.apply(*frame.e1)
-    assert to_text(simplify(got)) == "1"
-
-
-def test_dual_frame_eta_directions():
-    tr = eta_sg()
-    frame = dual_frame(tr)
-    # omega1 has no dx part, so e1 must point purely along x: e1 = (f22, -eta)/Delta12
-    v = tr.check_zero(simplify(tr.omega2.apply(*frame.e1)))
-    assert bool(v)
-    v = tr.check_zero(simplify(tr.omega2.apply(*frame.e2) - parse("1")))
-    assert bool(v)
-    v = tr.check_zero(simplify(tr.omega1.apply(*frame.e2)))
-    assert bool(v)
+    assert not verify_family(collapsed).nondegenerate

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 from pssurf.catalog import ConstraintError, FamilyId, build
 from pssurf.expr import Const, parse, simplify
-from pssurf.frame import (FrameState, export_mesh, frame_ode_coefficients,
+from pssurf.frame import (FrameState, _Coefficients, export_mesh,
                           integrate_frame, validate_surface)
 from pssurf.sff import closed_form
 from pssurf.sff.core import DomainStrip, SecondFundamentalForm
@@ -53,10 +53,25 @@ def test_non_orthonormal_seed_rejected(sg, kink):
 # --------------------------------------- node coefficients and convention
 
 
+def node_coefficients(tr, sff, z0, z1, w1):
+    """_Coefficients on a one-node grid at x = t = 0 with u = z0, u_x = z1
+    and u_t = w1; the second derivatives are zero."""
+    jets = {"u": z0, "u_x": z1, "u_t": w1, "u_xx": 0.0, "u_xt": 0.0,
+            "u_tt": 0.0}
+    grid = SolutionGrid(x0=0.0, t0=0.0, hx=1.0, ht=1.0, nx=1, nt=1,
+                        values={k: np.full((1, 1), v) for k, v in jets.items()})
+    return _Coefficients(tr, sff, grid)
+
+
+def node_blocks(tr, sff, z0, z1, w1):
+    """The 4x4 connection blocks (Mx, Mt) at that node."""
+    coeffs = node_coefficients(tr, sff, z0, z1, w1)
+    return coeffs.matrix("x", 0, 0), coeffs.matrix("t", 0, 0)
+
+
 def test_kink_center_coefficients(sg):
     tr, sff = sg
-    Mx, Mt = frame_ode_coefficients(tr, sff, {"z0": math.pi, "z1": 1.0,
-                                              "w1": 1.0})
+    Mx, Mt = node_blocks(tr, sff, z0=math.pi, z1=1.0, w1=1.0)
     # omega1 = cos(u/2) dx: at u = pi the dx coefficient collapses
     assert abs(Mx[0, 1]) < 1e-12
     assert Mx[0, 2] == pytest.approx(1.0)   # omega2 dx coeff sin(pi/2)
@@ -67,15 +82,14 @@ def test_kink_center_coefficients(sg):
 def test_sg_second_form_row(sg, u):
     # w31 = a*w1 + b*w2 reduces to sin(u/2)(dx + dt) for the basic table
     tr, sff = sg
-    Mx, Mt = frame_ode_coefficients(tr, sff, {"z0": u, "z1": 0.3, "w1": 0.2})
+    Mx, Mt = node_blocks(tr, sff, z0=u, z1=0.3, w1=0.2)
     assert Mx[1, 3] == pytest.approx(math.sin(u / 2.0))
     assert Mt[1, 3] == pytest.approx(math.sin(u / 2.0))
 
 
 def test_connection_block_structure(sg):
     tr, sff = sg
-    Mx, Mt = frame_ode_coefficients(tr, sff, {"z0": 1.0, "z1": 0.5,
-                                              "w1": -0.5})
+    Mx, Mt = node_blocks(tr, sff, z0=1.0, z1=0.5, w1=-0.5)
     for M in (Mx, Mt):
         assert np.allclose(M[:, 0], 0.0)           # nothing feeds back into X
         assert np.allclose(M[1:, 1:], -M[1:, 1:].T)  # rotation generator
@@ -85,7 +99,7 @@ def test_rotation_coefficient_sign_convention(sg):
     # the e1' coefficient along e2 carries the third form with a plus sign
     tr, sff = sg
     u = 1.3
-    Mx, Mt = frame_ode_coefficients(tr, sff, {"z0": u, "z1": 0.4, "w1": 0.7})
+    Mx, Mt = node_blocks(tr, sff, z0=u, z1=0.4, w1=0.7)
     assert Mx[1, 2] == pytest.approx(0.4 / 2.0)    # f31 = z1/2
     assert Mt[1, 2] == pytest.approx(-0.7 / 2.0)   # f32 = -w1/2
     assert Mx[2, 1] == pytest.approx(-0.4 / 2.0)
@@ -93,11 +107,8 @@ def test_rotation_coefficient_sign_convention(sg):
 
 def test_degenerate_node_rejected(sg):
     tr, sff = sg
-    with pytest.raises(ConstraintError, match="degenerate"):
-        frame_ode_coefficients(tr, sff, {"z0": 0.0, "z1": 1.0, "w1": 1.0},
-                               eps_deg=0.05)
-    # without a threshold the caller gets the raw blocks
-    frame_ode_coefficients(tr, sff, {"z0": 0.0, "z1": 1.0, "w1": 1.0})
+    assert not node_coefficients(tr, sff, z0=0.0, z1=1.0, w1=1.0).finite[0, 0]
+    assert node_coefficients(tr, sff, z0=1.0, z1=1.0, w1=1.0).finite[0, 0]
 
 
 # ----------------------------------------------------------- integration
@@ -248,7 +259,7 @@ def test_corrupting_b_breaks_compatibility(sg, kink):
     grid = kink_grid(kink, -1.0, 1.0, 0.05)
     base = integrate_frame(tr, sff, grid)
     bad = SecondFundamentalForm(sff.a, simplify(parse("0.1")), sff.c,
-                                jet_order=sff.jet_order, label="corrupted")
+                                label="corrupted")
     broken = integrate_frame(tr, bad, grid)
     r0 = float(np.nanmax(base.path_residual))
     r1 = float(np.nanmax(broken.path_residual))
@@ -275,7 +286,7 @@ def test_flipped_rotation_sign_detected(sg, kink):
 def test_flat_coefficients_flagged(sg, kink):
     tr, _ = sg
     zero = Const(0.0)
-    flat = SecondFundamentalForm(zero, zero, zero, jet_order=0, label="flat")
+    flat = SecondFundamentalForm(zero, zero, zero, label="flat")
     grid = kink_grid(kink, -1.0, 1.0, 0.05)
     field = integrate_frame(tr, flat, grid)
     diag = validate_surface(field, tr, flat)

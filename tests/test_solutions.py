@@ -9,7 +9,6 @@ from pssurf.solutions import (
     goursat_solve,
     linear_solution,
     sg_kink,
-    traveling_wave,
 )
 
 
@@ -214,30 +213,3 @@ def test_grid_binary_rejects_malformed_header(tmp_path, header, key):
     path.write_bytes(header + np.zeros(1, dtype="<f8").tobytes())
     with pytest.raises(ValueError, match=f"missing {key}"):
         SolutionGrid.from_binary(path)
-
-
-# ------------------------------------------------------------ traveling waves
-
-
-def test_traveling_wave_reproduces_kink():
-    k = sg_kink(1.0)
-    tw = traveling_wave(lambda u, ux: np.sin(u), 1.0, math.pi, 2.0, (-6.5, 6.5))
-    x, t = _points(60)
-    assert np.abs(tw.u(x, t) - k.u(x, t)).max() < 1e-8
-    assert np.abs(tw.u_x(x, t) - k.u_x(x, t)).max() < 1e-8
-
-
-def test_traveling_wave_cosh_profile():
-    tw = traveling_wave(lambda u, ux: u, 1.0, 1.0, 0.0, (-3.0, 3.0))
-    s = np.linspace(-1.4, 1.4, 41)
-    assert np.abs(tw.u(s, s) - np.cosh(2 * s)).max() < 1e-9
-
-
-def test_traveling_wave_errors():
-    with pytest.raises(ConstraintError):
-        traveling_wave(lambda u, ux: u, 0.0, 1.0, 0.0, (-1.0, 1.0))
-    with pytest.raises(ConstraintError, match="s = 0"):
-        traveling_wave(lambda u, ux: u, 1.0, 1.0, 0.0, (1.0, 2.0))
-    tw = traveling_wave(lambda u, ux: u, 1.0, 1.0, 0.0, (-1.0, 1.0))
-    with pytest.raises(ValueError, match="outside"):
-        tw.u(5.0, 5.0)
