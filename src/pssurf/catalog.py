@@ -121,13 +121,13 @@ class _Params:
         self.raw = raw
         self.pinned = {}
         self.ranges = {}
-        known = set(numeric) | set(other) | {"sign"}
+        known = set(numeric) | set(other)
         for key in raw:
             if key not in known:
                 raise ConstraintError(
                     "unknown parameter",
                     f"{key!r} is not a parameter of {family.value} "
-                    f"(accepts: {', '.join(sorted(known))})")
+                    f"(accepts: {', '.join(sorted(known)) or 'none'})")
         for name, default_range in numeric.items():
             if name in raw and raw[name] is not None:
                 self.pinned[name] = float(raw[name])
@@ -205,7 +205,7 @@ def _build_evo_hlnonzero(raw):
     ps = _Params(
         FamilyId.EVO_HLNONZERO, raw,
         numeric={"eta": (0.5, 2.0), "alpha": (-0.7, 0.7)},
-        other=("f11", "f22", "f31"),
+        other=("f11", "f22", "f31", "sign"),
     )
     ps.nonzero("eta")
     alpha_v = ps.value("alpha")
@@ -267,7 +267,7 @@ def _build_evo_hlzero(raw):
     ps = _Params(
         FamilyId.EVO_HLZERO, raw,
         numeric={"eta": (0.5, 2.0), "lambda": (0.5, 1.5)},
-        other=("f11", "f12"),
+        other=("f11", "f12", "sign"),
     )
     ps.nonzero("eta")
     s = _sign_of(raw)
@@ -410,6 +410,7 @@ def _build_hyp_ii_gamma_ne1(raw):
             "B": (0.3, 1.0),
             "A": None,
         },
+        other=("sign",),
     )
     ps.nonzero("eta")
     ps.nonzero("delta")
@@ -479,6 +480,7 @@ def _build_hyp_ii_gamma1(raw):
             "nu": (0.5, 1.5),
             "A": (0.8, 1.6),
         },
+        other=("sign",),
     )
     ps.nonzero("eta")
     ps.nonzero("delta")
@@ -537,6 +539,7 @@ def _build_hyp_iii_lambda(raw):
             "tau": (-1.0, 1.0),
             "T": (0.5, 1.5),
         },
+        other=("sign",),
     )
     ps.nonzero("eta")
     ps.nonzero("T")

@@ -3,7 +3,7 @@ single dependent variable u(x, t), with canonical simplification,
 parsing, printing, differentiation, and randomized zero testing."""
 
 from .nodes import (
-    Add, Const, Div, Expr, Fun, Jet, Mul, Neg, Param, Pow, Var,
+    Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
     FUNCTION_NAMES, ONE, T, X, ZERO,
     arctan, as_expr, cos, cosh, exp, free_leaves, free_names, jets_of, log,
     sin, sinh, sqrt, substitute, tan, walk, w, z,
@@ -15,12 +15,12 @@ from .numeric import (
     EvalError, ZeroVerdict, compile_expr, evaluate, is_zero, required_names,
 )
 from .calculus import (
-    EquationContext, partial, reduce_mod_equation, total_t, total_x,
+    EquationContext, partial, total_t, total_x,
 )
 
 __all__ = [
-    "Add", "Const", "Div", "Expr", "Fun", "Jet", "Mul", "Neg", "Param",
-    "Pow", "Var", "FUNCTION_NAMES", "ONE", "T", "X", "ZERO",
+    "Add", "Const", "Expr", "Fun", "Jet", "Mul", "Param", "Pow", "Var",
+    "FUNCTION_NAMES", "ONE", "T", "X", "ZERO",
     "arctan", "as_expr", "cos", "cosh", "exp", "free_leaves", "free_names",
     "jets_of", "log", "sin", "sinh", "sqrt", "substitute", "tan", "walk",
     "w", "z",
@@ -28,5 +28,5 @@ __all__ = [
     "KNOWN_PARAMS", "ParseError", "parse",
     "EvalError", "ZeroVerdict", "compile_expr", "evaluate", "is_zero",
     "required_names",
-    "EquationContext", "partial", "reduce_mod_equation", "total_t", "total_x",
+    "EquationContext", "partial", "total_t", "total_x",
 ]

@@ -20,7 +20,7 @@ forever.
 from __future__ import annotations
 
 from .nodes import (
-    Add, Const, Div, Expr, Fun, Jet, Mul, Neg, Param, Pow, Var,
+    Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
     ONE, ZERO, as_expr, jets_of, substitute, sqrt,
 )
 from .simplify import simplify
@@ -32,7 +32,7 @@ def _chain(fname: str, u: Expr) -> Expr:
     if fname == "sin":
         return Fun("cos", u)
     if fname == "cos":
-        return Neg(Fun("sin", u))
+        return -Fun("sin", u)
     if fname == "tan":
         return ONE + Pow(Fun("tan", u), Const(2))
     if fname == "exp":
@@ -40,7 +40,7 @@ def _chain(fname: str, u: Expr) -> Expr:
     if fname == "log":
         return Pow(u, Const(-1))
     if fname == "sqrt":
-        return Div(ONE, Const(2) * sqrt(u))
+        return ONE / (Const(2) * sqrt(u))
     if fname == "sinh":
         return Fun("cosh", u)
     if fname == "cosh":
@@ -85,11 +85,6 @@ def _derive(e: Expr, leaf_rule) -> Expr:
         if not terms:
             return ZERO
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
-    if isinstance(e, Div):
-        return _derive(Mul((e.num, Pow(e.den, Const(-1)))), leaf_rule)
-    if isinstance(e, Neg):
-        d = _derive(e.arg, leaf_rule)
-        return ZERO if d is ZERO else Neg(d)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -209,6 +204,3 @@ def total_t(e: Expr, ctx: EquationContext | None = None) -> Expr:
     out = simplify(_total_free(simplify(as_expr(e)), "t"))
     return ctx.reduce(out) if ctx is not None else out
 
-
-def reduce_mod_equation(e: Expr, ctx: EquationContext) -> Expr:
-    return ctx.reduce(as_expr(e))

@@ -34,7 +34,9 @@ class Expr:
         self._key = None
         self._canon = None
 
-    # -- construction sugar; raw nodes, canonicalized only by simplify() --
+    # -- construction sugar; raw nodes, canonicalized only by simplify().
+    # Negation is a -1 factor and a quotient a factor d^-1, as in the
+    # canonical shape. --
 
     def __add__(self, other):
         return Add((self, as_expr(other)))
@@ -43,10 +45,10 @@ class Expr:
         return Add((as_expr(other), self))
 
     def __sub__(self, other):
-        return Add((self, Neg(as_expr(other))))
+        return Add((self, -as_expr(other)))
 
     def __rsub__(self, other):
-        return Add((as_expr(other), Neg(self)))
+        return Add((as_expr(other), -self))
 
     def __mul__(self, other):
         return Mul((self, as_expr(other)))
@@ -55,16 +57,16 @@ class Expr:
         return Mul((as_expr(other), self))
 
     def __truediv__(self, other):
-        return Div(self, as_expr(other))
+        return Mul((self, Pow(as_expr(other), Const(-1))))
 
     def __rtruediv__(self, other):
-        return Div(as_expr(other), self)
+        return Mul((as_expr(other), Pow(self, Const(-1))))
 
     def __pow__(self, other):
         return Pow(self, as_expr(other))
 
     def __neg__(self):
-        return Neg(self)
+        return Mul((Const(-1), self))
 
     def __pos__(self):
         return self
@@ -77,10 +79,6 @@ class Expr:
         if hash(self) != hash(other):
             return False
         return self._fields() == other._fields()
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
 
     def __hash__(self):
         h = self._hash
@@ -101,7 +99,8 @@ class Expr:
         return to_text(self)
 
     def __repr__(self) -> str:
-        return f"{type(self).__name__}({to_src(self)})"
+        from .printer import to_text
+        return f"{type(self).__name__}({to_text(self)})"
 
     # sort key: a tuple that orders expressions totally and deterministically.
     def sort_key(self) -> tuple:
@@ -113,11 +112,6 @@ class Expr:
 
     def _make_key(self) -> tuple:
         raise NotImplementedError
-
-
-def to_src(e: Expr) -> str:
-    from .printer import to_text
-    return to_text(e)
 
 
 # an exact value at or beyond this rounds to inf as a float
@@ -295,45 +289,6 @@ class Add(Expr):
         return (7,) + tuple(a.sort_key() for a in self.args)
 
 
-class Div(Expr):
-    """Raw quotient; canonicalizes to Mul with a negative power."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num: Expr, den: Expr):
-        super().__init__()
-        self.num = num
-        self.den = den
-
-    def _fields(self):
-        return (self.num, self.den)
-
-    def children(self):
-        return (self.num, self.den)
-
-    def _make_key(self):
-        return (8, self.num.sort_key(), self.den.sort_key())
-
-
-class Neg(Expr):
-    """Raw negation; canonicalizes to a -1 coefficient."""
-
-    __slots__ = ("arg",)
-
-    def __init__(self, arg: Expr):
-        super().__init__()
-        self.arg = arg
-
-    def _fields(self):
-        return (self.arg,)
-
-    def children(self):
-        return (self.arg,)
-
-    def _make_key(self):
-        return (9, self.arg.sort_key())
-
-
 # -- convenience constructors -------------------------------------------
 
 ZERO = Const(0)
@@ -441,8 +396,4 @@ def _subst(e: Expr, mapping: dict) -> Expr:
         return Mul(tuple(_subst(a, mapping) for a in e.args))
     if isinstance(e, Add):
         return Add(tuple(_subst(a, mapping) for a in e.args))
-    if isinstance(e, Div):
-        return Div(_subst(e.num, mapping), _subst(e.den, mapping))
-    if isinstance(e, Neg):
-        return Neg(_subst(e.arg, mapping))
     raise TypeError(f"unknown node {e!r}")

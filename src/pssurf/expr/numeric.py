@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nodes import (
-    Add, Const, Div, Expr, Fun, Jet, Mul, Neg, Param, Pow, Var,
+    Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
     free_names,
 )
 from .simplify import simplify
@@ -85,13 +85,6 @@ def evaluate(e: Expr, env: dict) -> float:
         return out
     if isinstance(e, Add):
         return math.fsum(evaluate(a, env) for a in e.args)
-    if isinstance(e, Div):
-        den = evaluate(e.den, env)
-        if den == 0.0:
-            raise EvalError("division by zero")
-        return evaluate(e.num, env) / den
-    if isinstance(e, Neg):
-        return -evaluate(e.arg, env)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -131,12 +124,6 @@ def _compile(e: Expr):
                 out = out + f(env)
             return out
         return add
-    if isinstance(e, Div):
-        fn, fd = _compile(e.num), _compile(e.den)
-        return lambda env: fn(env) / fd(env)
-    if isinstance(e, Neg):
-        f = _compile(e.arg)
-        return lambda env: -f(env)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
@@ -205,7 +192,7 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
 
     rel_acc: list[np.ndarray] = []
     env_acc: list[dict] = []
-    have = 0
+    have = rejected = non_finite = 0
     for _ in range(_MAX_ROUNDS):
         if have >= n:
             break
@@ -219,10 +206,10 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
         env = dict(rng_env)
         env.update(params)
         with np.errstate(all="ignore"):
-            ok = np.ones(m, dtype=bool)
+            admitted = np.ones(m, dtype=bool)
             for cf in cons_fns:
                 cv = np.broadcast_to(np.asarray(cf(env), dtype=float), (m,))
-                ok &= np.isfinite(cv) & (cv > CONSTRAINT_MARGIN)
+                admitted &= np.isfinite(cv) & (cv > CONSTRAINT_MARGIN)
             vals = [np.broadcast_to(np.asarray(tf(env), dtype=float), (m,))
                     for tf in term_fns]
             total = np.zeros(m)
@@ -230,7 +217,9 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
             for v in vals:
                 total = total + v
                 scale = scale + np.abs(v)
-            ok &= np.isfinite(total) & np.isfinite(scale)
+            ok = admitted & np.isfinite(total) & np.isfinite(scale)
+        rejected += m - int(admitted.sum())
+        non_finite += int((admitted & ~ok).sum())
         if not ok.any():
             continue
         rel = np.abs(total[ok]) / scale[ok]
@@ -241,8 +230,9 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
 
     if have < max(8, n // 4):
         raise EvalError(
-            "zero test could not sample the domain: constraints rejected "
-            f"almost all points ({have} accepted)")
+            f"zero test could not sample the domain: {have} points accepted,"
+            f" {rejected} rejected by the constraints and {non_finite} where"
+            " the expression is not finite")
 
     rel_all = np.concatenate(rel_acc)[:n] if rel_acc else np.zeros(0)
     max_rel = float(rel_all.max())

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 
 from .nodes import (
-    Add, Const, Div, Expr, FUNCTION_NAMES, Fun, Jet, Mul, Neg, Param, Pow, Var,
+    Add, Const, Expr, FUNCTION_NAMES, Fun, Jet, Mul, Param, Pow, Var,
 )
 
 KNOWN_PARAMS = (
@@ -105,7 +105,7 @@ class _Parser:
         while self.peek().kind in ("+", "-"):
             op = self.next().kind
             rhs = self.term()
-            terms.append(rhs if op == "+" else Neg(rhs))
+            terms.append(rhs if op == "+" else -rhs)
         return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
     def term(self) -> Expr:
@@ -121,7 +121,7 @@ class _Parser:
             elif divided:
                 factors.append(Pow(rhs, Const(-1)))
             else:
-                factors, divided = [Div(_product(factors), rhs)], True
+                factors, divided = [_product(factors) / rhs], True
         return _product(factors)
 
     def unary(self) -> Expr:
@@ -132,7 +132,7 @@ class _Parser:
                 f"expression nests deeper than {MAX_DEPTH} levels", t.pos)
         if t.kind == "-":
             self.next()
-            e = Neg(self.unary())
+            e = -self.unary()
         else:
             e = self.power()
         self.depth -= 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .nodes import (
-    Add, Const, Div, Expr, Fun, Jet, Mul, Neg, Param, Pow, Var,
+    Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
 )
 
 # precedence levels used for parenthesization
@@ -49,8 +49,6 @@ def _neg_part(t: Expr):
         except TypeError:
             return None
         return Const(-t.value) if neg else None
-    if isinstance(t, Neg):
-        return t.arg
     if isinstance(t, Mul) and isinstance(t.args[0], Const):
         c = t.args[0]
         if c.value < 0:
@@ -84,11 +82,6 @@ def _fmt(e: Expr, parent: int) -> str:
             else:
                 parts.append(f" + {_fmt(t, _P_PREFIX)}")
         return _wrap("".join(parts), _P_ADD, parent)
-    if isinstance(e, Div):
-        s = f"{_fmt(e.num, _P_MUL)}/{_fmt(e.den, _P_POW)}"
-        return _wrap(s, _P_MUL, parent)
-    if isinstance(e, Neg):
-        return _wrap(f"-{_fmt(e.arg, _P_MUL)}", _P_PREFIX, parent)
     raise TypeError(f"unknown node {type(e).__name__}")
 
 

@@ -9,8 +9,8 @@ left to numeric testing.  The output is a deterministic canonical form
 and simplify is idempotent: simplify(simplify(e)) is simplify(e).
 
 Canonical shape:
-  * no Neg, no Div (negation folds into coefficients, quotients into
-    negative powers),
+  * negation is a -1 coefficient and a quotient a negative power; the
+    operators (-e, a - b, a / b) build these Mul/Pow shapes directly,
   * Add and Mul flattened, arguments sorted by sort_key, at most one
     constant term / leading coefficient,
   * Pow never has exponent 0 or 1.
@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .nodes import (
-    Add, Const, Div, Expr, Fun, Mul, Neg, Pow, ZERO, ONE, as_expr,
+    Add, Const, Expr, Fun, Mul, Pow, ZERO, ONE,
 )
 
 _EXACT_FUN_AT = {
@@ -53,18 +53,8 @@ def simplify(e: Expr) -> Expr:
 
 
 def _canon(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return e
-    if isinstance(e, (Fun, Pow, Mul, Add, Div, Neg)):
-        pass
-    else:
-        return e  # Param / Var / Jet
-
-    if isinstance(e, Neg):
-        return simplify(Mul((Const(-1), e.arg)))
-
-    if isinstance(e, Div):
-        return simplify(Mul((e.num, Pow(e.den, Const(-1)))))
+    if not isinstance(e, (Fun, Pow, Mul, Add)):
+        return e  # Const / Param / Var / Jet
 
     if isinstance(e, Fun):
         arg = simplify(e.arg)
@@ -146,23 +136,19 @@ def _factor_parts(f: Expr):
 
 
 def _canon_mul(args) -> Expr:
+    # exact until a float factor joins: Fraction * float is a float
     coeff = Fraction(1)
-    is_float = False
     bases: dict = {}   # base-expr -> exponent accumulator (list of exprs)
     order: list = []
 
     def push(f: Expr):
-        nonlocal coeff, is_float
+        nonlocal coeff
         if isinstance(f, Mul):
             for g in f.args:
                 push(g)
             return
         if isinstance(f, Const):
-            if isinstance(f.value, float):
-                is_float = True
-                coeff = float(coeff) * f.value
-            else:
-                coeff = coeff * f.value
+            coeff = coeff * f.value
             return
         base, expo = _factor_parts(f)
         if base in bases:
@@ -175,7 +161,7 @@ def _canon_mul(args) -> Expr:
         push(a)
 
     if coeff == 0:
-        return ZERO if not is_float else Const(0.0)
+        return Const(0.0) if isinstance(coeff, float) else ZERO
 
     factors = []
     for base in order:
@@ -186,33 +172,25 @@ def _canon_mul(args) -> Expr:
             total = simplify(Add(tuple(exps)))
         f = _canon_pow(base, total) if not (isinstance(total, Const) and total.value == 1) else base
         if isinstance(f, Const):
-            if isinstance(f.value, float):
-                is_float = True
-                coeff = float(coeff) * f.value
-            else:
-                coeff = coeff * f.value
+            coeff = coeff * f.value
             continue
         if isinstance(f, Mul):
             # exponent merging can re-expand (a*b)^n; flatten once more
             for g in f.args:
                 if isinstance(g, Const):
-                    if isinstance(g.value, float):
-                        is_float = True
-                        coeff = float(coeff) * g.value
-                    else:
-                        coeff = coeff * g.value
+                    coeff = coeff * g.value
                 else:
                     factors.append(g)
             continue
         factors.append(f)
 
     if coeff == 0:
-        return ZERO if not is_float else Const(0.0)
+        return Const(0.0) if isinstance(coeff, float) else ZERO
     factors.sort(key=lambda f: f.sort_key())
-    cnode = Const(float(coeff) if is_float else coeff)
+    cnode = Const(coeff)
     if not factors:
         return cnode
-    if coeff != 1 or is_float:
+    if coeff != 1 or isinstance(coeff, float):
         factors = [cnode] + factors
     if len(factors) == 1:
         return factors[0]
@@ -254,11 +232,7 @@ def _canon_add(args) -> Expr:
             return
         key = tuple(f.sort_key() for f in factors)
         if key in terms:
-            old = terms[key][0]
-            if isinstance(old, float) or isinstance(coeff, float):
-                terms[key][0] = float(old) + float(coeff)
-            else:
-                terms[key][0] = old + coeff
+            terms[key][0] += coeff
         else:
             terms[key] = [coeff, factors]
             order.append(key)
@@ -324,11 +298,7 @@ def _apply_pair_rules(terms: dict, order: list) -> None:
                 rest = factors[:i] + factors[i + 1:]
                 rkey = tuple(g.sort_key() for g in rest)
                 if rkey in terms:
-                    old = terms[rkey][0]
-                    if isinstance(old, float) or isinstance(survivor, float):
-                        terms[rkey][0] = float(old) + float(survivor)
-                    else:
-                        terms[rkey][0] = old + survivor
+                    terms[rkey][0] += survivor
                 else:
                     terms[rkey] = [survivor, rest]
                     order.append(rkey)

@@ -20,7 +20,6 @@ from .expr import (
     ZeroVerdict,
     as_expr,
     is_zero,
-    reduce_mod_equation,
     simplify,
     total_t,
     total_x,
@@ -131,8 +130,7 @@ def verify_family(tr: PssTriple) -> FamilyReport:
 
     holds = True
     for k, r in enumerate(residuals, start=1):
-        reduced = simplify(reduce_mod_equation(r, tr.ctx))
-        verdict = tr.check_zero(reduced)
+        verdict = tr.check_zero(tr.ctx.reduce(r))
         details[f"R{k} mod equation"] = verdict
         holds = holds and bool(verdict)
 

@@ -174,17 +174,12 @@ def _is_const(e):
     return not jets_of(e) and {"x", "t"}.isdisjoint(free_names(e))
 
 
-def _sign(tr):
-    s = tr.params.get("sign")
-    return -1 if s is not None and s < 0 else 1
-
-
-def _pinned_candidate(tr, s, a, constraint):
+def _pinned_candidate(tr, a, constraint):
     # b and c from the substitution that closes Gauss identically
     r = simplify(tr.f(1, 1) / tr.f(2, 1))
     return SecondFundamentalForm(
-        a=a, b=simplify(Const(s) - r * a),
-        c=simplify(r * r * a - Const(2 * s) * r),
+        a=a, b=simplify(1 - r * a),
+        c=simplify(r * r * a - 2 * r),
         params=_numeric_params(tr.params),
         constraints=(simplify(constraint),))
 
@@ -229,14 +224,12 @@ def _hyperbolic_analysis(tr, strip_consts):
     d12, d13, d23 = delta(tr, 1, 2), delta(tr, 1, 3), delta(tr, 2, 3)
     F = tr.ctx.rhs
     Z0, Z1 = z(0), z(1)
-    s = _sign(tr)
 
     if jets_of(f21):
         # non-constant f21: the linear extraction in the top jets degenerates;
         # the rule tests the diagonal ansatz b = 0, the pinned form with
-        # a = s*f21/f11
-        cand = _pinned_candidate(tr, s, simplify(Const(s) * f21 / f11),
-                                 f11 * f11 * f21 * f21)
+        # a = f21/f11
+        cand = _pinned_candidate(tr, simplify(f21 / f11), f11 * f11 * f21 * f21)
         verdict = _closing_verdict(
             tr, steps, cand,
             (cand.b, "f21 carries jets; diagonal ansatz with b = 0"))
@@ -249,13 +242,13 @@ def _hyperbolic_analysis(tr, strip_consts):
     f11_z1 = partial(f11, Z1)
     if _vanishes(tr.check_zero(f11_z1)):
         # a from the delta identity f21*d13 - f11*d23 = f31*d12
-        a = simplify(Const(-2 * s) * f21 * d23 / (f31 * d12))
-        cand = _pinned_candidate(tr, s, a, f31 * f31 * d12 * d12)
+        a = simplify(-2 * f21 * d23 / (f31 * d12))
+        cand = _pinned_candidate(tr, a, f31 * f31 * d12 * d12)
         verdict = _closing_verdict(
             tr, steps, cand,
             (f11_z1, "f11 free of z1; the x-extraction pins a through the"
                      " delta identity"),
-            (simplify(f31 * d12 * a + Const(2 * s) * f21 * d23),
+            (simplify(f31 * d12 * a + 2 * f21 * d23),
              "defining relation for a"))
         if verdict is not None:
             return verdict
@@ -274,8 +267,8 @@ def _hyperbolic_analysis(tr, strip_consts):
         rf = simplify(F * f21 * f11_z1 - (f11 * f11 + f21 * f21) * f32)
         v_rf = tr.check_zero(rf)
         if _vanishes(v_rf):
-            a = simplify(Const(2 * s) * f21 * f22 / d12)
-            cand = _pinned_candidate(tr, s, a, d12 * d12)
+            a = simplify(2 * f21 * f22 / d12)
+            cand = _pinned_candidate(tr, a, d12 * d12)
             verdict = _closing_verdict(
                 tr, steps, cand, (rf, "consistency relation holds"))
             if verdict is not None:
@@ -300,7 +293,7 @@ def _hyperbolic_analysis(tr, strip_consts):
 
     if _is_const(f22):
         # a flipped strip is a different form, so both signs are tried
-        for sign in (s, -s):
+        for sign in (1, -1):
             cand = _strip_candidate(tr, sign, f22, strip_consts)
             verdict = _closing_verdict(
                 tr, steps, cand,
@@ -356,11 +349,10 @@ def _exponential_shape(tr, steps, ratio):
             f" (max rel {v23.max_rel:.2e})"))
         return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
-    s = _sign(tr)
-    a_cand = simplify(Const(-2 * s) * d23 * f22 / (d12 * f32))
+    a_cand = simplify(-2 * d23 * f22 / (d12 * f32))
     steps.append(TraceStep(
         "universal",
-        simplify(d12 * f32 * a_cand + Const(2 * s) * d23 * f22),
+        simplify(d12 * f32 * a_cand + 2 * d23 * f22),
         "reduced relation pinning a"))
 
     # constancy is decided by derivative certificates, not by expression shape
@@ -448,8 +440,8 @@ def _evolution_analysis(tr, strip_consts):
         # exponentials with x-coefficient f21 and t-coefficient f22
         if not _is_const(f22):
             raise ValueError("table shape outside the classified cases")
-        for s in (_sign(tr), -_sign(tr)):
-            cand = _strip_candidate(tr, s, f22, strip_consts)
+        for sign in (1, -1):
+            cand = _strip_candidate(tr, sign, f22, strip_consts)
             verdict = _closing_verdict(
                 tr, steps, cand,
                 (q.L, "frame columns proportional; the jet-free pair"

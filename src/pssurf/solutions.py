@@ -3,14 +3,12 @@
 Analytic solutions carry u and its derivatives through second order as
 closed forms in x and t, together with the equation they are declared to
 solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
-from data on the characteristics x = x0 and t = t0; the traveling-wave
-reducer solves the ODE c*phi'' = F(phi, phi') and lifts the profile back
-to the plane.
+from data on the characteristics x = x0 and t = t0.  A SolutionGrid holds
+u and its derivatives on grid nodes, stored as CSV or binary.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np

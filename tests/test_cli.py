@@ -125,6 +125,23 @@ def test_verify_zero_eta_rejected(capsys):
     assert "constraint violation" in out
 
 
+@pytest.mark.parametrize("family", ["sg-basic", "sg-eta", "hyp-i", "hyp-i-qa",
+                                    "hyp-iii-zero", "hyp-iii-xi-tau"])
+def test_sign_rejected_without_a_sign_branch(capsys, family):
+    code, out = run(capsys, "verify", "--family", family, "--sign", "-1")
+    assert code == 2
+    assert out.count("\n") == 1
+    assert out.startswith("constraint violation: unknown parameter: 'sign'")
+
+
+@pytest.mark.parametrize("family", ["evo-hlnonzero", "evo-hlzero", "hyp-ii",
+                                    "hyp-ii-gamma1", "hyp-iii-lambda"])
+def test_sign_accepted_with_a_sign_branch(capsys, family):
+    code, out = run(capsys, "verify", "--family", family, "--sign", "-1")
+    assert code == 0
+    assert "parameters: sign=-1.0" in out
+
+
 @pytest.mark.parametrize("command", ["verify", "immerse"])
 def test_bad_sign_im_rejected(capsys, tmp_path, command):
     extra = (["--solution", "kink", "--grid", "-1:1:-1:1:0.5",
@@ -369,6 +386,18 @@ def test_malformed_table_entry_is_one_line(capsys, tmp_path, f11):
                     "--config", str(cfg))
     assert code == 2
     assert out.count("\n") == 1
+
+
+def test_non_finite_table_entry_is_not_blamed_on_constraints(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\nf11 = z0 + 1e400\n")
+    code, out = run(capsys, "verify", "--family", "evo-hlzero",
+                    "--config", str(cfg))
+    assert code == 2
+    assert out.count("\n") == 1
+    assert out.startswith("error: zero test could not sample the domain")
+    assert "0 rejected by the constraints" in out
+    assert "where the expression is not finite" in out
 
 
 # -------------------------------------------------------------- config

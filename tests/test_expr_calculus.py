@@ -10,7 +10,6 @@ from pssurf.expr import (
     is_zero,
     parse,
     partial,
-    reduce_mod_equation,
     simplify,
     to_text,
     total_t,
@@ -47,14 +46,14 @@ def test_evolution_prolongation():
     ctx = EquationContext("evolution", parse("z2"))
     assert to_text(total_t(parse("z0"), ctx)) == "z2"
     assert to_text(total_t(parse("z1"), ctx)) == "z3"
-    got = reduce_mod_equation(parse("ux1t1"), ctx)
+    got = ctx.reduce(parse("ux1t1"))
     assert to_text(got) == "z3"
 
 
 def test_reduction_eliminates_mixed_jets():
     ctx = EquationContext("hyperbolic", parse("sin(z0)"))
     e = parse("ux2t1 + w1*z1")
-    r = reduce_mod_equation(e, ctx)
+    r = ctx.reduce(e)
     for leaf in ("ux2t1", "ux1t1"):
         assert leaf not in to_text(r)
 
