@@ -37,7 +37,7 @@ from .expr import compile_expr, required_names
 from .forms import PssTriple
 from .catalog import ConstraintError
 from .sff.core import SecondFundamentalForm, _numeric_params, strip_contains
-from .solutions import SolutionGrid
+from .solutions import SolutionGrid, _write_rows
 
 __all__ = [
     "FrameState",
@@ -510,9 +510,6 @@ def validate_surface(field: FrameField, tr: PssTriple,
 # ------------------------------------------------------------ export
 
 
-_BLOCK = 4096
-
-
 def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None):
     """Write the valid sub-grid as an OBJ mesh plus a sidecar report.
 
@@ -535,14 +532,8 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
         if not len(verts):
             fh.write("# warning: empty field, no valid nodes\n")
         fh.write(f"# vertices: {len(verts)} faces: {len(faces)}\n")
-        # in blocks, so the Python floats and ints of one block are alive
-        # at a time
-        for k in range(0, len(verts), _BLOCK):
-            fh.writelines(f"v {x:.12g} {y:.12g} {z:.12g}\n"
-                          for x, y, z in verts[k:k + _BLOCK].tolist())
-        for k in range(0, len(faces), _BLOCK):
-            fh.writelines(f"f {a} {b} {c}\n"
-                          for a, b, c in faces[k:k + _BLOCK].tolist())
+        _write_rows(fh, "v %.12g %.12g %.12g\n", verts)
+        _write_rows(fh, "f %d %d %d\n", faces)
 
     sidecar = path + ".diag.txt" if not path.endswith(".obj") \
         else path[:-4] + ".diag.txt"

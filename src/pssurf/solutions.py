@@ -3,12 +3,15 @@
 Analytic solutions carry u and its derivatives through second order as
 closed forms in x and t, together with the equation they are declared to
 solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
-from data on the characteristics x = x0 and t = t0.  A SolutionGrid holds
-u and its derivatives on grid nodes, stored as CSV or binary.
+from data on the characteristics x = x0 and t = t0, one anti-diagonal of
+cells at a time.  A SolutionGrid holds u and its derivatives on grid
+nodes, stored as CSV or binary; text rows are written in blocks.
 """
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -214,15 +217,22 @@ class SolutionGrid:
             fh.write(self._header() + "\n")
             fh.write(",".join(names) + "\n")
             flat = np.column_stack([self.values[n].reshape(-1) for n in names])
-            np.savetxt(fh, flat, delimiter=",", fmt="%.17g")
+            _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n", flat)
 
     @classmethod
     def from_csv(cls, path):
         with open(path) as fh:
-            head = _parse_header(fh.readline())
-            names = fh.readline().strip().split(",")
-            flat = np.loadtxt(fh, delimiter=",", ndmin=2)
-        grid = cls(**head)
+            grid = cls(**_parse_header(fh.readline()))
+            names = _field_names(fh.readline().strip())
+            with warnings.catch_warnings():
+                # no data rows is reported below, as a shape mismatch
+                warnings.simplefilter("ignore", UserWarning)
+                flat = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if flat.shape != (grid.nx * grid.nt, len(names)):
+            raise ValueError(
+                f"CSV grid data does not match the header: {flat.shape[0]} "
+                f"rows of {flat.shape[1]} values, expected {grid.nx * grid.nt}"
+                f" rows of {len(names)}")
         for k, name in enumerate(names):
             grid.values[name] = flat[:, k].reshape(grid.nx, grid.nt)
         return grid
@@ -246,7 +256,7 @@ class SolutionGrid:
                   if tok.startswith("fields=")]
         if not fields:
             raise ValueError("grid header missing fields")
-        names = fields[0].split(",")
+        names = _field_names(fields[0])
         per = grid.nx * grid.nt
         data = np.frombuffer(payload, dtype="<f8")
         if data.size != per * len(names):
@@ -267,50 +277,101 @@ def _parse_header(line):
     missing = [k for k in ("x0", "t0", "hx", "ht", "nx", "nt") if k not in out]
     if missing:
         raise ValueError(f"grid header missing {', '.join(missing)}")
+    if out["nx"] < 1 or out["nt"] < 1:
+        raise ValueError("grid header nx and nt must be positive")
     return out
+
+
+def _field_names(text):
+    """The comma-separated field names of a stored grid, which must be the
+    six of _DERIV_NAMES in any order."""
+    names = text.split(",")
+    if sorted(names) != sorted(_DERIV_NAMES):
+        raise ValueError(f"grid fields {text!r} do not match "
+                         f"{','.join(_DERIV_NAMES)} (in any order)")
+    return names
+
+
+_BLOCK = 4096  # rows per formatting call
+
+
+def _write_rows(fh, row_format, array):
+    """Write each row of a 2-D array as row_format % row, formatting
+    _BLOCK rows per call, so one block's text is alive at a time."""
+    for k in range(0, len(array), _BLOCK):
+        block = array[k:k + _BLOCK]
+        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
 # ------------------------------------------------------------ Goursat solver
 
 
 def _rhs_function(F, params):
+    """rhs(u, ux) as a float array of u's shape, whatever F returns."""
     if isinstance(F, EquationContext):
         F = F.rhs
     if isinstance(F, Expr):
         fn = compile_expr(F)
         base = dict(params or {})
 
-        def rhs(u, ux):
+        def call(u, ux):
             env = dict(base)
             env["z0"] = u
             env["z1"] = ux
             return fn(env)
+    elif callable(F):
+        call = F
+    else:
+        raise TypeError(
+            "F must be an equation context, an expression, or callable")
 
-        return rhs
-    if callable(F):
-        return F
-    raise TypeError("F must be an equation context, an expression, or callable")
+    def rhs(u, ux):
+        return np.broadcast_to(np.asarray(call(u, ux), dtype=float),
+                               np.shape(u))
+
+    return rhs
 
 
-def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> SolutionGrid:
-    """March u_xt = F(u, u_x) from u(x, t0) = phi(x), u(x0, t) = psi(t).
-
-    window is (x0, x1, t0, t1, h) or (x0, x1, t0, t1, hx, ht).  Each cell is
-    closed with trapezoidal integration of F over the characteristic
-    rectangle plus one fixed-point correction; u_x comes from differencing
-    along x.  Cells where |u| exceeds u_bound truncate the grid, and the
-    remaining rows are left as NaN with a note on the result.
-    """
-    rhs = _rhs_function(F, params)
+def _goursat_window(window):
+    """(x0, t0, hx, ht, nx, nt) of (x0, x1, t0, t1, h[, ht])."""
     if len(window) == 5:
         x0, x1, t0, t1, hx = (float(v) for v in window)
         ht = hx
     else:
         x0, x1, t0, t1, hx, ht = (float(v) for v in window)
-    if hx <= 0 or ht <= 0:
-        raise ConstraintError("h", "grid steps must be positive")
-    nx = int(round((x1 - x0) / hx)) + 1
-    nt = int(round((t1 - t0) / ht)) + 1
+    if not (0 < hx < math.inf and 0 < ht < math.inf):
+        raise ConstraintError("h", "grid steps must be positive and finite")
+    steps = ((x1 - x0) / hx, (t1 - t0) / ht)
+    if not all(map(math.isfinite, steps)):
+        raise ConstraintError("window", "bounds must be finite")
+    nx, nt = (int(round(s)) + 1 for s in steps)
+    if nx < 2 or nt < 2:
+        raise ConstraintError(
+            "window", f"need at least 2 nodes on each axis, got {nx} x {nt}")
+    return x0, t0, hx, ht, nx, nt
+
+
+def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> SolutionGrid:
+    """March u_xt = F(u, u_x) from u(x, t0) = phi(x), u(x0, t) = psi(t).
+
+    window is (x0, x1, t0, t1, h) or (x0, x1, t0, t1, hx, ht), with at
+    least 2 nodes on each axis.  Cell (i, j) is closed from the cells
+    (i-1, j), (i, j-1) and (i-1, j-1) by trapezoidal integration of F over
+    the characteristic rectangle, with F at the new corner taken at an
+    explicit predictor; u_x comes from differencing along x.  On the left
+    edge u_x(x0, t_j) is known only once cell (1, j) is, so F there lags
+    one t step.  Every cell of an anti-diagonal i + j = d thus depends only
+    on the two diagonals before it: the march sets one diagonal per step,
+    with two array calls of F, and gives the same bits as a cell-by-cell
+    loop over t rows.
+
+    Cells where u is not finite or |u| exceeds u_bound truncate the grid.
+    The first such cell in t-major order (smallest t index, then smallest
+    x index) keeps its value, every node after it in that order is NaN,
+    and the result carries a note naming the cell.
+    """
+    rhs = _rhs_function(F, params)
+    x0, t0, hx, ht, nx, nt = _goursat_window(window)
     x = x0 + hx * np.arange(nx)
     t = t0 + ht * np.arange(nt)
 
@@ -323,35 +384,57 @@ def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> Solution
     u = np.full((nx, nt), np.nan)
     u[:, 0] = np.asarray(phi(x), dtype=float)
     u[0, :] = np.asarray(psi(t), dtype=float)
-
-    # u_x at known nodes, by differencing along x; the left edge is seeded
-    # forward and lags one row when a new row starts
-    ux = np.full((nx, nt), np.nan)
-    ux[1:, 0] = (u[1:, 0] - u[:-1, 0]) / hx
-    ux[0, 0] = (u[1, 0] - u[0, 0]) / hx
+    # F at set nodes; f[0, j] holds the lagged F(u[0, j], u_x[0, j-1])
+    # until cell (1, j) fixes u_x[0, j]
+    f = np.full((nx, nt), np.nan)
+    uf, ff = u.reshape(-1), f.reshape(-1)
+    # in the flat arrays the cells of one anti-diagonal are nt - 1 apart,
+    # and the neighbours (i-1, j), (i, j-1), (i-1, j-1) sit at the fixed
+    # offsets -nt, -1 and -nt-1
+    s = nt - 1
+    area = hx * ht
+    quarter = 0.25 * area
+    with np.errstate(all="ignore"):
+        ux = np.empty(nx)
+        ux[1:] = (u[1:, 0] - u[:-1, 0]) / hx
+        ux[0] = ux[1]                                 # seeded forward
+        f0 = rhs(np.append(u[:, 0], u[0, 1]), np.append(ux, ux[0]))
+        f[:, 0], f[0, 1] = f0[:-1], f0[-1]
+        for d in range(2, nx + nt - 1):
+            lo, hi = max(1, d - s), min(nx - 1, d - 1)
+            k = lo * nt + d - lo                      # flat (lo, d - lo)
+            stop = k + (hi - lo) * s + 1
+            cur = slice(k, stop, s)
+            left = slice(k - nt, stop - nt, s)
+            down = slice(k - 1, stop - 1, s)
+            corner = slice(k - nt - 1, stop - nt - 1, s)
+            # each cell's operations in the order of the cell-by-cell loop
+            u_left = uf[left]
+            base = (u_left + uf[down]) - uf[corner]
+            guess = base + area * ff[corner]
+            f_new = rhs(guess, (guess - u_left) / hx)
+            val = base + quarter * (((ff[corner] + ff[down]) + ff[left])
+                                    + f_new)
+            uf[cur] = val
+            ux = (val - u_left) / hx
+            if d < nt:
+                # cell (1, d-1) fixed u_x[0, d-1]: finish F at (0, d-1)
+                # and lag F at (0, d)
+                fd = rhs(np.concatenate((val, u[0, d - 1:d + 1])),
+                         np.concatenate((ux, ux[:1], ux[:1])))
+                ff[cur], f[0, d - 1:d + 1] = fd[:-2], fd[-2:]
+            else:
+                ff[cur] = rhs(val, ux)
+        inner = u[1:, 1:]
+        bad = ~np.isfinite(inner) | (np.abs(inner) > u_bound)
 
     note = ""
-    area = hx * ht
-    for j in range(1, nt):
-        f_known = np.asarray(rhs(u[:, j - 1], ux[:, j - 1]), dtype=float)
-        f_left = rhs(u[0, j], ux[0, j - 1])
-        for i in range(1, nx):
-            base = u[i - 1, j] + u[i, j - 1] - u[i - 1, j - 1]
-            guess = base + area * f_known[i - 1]
-            f_new = rhs(guess, (guess - u[i - 1, j]) / hx)
-            val = base + 0.25 * area * (f_known[i - 1] + f_known[i]
-                                        + f_left + f_new)
-            u[i, j] = val
-            ux[i, j] = (val - u[i - 1, j]) / hx
-            if i == 1:
-                ux[0, j] = (val - u[0, j]) / hx
-            if not np.isfinite(val) or abs(val) > u_bound:
-                note = (f"truncated at x index {i}, t index {j}: |u| exceeded"
-                        f" {u_bound:g}")
-                break
-            f_left = rhs(val, ux[i, j])
-        if note:
-            u[:, j + 1:] = np.nan
-            break
+    hits = np.flatnonzero(bad.T)  # t-major, the order cells are defined in
+    if hits.size:
+        j, i = (v + 1 for v in divmod(int(hits[0]), nx - 1))
+        u[i + 1:, j] = np.nan
+        u[:, j + 1:] = np.nan
+        note = (f"truncated at x index {i}, t index {j}: |u| exceeded"
+                f" {u_bound:g}")
 
     return SolutionGrid.from_values(u, x0, t0, hx, ht, note=note)

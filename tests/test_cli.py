@@ -326,6 +326,49 @@ def test_immerse_malformed_binary_grid(capsys, tmp_path):
     assert out == "error: grid header missing x0, t0, hx, ht, nx, nt\n"
 
 
+def _stored_kink(tmp_path, kind):
+    grid = SolutionGrid.from_solution(sg_kink(1.0), -1.0, -1.0,
+                                      0.1, 0.1, 21, 21)
+    src = tmp_path / f"kink.{kind}"
+    (grid.to_csv if kind == "csv" else grid.to_binary)(str(src))
+    return src
+
+
+def _rename_fields(src):
+    src.write_bytes(src.read_bytes().replace(b"u,u_x,u_t,u_xx,u_xt,u_tt",
+                                             b"u,u_x", 1))
+
+
+def _drop_last_row(src):
+    lines = src.read_text().splitlines(keepends=True)
+    src.write_text("".join(lines[:-1]))
+
+
+def _drop_last_value(src):
+    src.write_bytes(src.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("kind, corrupt, message", [
+    ("csv", _rename_fields, "grid fields 'u,u_x' do not match "
+                            "u,u_x,u_t,u_xx,u_xt,u_tt (in any order)"),
+    ("bin", _rename_fields, "grid fields 'u,u_x' do not match "
+                            "u,u_x,u_t,u_xx,u_xt,u_tt (in any order)"),
+    ("csv", _drop_last_row, "CSV grid data does not match the header: "
+                            "440 rows of 6 values, expected 441 rows of 6"),
+    ("bin", _drop_last_value, "binary grid payload does not match the header"),
+])
+def test_immerse_rejects_malformed_stored_grid(capsys, tmp_path, kind,
+                                               corrupt, message):
+    src = _stored_kink(tmp_path, kind)
+    corrupt(src)
+    code = main(["immerse", "--family", "sg-basic", "--solution", str(src),
+                 "--out", str(tmp_path / "k.obj")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == f"error: {message}\n"
+    assert captured.err == ""
+
+
 # ------------------------------------------------------------ surface
 
 

@@ -1,15 +1,19 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from pssurf.catalog import ConstraintError, build
+from pssurf.expr import Const, parse
 from pssurf.solutions import (
     SolutionGrid,
     goursat_solve,
     linear_solution,
     sg_kink,
 )
+
+from goursat_oracle import goursat_loop
 
 
 def _points(n=100, lo=-3.0, hi=3.0, seed=11):
@@ -152,6 +156,87 @@ def test_goursat_truncates_on_blowup():
     assert not np.isnan(g["u"]).any()
 
 
+def _kink_data(lo):
+    k = sg_kink(1.0)
+    return (lambda u, ux: np.sin(u)), (lambda x: k.u(x, lo)), \
+        (lambda t: k.u(lo, t))
+
+
+_PARITY = {
+    "kink h=0.05": (*_kink_data(-2.0), (-2.0, 2.0, -2.0, 2.0, 0.05), {}),
+    "non-square hx != ht": (lambda u, ux: np.sin(u) + 0.3 * ux,
+                            *_kink_data(-1.0)[1:],
+                            (-1.0, 2.0, -1.0, 0.5, 0.05, 0.02), {}),
+    "2 nodes in x": (*_kink_data(-1.0), (-1.0, -0.9, -1.0, 1.0, 0.1, 0.05), {}),
+    "2 nodes in t": (*_kink_data(-1.0), (-1.0, 1.0, -1.0, -0.9, 0.05, 0.1), {}),
+    "superposition": (lambda u, ux: 0.0 * u, np.sin, lambda t: t ** 2,
+                      (0.0, 1.0, 0.0, 1.0, 0.1), {}),
+    "truncation u_bound=4": (*_kink_data(-2.0), (-2.0, 2.0, -2.0, 2.0, 0.1),
+                             {"u_bound": 4.0}),
+    "truncation, asymmetric data": (
+        lambda u, ux: np.sin(u), lambda x: sg_kink(2.0).u(x, -2.0),
+        lambda t: sg_kink(2.0).u(-1.0, t), (-1.0, 1.0, -2.0, 2.0, 0.05, 0.1),
+        {"u_bound": 4.0}),
+    "exp overflow to inf": (lambda u, ux: np.exp(u * u), lambda x: 1 + x,
+                            lambda t: 1 + t, (0.0, 1.0, 0.0, 1.0, 0.05),
+                            {"u_bound": 1e300}),
+    "catalog sine-Gordon": (build("sg-basic", {}).ctx, *_kink_data(-1.0)[1:],
+                            (-1.0, 1.0, -1.0, 1.0, 0.05), {}),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("case", list(_PARITY))
+def test_goursat_matches_loop_oracle_bit_for_bit(case):
+    F, phi, psi, window, kw = _PARITY[case]
+    got = goursat_solve(F, phi, psi, window, **kw)
+    want = goursat_loop(F, phi, psi, window, **kw)
+    assert got.note == want.note
+    assert list(got.values) == list(want.values)
+    for name in want.values:
+        assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def test_goursat_truncation_keeps_the_first_offender():
+    F, phi, psi, window, kw = _PARITY["exp overflow to inf"]
+    g = goursat_solve(F, phi, psi, window, **kw)
+    assert g.note.startswith("truncated at x index 18, t index 1:")
+    assert np.isinf(g["u"][18, 1])
+    assert np.isnan(g["u"][19:, 1]).all() and np.isnan(g["u"][:, 2:]).all()
+    assert np.isfinite(g["u"][:18, :2]).all()
+
+
+@pytest.mark.parametrize("F", [Const(2), parse("2 + 0*z0"),
+                               lambda u, ux: 2.0],
+                         ids=["Const", "parsed", "callable"])
+def test_goursat_constant_rhs_is_exact(F):
+    x0, t0 = 0.2, -0.5
+    phi = np.sin
+    psi = lambda t: np.sin(x0) + (t - t0) ** 2
+    g = goursat_solve(F, phi, psi, (x0, 1.4, t0, 0.5, 0.1, 0.05))
+    xx, tt = g.mesh()
+    exact = phi(xx) + psi(tt) - np.sin(x0) + 2.0 * (xx - x0) * (tt - t0)
+    assert g.note == ""
+    assert np.abs(g["u"] - exact).max() < 1e-12
+
+
+@pytest.mark.parametrize("window, name", [
+    ((0.0, 0.0, 0.0, 1.0, 0.1), "window"),
+    ((0.0, 1.0, 0.0, 0.0, 0.1), "window"),
+    ((0.0, 1.0, 0.0, 1.0, 0.1, 2.5), "window"),
+    ((0.0, 1.0, 0.0, math.inf, 0.1), "window"),
+    ((0.0, 1.0, 0.0, 1.0, math.nan), "h"),
+    ((0.0, 1.0, 0.0, 1.0, math.inf), "h"),
+    ((0.0, 1.0, 0.0, 1.0, 0.1, math.nan), "h"),
+    ((0.0, 1.0, 0.0, 1.0, -0.1), "h"),
+])
+def test_goursat_rejects_degenerate_windows(window, name):
+    with pytest.raises(ConstraintError) as info:
+        goursat_solve(lambda u, ux: np.sin(u), np.sin, np.sin, window)
+    assert info.value.name == name
+    assert "\n" not in str(info.value)
+
+
 # ------------------------------------------------------------ grids
 
 
@@ -212,4 +297,78 @@ def test_grid_binary_rejects_malformed_header(tmp_path, header, key):
     path = tmp_path / "grid.bin"
     path.write_bytes(header + np.zeros(1, dtype="<f8").tobytes())
     with pytest.raises(ValueError, match=f"missing {key}"):
+        SolutionGrid.from_binary(path)
+
+
+def test_grid_csv_matches_savetxt_across_blocks(tmp_path):
+    # 70 x 70 rows span two formatting blocks
+    u = np.random.default_rng(5).normal(size=(70, 70)) * 1e3
+    g = SolutionGrid.from_values(u, -1.0, 0.5, 0.1, 0.3)
+    g["u"][0, :4] = (0.0, -0.0, np.inf, np.nan)
+    path = tmp_path / "grid.csv"
+    g.to_csv(path)
+    ref = io.StringIO()
+    ref.write(g._header() + "\n" + ",".join(g.values) + "\n")
+    flat = np.column_stack([a.reshape(-1) for a in g.values.values()])
+    np.savetxt(ref, flat, delimiter=",", fmt="%.17g")
+    assert path.read_text() == ref.getvalue()
+
+
+def _write_grid(tmp_path, kind):
+    g = SolutionGrid.from_solution(sg_kink(1.0), 0.0, 0.0, 0.1, 0.1, 3, 4)
+    path = tmp_path / f"grid.{kind}"
+    (g.to_csv if kind == "csv" else g.to_binary)(path)
+    return g, path
+
+
+def _read(path):
+    return (SolutionGrid.from_csv(path) if str(path).endswith(".csv")
+            else SolutionGrid.from_binary(path))
+
+
+@pytest.mark.parametrize("kind", ["csv", "bin"])
+def test_stored_grid_fields_in_any_order(tmp_path, kind):
+    g, path = _write_grid(tmp_path, kind)
+    g.values = {n: g.values[n] for n in reversed(list(g.values))}
+    (g.to_csv if kind == "csv" else g.to_binary)(path)
+    back = _read(path)
+    for name, arr in g.values.items():
+        np.testing.assert_array_equal(back[name], arr)
+
+
+@pytest.mark.parametrize("kind", ["csv", "bin"])
+@pytest.mark.parametrize("fields", ["u,u_x", "u,u_x,u_t,u_xx,u_xt,u_xt",
+                                    "u,u_x,u_t,u_xx,u_xt,u_tt,v"])
+def test_stored_grid_rejects_wrong_fields(tmp_path, kind, fields):
+    _, path = _write_grid(tmp_path, kind)
+    raw = path.read_bytes()
+    full = b"u,u_x,u_t,u_xx,u_xt,u_tt"
+    assert raw.count(full) == 1
+    path.write_bytes(raw.replace(full, fields.encode()))
+    with pytest.raises(ValueError, match="grid fields .* do not match"):
+        _read(path)
+
+
+@pytest.mark.parametrize("cut, match", [
+    (lambda lines: lines[:-1], "11 rows of 6 values, expected 12 rows of 6"),
+    (lambda lines: lines[:2], "0 rows"),
+    (lambda lines: lines[:2] + [",".join(["1"] * 6)] * 2 + lines[2:],
+     "14 rows of 6 values, expected 12"),
+    (lambda lines: lines[:2] + [",".join(["1"] * 5)] * 12,
+     "12 rows of 5 values, expected 12 rows of 6"),
+])
+def test_csv_grid_rejects_wrong_shape(tmp_path, cut, match):
+    _, path = _write_grid(tmp_path, "csv")
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(cut(lines)) + "\n")
+    with pytest.raises(ValueError, match="CSV grid data does not match the"
+                                         " header: " + match):
+        SolutionGrid.from_csv(path)
+
+
+def test_stored_grid_rejects_empty_axis(tmp_path):
+    _, path = _write_grid(tmp_path, "bin")
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"nx=3", b"nx=0", 1))
+    with pytest.raises(ValueError, match="nx and nt must be positive"):
         SolutionGrid.from_binary(path)
