@@ -351,6 +351,52 @@ def _goursat_window(window):
     return x0, t0, hx, ht, nx, nt
 
 
+def _march(rhs, u, hx, ht):
+    """Fill u[1:, 1:] from its edges u[:, 0] and u[0, :], one anti-diagonal
+    per step (see goursat_solve)."""
+    nx, nt = u.shape
+    # F at set nodes; f[0, j] holds the lagged F(u[0, j], u_x[0, j-1])
+    # until cell (1, j) fixes u_x[0, j]
+    f = np.full((nx, nt), np.nan)
+    uf, ff = u.reshape(-1), f.reshape(-1)
+    # in the flat arrays the cells of one anti-diagonal are nt - 1 apart,
+    # and the neighbours (i-1, j), (i, j-1), (i-1, j-1) sit at the fixed
+    # offsets -nt, -1 and -nt-1
+    s = nt - 1
+    area = hx * ht
+    quarter = 0.25 * area
+    ux = np.empty(nx)
+    ux[1:] = (u[1:, 0] - u[:-1, 0]) / hx
+    ux[0] = ux[1]                                 # seeded forward
+    f0 = rhs(np.append(u[:, 0], u[0, 1]), np.append(ux, ux[0]))
+    f[:, 0], f[0, 1] = f0[:-1], f0[-1]
+    for d in range(2, nx + nt - 1):
+        lo, hi = max(1, d - s), min(nx - 1, d - 1)
+        k = lo * nt + d - lo                      # flat (lo, d - lo)
+        stop = k + (hi - lo) * s + 1
+        cur = slice(k, stop, s)
+        left = slice(k - nt, stop - nt, s)
+        down = slice(k - 1, stop - 1, s)
+        corner = slice(k - nt - 1, stop - nt - 1, s)
+        # each cell's operations in the order of the cell-by-cell loop
+        u_left = uf[left]
+        base = (u_left + uf[down]) - uf[corner]
+        guess = base + area * ff[corner]
+        f_new = rhs(guess, (guess - u_left) / hx)
+        val = base + quarter * (((ff[corner] + ff[down]) + ff[left])
+                                + f_new)
+        uf[cur] = val
+        ux = (val - u_left) / hx
+        if d < nt:
+            # cell (1, d-1) fixed u_x[0, d-1]: finish F at (0, d-1)
+            # and lag F at (0, d)
+            fd = rhs(np.concatenate((val, u[0, d - 1:d + 1])),
+                     np.concatenate((ux, ux[:1], ux[:1])))
+            ff[cur], f[0, d - 1:d + 1] = fd[:-2], fd[-2:]
+        else:
+            ff[cur] = rhs(val, ux)
+
+
 def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> SolutionGrid:
     """March u_xt = F(u, u_x) from u(x, t0) = phi(x), u(x0, t) = psi(t).
 
@@ -384,52 +430,13 @@ def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> Solution
     u = np.full((nx, nt), np.nan)
     u[:, 0] = np.asarray(phi(x), dtype=float)
     u[0, :] = np.asarray(psi(t), dtype=float)
-    # F at set nodes; f[0, j] holds the lagged F(u[0, j], u_x[0, j-1])
-    # until cell (1, j) fixes u_x[0, j]
-    f = np.full((nx, nt), np.nan)
-    uf, ff = u.reshape(-1), f.reshape(-1)
-    # in the flat arrays the cells of one anti-diagonal are nt - 1 apart,
-    # and the neighbours (i-1, j), (i, j-1), (i-1, j-1) sit at the fixed
-    # offsets -nt, -1 and -nt-1
-    s = nt - 1
-    area = hx * ht
-    quarter = 0.25 * area
     with np.errstate(all="ignore"):
-        ux = np.empty(nx)
-        ux[1:] = (u[1:, 0] - u[:-1, 0]) / hx
-        ux[0] = ux[1]                                 # seeded forward
-        f0 = rhs(np.append(u[:, 0], u[0, 1]), np.append(ux, ux[0]))
-        f[:, 0], f[0, 1] = f0[:-1], f0[-1]
-        for d in range(2, nx + nt - 1):
-            lo, hi = max(1, d - s), min(nx - 1, d - 1)
-            k = lo * nt + d - lo                      # flat (lo, d - lo)
-            stop = k + (hi - lo) * s + 1
-            cur = slice(k, stop, s)
-            left = slice(k - nt, stop - nt, s)
-            down = slice(k - 1, stop - 1, s)
-            corner = slice(k - nt - 1, stop - nt - 1, s)
-            # each cell's operations in the order of the cell-by-cell loop
-            u_left = uf[left]
-            base = (u_left + uf[down]) - uf[corner]
-            guess = base + area * ff[corner]
-            f_new = rhs(guess, (guess - u_left) / hx)
-            val = base + quarter * (((ff[corner] + ff[down]) + ff[left])
-                                    + f_new)
-            uf[cur] = val
-            ux = (val - u_left) / hx
-            if d < nt:
-                # cell (1, d-1) fixed u_x[0, d-1]: finish F at (0, d-1)
-                # and lag F at (0, d)
-                fd = rhs(np.concatenate((val, u[0, d - 1:d + 1])),
-                         np.concatenate((ux, ux[:1], ux[:1])))
-                ff[cur], f[0, d - 1:d + 1] = fd[:-2], fd[-2:]
-            else:
-                ff[cur] = rhs(val, ux)
+        _march(rhs, u, hx, ht)
         inner = u[1:, 1:]
         bad = ~np.isfinite(inner) | (np.abs(inner) > u_bound)
-
+        # in t-major order, the order the cells are defined in
+        hits = np.flatnonzero(bad.T)
     note = ""
-    hits = np.flatnonzero(bad.T)  # t-major, the order cells are defined in
     if hits.size:
         j, i = (v + 1 for v in divmod(int(hits[0]), nx - 1))
         u[i + 1:, j] = np.nan
