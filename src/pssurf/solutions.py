@@ -277,8 +277,11 @@ def _parse_header(line):
     missing = [k for k in ("x0", "t0", "hx", "ht", "nx", "nt") if k not in out]
     if missing:
         raise ValueError(f"grid header missing {', '.join(missing)}")
-    if out["nx"] < 1 or out["nt"] < 1:
-        raise ValueError("grid header nx and nt must be positive")
+    if not (math.isfinite(out["x0"]) and math.isfinite(out["t0"])
+            and 0 < out["hx"] < math.inf and 0 < out["ht"] < math.inf
+            and out["nx"] >= 1 and out["nt"] >= 1):
+        raise ValueError("grid header needs finite x0, t0, positive finite "
+                         "hx, ht and positive nx, nt")
     return out
 
 

@@ -348,6 +348,10 @@ def _drop_last_value(src):
     src.write_bytes(src.read_bytes()[:-8])
 
 
+def _zero_step(src):
+    src.write_bytes(src.read_bytes().replace(b"hx=0.1", b"hx=0.0", 1))
+
+
 @pytest.mark.parametrize("kind, corrupt, message", [
     ("csv", _rename_fields, "grid fields 'u,u_x' do not match "
                             "u,u_x,u_t,u_xx,u_xt,u_tt (in any order)"),
@@ -356,6 +360,8 @@ def _drop_last_value(src):
     ("csv", _drop_last_row, "CSV grid data does not match the header: "
                             "440 rows of 6 values, expected 441 rows of 6"),
     ("bin", _drop_last_value, "binary grid payload does not match the header"),
+    ("csv", _zero_step, "grid header needs finite x0, t0, positive finite "
+                        "hx, ht and positive nx, nt"),
 ])
 def test_immerse_rejects_malformed_stored_grid(capsys, tmp_path, kind,
                                                corrupt, message):

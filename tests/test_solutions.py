@@ -366,9 +366,14 @@ def test_csv_grid_rejects_wrong_shape(tmp_path, cut, match):
         SolutionGrid.from_csv(path)
 
 
-def test_stored_grid_rejects_empty_axis(tmp_path):
-    _, path = _write_grid(tmp_path, "bin")
+@pytest.mark.parametrize("kind", ["csv", "bin"])
+@pytest.mark.parametrize("field, bad", [
+    (b"nx=3", b"nx=0"), (b"hx=0.1", b"hx=0.0"), (b"ht=0.1", b"ht=-0.1"),
+    (b"hx=0.1", b"hx=nan"), (b"ht=0.1", b"ht=inf"), (b"x0=0.0", b"x0=nan"),
+])
+def test_stored_grid_rejects_header_out_of_range(tmp_path, kind, field, bad):
+    _, path = _write_grid(tmp_path, kind)
     raw = path.read_bytes()
-    path.write_bytes(raw.replace(b"nx=3", b"nx=0", 1))
-    with pytest.raises(ValueError, match="nx and nt must be positive"):
-        SolutionGrid.from_binary(path)
+    path.write_bytes(raw.replace(field, bad, 1))
+    with pytest.raises(ValueError, match="grid header needs finite x0, t0"):
+        _read(path)
