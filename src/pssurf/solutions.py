@@ -295,7 +295,7 @@ def _field_names(text):
     return names
 
 
-_BLOCK = 4096  # rows per formatting call
+_BLOCK = 1024  # rows per formatting call
 
 
 def _write_rows(fh, row_format, array):

@@ -301,7 +301,7 @@ def test_grid_binary_rejects_malformed_header(tmp_path, header, key):
 
 
 def test_grid_csv_matches_savetxt_across_blocks(tmp_path):
-    # 70 x 70 rows span two formatting blocks
+    # 4,900 rows span several formatting blocks, the last one partial
     u = np.random.default_rng(5).normal(size=(70, 70)) * 1e3
     g = SolutionGrid.from_values(u, -1.0, 0.5, 0.1, 0.3)
     g["u"][0, :4] = (0.0, -0.0, np.inf, np.nan)
