@@ -137,10 +137,12 @@ def _family_of(cfg):
 
 def _emit(lines, report_path):
     text = "\n".join(lines) + "\n"
-    sys.stdout.write(text)
+    # the file first: a report path that cannot be written exits 2 with
+    # nothing on stdout
     if report_path:
         with open(report_path, "w") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _param_header(cfg):
@@ -339,10 +341,10 @@ def main(argv=None) -> int:
         cfg = make_config(args)
         return _DISPATCH[cfg.command](cfg)
     except ConstraintError as exc:
-        sys.stdout.write(f"constraint violation: {exc}\n")
+        sys.stderr.write(f"constraint violation: {exc}\n")
         return 2
     except (OSError, ValueError) as exc:
-        sys.stdout.write(f"error: {exc}\n")
+        sys.stderr.write(f"error: {exc}\n")
         return 2
 
 

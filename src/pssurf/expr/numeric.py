@@ -1,5 +1,12 @@
-"""Numeric evaluation: scalar with domain errors, compiled numpy
-closures for vectorized work, and a randomized zero test.
+"""Numeric evaluation: scalar with domain errors, a numpy tape for
+vectorized work, and a randomized zero test.
+
+A tape lists the unique subtrees of one or more canonical expressions in
+topological order, one instruction each, so a subtree that occurs many
+times is evaluated once per run.  Each zero test builds one tape over the
+terms of its sum and its constraints; each compiled expression is a
+one-root tape.  A slot is cleared after its last use, so evaluating a
+long expression on a large grid holds only the arrays still needed.
 
 The zero test is the workhorse behind every identity check in the
 package.  An expression whose canonical form is literally 0 is reported
@@ -88,49 +95,114 @@ def evaluate(e: Expr, env: dict) -> float:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
-def _compile(e: Expr):
-    # constants are numpy scalars, so zero to a negative power gives inf
-    # (numpy semantics) instead of raising ZeroDivisionError
-    if isinstance(e, Const):
-        v = np.float64(e.value)
-        return lambda env: v
-    if isinstance(e, (Param, Var, Jet)):
-        nm = e.name
-        return lambda env: env[nm]
-    if isinstance(e, Fun):
-        g = _compile(e.arg)
-        f = _NP_FUNS[e.fname]
-        return lambda env: f(g(env))
-    if isinstance(e, Pow):
-        b = _compile(e.base)
-        if isinstance(e.exponent, Const):
-            c = np.float64(e.exponent.value)
-            return lambda env: b(env) ** c
-        p = _compile(e.exponent)
-        return lambda env: b(env) ** p(env)
-    if isinstance(e, Mul):
-        fs = [_compile(a) for a in e.args]
-        def mul(env):
-            out = fs[0](env)
-            for f in fs[1:]:
-                out = out * f(env)
-            return out
-        return mul
-    if isinstance(e, Add):
-        fs = [_compile(a) for a in e.args]
-        def add(env):
-            out = fs[0](env)
-            for f in fs[1:]:
-                out = out + f(env)
-            return out
-        return add
-    raise TypeError(f"unknown node {type(e).__name__}")
+_ADD, _MUL, _POW = "+", "*", "^"  # Fun instructions carry their numpy function
+
+
+class Tape:
+    """The unique subtrees of one or more canonical roots, in topological
+    order, each evaluated once per run.
+
+    Nodes merge by structure, except that float constants merge only when
+    their bits agree (0.0 and -0.0 stay apart).  Each instruction computes
+    what the closure of its node kind did: constants are np.float64, a
+    name reads env[name], and products and sums fold left in argument
+    order, so every value is bit-identical.  A computed slot is cleared
+    after its last use; the roots' values are returned by ``run``.
+    """
+
+    __slots__ = ("names", "_init", "_loads", "_code", "_roots")
+
+    def __init__(self, roots):
+        slot_of = {}  # id(node) -> slot; the roots keep every node alive
+        by_key = {}   # structural key -> slot
+        init, loads, code = [], [], []
+
+        # recursion is as deep as the tree, as in simplify, which every
+        # root has been through
+        def visit(node):
+            slot = slot_of.get(id(node))
+            if slot is not None:
+                return slot
+            kind = type(node)
+            if kind is Mul:
+                key = (_MUL,) + tuple(map(visit, node.args))
+            elif kind is Add:
+                key = (_ADD,) + tuple(map(visit, node.args))
+            elif kind is Pow:
+                key = (_POW, visit(node.base), visit(node.exponent))
+            elif kind is Fun:
+                key = (node.fname, visit(node.arg))
+            elif kind is Const:
+                v = np.float64(node.value)
+                key = ("c", node.value) if node.is_exact else ("f", v.tobytes())
+            elif kind in (Param, Var, Jet):
+                key = ("n", node.name)
+            else:
+                raise TypeError(f"unknown node {kind.__name__}")
+            slot = by_key.get(key)
+            if slot is None:
+                slot = by_key[key] = len(init)
+                # a constant's value is filled in once, for every run
+                init.append(v if kind is Const else None)
+                if key[0] == "n":
+                    loads.append((slot, node.name))
+                elif kind is not Const:
+                    code.append((_NP_FUNS.get(key[0], key[0]), slot, key[1],
+                                 key[2:]))
+            slot_of[id(node)] = slot
+            return slot
+
+        self._roots = tuple(map(visit, roots))
+        # clear each slot, other than a root, after its last use
+        last = {}
+        for i, (_, _, first, rest) in enumerate(code):
+            last[first] = i
+            for a in rest:
+                last[a] = i
+        keep = set(self._roots)
+        dead = [[] for _ in code]
+        for slot, i in last.items():
+            if slot not in keep:
+                dead[i].append(slot)
+        self._code = tuple((op, out, first, rest, tuple(d))
+                           for (op, out, first, rest), d in zip(code, dead))
+        self._init = init
+        self._loads = tuple(loads)
+        self.names = tuple(sorted(nm for _, nm in loads))
+
+    def __len__(self) -> int:
+        """The number of unique subtrees, one instruction each."""
+        return len(self._init)
+
+    def run(self, env) -> list:
+        """The roots' values for env, a mapping of every name in
+        ``names`` to a float or an array."""
+        r = self._init.copy()
+        for k, nm in self._loads:
+            r[k] = env[nm]
+        for op, out, first, rest, dead in self._code:
+            v = r[first]
+            if op is _ADD:
+                for a in rest:
+                    v = v + r[a]
+            elif op is _MUL:
+                for a in rest:
+                    v = v * r[a]
+            elif op is _POW:
+                v = v ** r[rest[0]]
+            else:
+                v = op(v)
+            r[out] = v
+            for d in dead:
+                r[d] = None
+        return [r[k] for k in self._roots]
 
 
 def compile_expr(e: Expr):
     """Compile to a closure mapping {name: array-or-float} -> value.
     The expression is canonicalized first."""
-    return _compile(simplify(e))
+    tape = Tape((simplify(e),))
+    return lambda env: tape.run(env)[0]
 
 
 def required_names(e: Expr) -> tuple:
@@ -181,14 +253,8 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
     params = {k: float(v) for k, v in (params or {}).items()}
     ranges = dict(ranges or {})
     terms = canon.args if isinstance(canon, Add) else (canon,)
-    term_fns = [_compile(t) for t in terms]
-    cons = [simplify(c) for c in constraints]
-    cons_fns = [_compile(c) for c in cons]
-
-    names = set(free_names(canon))
-    for c in cons:
-        names |= free_names(c)
-    sample_names = sorted(nm for nm in names if nm not in params)
+    tape = Tape(terms + tuple(simplify(c) for c in constraints))
+    sample_names = [nm for nm in tape.names if nm not in params]
 
     rel_acc: list[np.ndarray] = []
     env_acc: list[dict] = []
@@ -206,15 +272,13 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
         env = dict(rng_env)
         env.update(params)
         with np.errstate(all="ignore"):
+            vals = tape.run(env)
             admitted = np.ones(m, dtype=bool)
-            for cf in cons_fns:
-                cv = np.broadcast_to(np.asarray(cf(env), dtype=float), (m,))
+            for cv in vals[len(terms):]:
                 admitted &= np.isfinite(cv) & (cv > CONSTRAINT_MARGIN)
-            vals = [np.broadcast_to(np.asarray(tf(env), dtype=float), (m,))
-                    for tf in term_fns]
             total = np.zeros(m)
             scale = np.ones(m)
-            for v in vals:
+            for v in vals[:len(terms)]:
                 total = total + v
                 scale = scale + np.abs(v)
             ok = admitted & np.isfinite(total) & np.isfinite(scale)

@@ -86,7 +86,12 @@ def _fmt(e: Expr, parent: int) -> str:
 
 
 def _neg_int_exponent(e: Pow):
+    """n when e prints as a division 1/base^n, else None.  A zero base
+    keeps its exponent: 1/0^2 would re-parse as 1/(0^2), which folds to
+    1/0, and x/(0*y) as x/0."""
     ex = e.exponent
+    if isinstance(e.base, Const) and e.base.value == 0:
+        return None
     if isinstance(ex, Const) and isinstance(ex.value, Fraction):
         if ex.value.denominator == 1 and ex.value < 0:
             return -ex.value

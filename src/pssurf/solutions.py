@@ -11,6 +11,7 @@ nodes, stored as CSV or binary; text rows are written in blocks.
 from __future__ import annotations
 
 import math
+import os
 import warnings
 from dataclasses import dataclass, field
 
@@ -248,21 +249,25 @@ class SolutionGrid:
 
     @classmethod
     def from_binary(cls, path):
+        """Read what to_binary wrote, each field straight into its own array."""
         with open(path, "rb") as fh:
             header = fh.readline().decode("ascii")
-            payload = fh.read()
-        grid = cls(**_parse_header(header))
-        fields = [tok[len("fields="):] for tok in header.split()
-                  if tok.startswith("fields=")]
-        if not fields:
-            raise ValueError("grid header missing fields")
-        names = _field_names(fields[0])
-        per = grid.nx * grid.nt
-        data = np.frombuffer(payload, dtype="<f8")
-        if data.size != per * len(names):
-            raise ValueError("binary grid payload does not match the header")
-        for k, name in enumerate(names):
-            grid.values[name] = data[k * per:(k + 1) * per].reshape(grid.nx, grid.nt).copy()
+            grid = cls(**_parse_header(header))
+            fields = [tok[len("fields="):] for tok in header.split()
+                      if tok.startswith("fields=")]
+            if not fields:
+                raise ValueError("grid header missing fields")
+            names = _field_names(fields[0])
+            size = 8 * grid.nx * grid.nt
+            mismatch = "binary grid payload does not match the header"
+            # the size is checked before any array is allocated
+            if os.fstat(fh.fileno()).st_size - fh.tell() != size * len(names):
+                raise ValueError(mismatch)
+            for name in names:
+                values = np.empty((grid.nx, grid.nt), dtype="<f8")
+                if fh.readinto(values) != size:
+                    raise ValueError(mismatch)
+                grid.values[name] = values
         return grid
 
 

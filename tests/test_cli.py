@@ -16,6 +16,15 @@ def run(capsys, *argv):
     return code, capsys.readouterr().out
 
 
+def run_failing(capsys, *argv):
+    """Exit code and stderr of a run that reports an error, which leaves
+    stdout empty."""
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, captured.err
+
+
 # ------------------------------------------------------------- helpers
 
 
@@ -83,11 +92,12 @@ def test_verify_exponential_family_no_immersion(capsys):
 
 def test_verify_inconsistent_amplitude_pins(capsys):
     # A is pinned by B, gamma, delta; an off relation is a constraint error
-    code, out = run(capsys, "verify", "--family", "hyp-ii", "--gamma", "2",
-                    "--delta", "1", "--nu", "1", "--beta", "1", "--A", "2",
-                    "--B", "1", "--eta", "1")
+    code, err = run_failing(capsys, "verify", "--family", "hyp-ii",
+                            "--gamma", "2", "--delta", "1", "--nu", "1",
+                            "--beta", "1", "--A", "2", "--B", "1",
+                            "--eta", "1")
     assert code == 2
-    assert "constraint violation" in out
+    assert "constraint violation" in err
 
 
 def test_verify_negative_alpha_noted(capsys):
@@ -99,16 +109,16 @@ def test_verify_negative_alpha_noted(capsys):
 
 
 def test_verify_unknown_family(capsys):
-    code, out = run(capsys, "verify", "--family", "nope")
+    code, err = run_failing(capsys, "verify", "--family", "nope")
     assert code == 2
-    assert "unknown family" in out
-    assert out.count("\n") == 1 and "hyp-iii-xi-tau" in out
+    assert "unknown family" in err
+    assert err.count("\n") == 1 and "hyp-iii-xi-tau" in err
 
 
 def test_verify_missing_family(capsys):
-    code, out = run(capsys, "verify")
+    code, err = run_failing(capsys, "verify")
     assert code == 2
-    assert out == "constraint violation: family: no family given\n"
+    assert err == "constraint violation: family: no family given\n"
 
 
 @pytest.mark.parametrize("name", ["sg-basic", "sg_basic", "SG_BASIC"])
@@ -120,18 +130,20 @@ def test_verify_accepts_every_family_spelling(capsys, name):
 
 
 def test_verify_zero_eta_rejected(capsys):
-    code, out = run(capsys, "verify", "--family", "sg-eta", "--eta", "0")
+    code, err = run_failing(capsys, "verify", "--family", "sg-eta",
+                            "--eta", "0")
     assert code == 2
-    assert "constraint violation" in out
+    assert "constraint violation" in err
 
 
 @pytest.mark.parametrize("family", ["sg-basic", "sg-eta", "hyp-i", "hyp-i-qa",
                                     "hyp-iii-zero", "hyp-iii-xi-tau"])
 def test_sign_rejected_without_a_sign_branch(capsys, family):
-    code, out = run(capsys, "verify", "--family", family, "--sign", "-1")
+    code, err = run_failing(capsys, "verify", "--family", family,
+                            "--sign", "-1")
     assert code == 2
-    assert out.count("\n") == 1
-    assert out.startswith("constraint violation: unknown parameter: 'sign'")
+    assert err.count("\n") == 1
+    assert err.startswith("constraint violation: unknown parameter: 'sign'")
 
 
 @pytest.mark.parametrize("family", ["evo-hlnonzero", "evo-hlzero", "hyp-ii",
@@ -146,11 +158,11 @@ def test_sign_accepted_with_a_sign_branch(capsys, family):
 def test_bad_sign_im_rejected(capsys, tmp_path, command):
     extra = (["--solution", "kink", "--grid", "-1:1:-1:1:0.5",
               "--out", str(tmp_path / "m.obj")] if command == "immerse" else [])
-    code, out = run(capsys, command, "--family", "sg-basic", "--sign-im", "2",
-                    *extra)
+    code, err = run_failing(capsys, command, "--family", "sg-basic",
+                            "--sign-im", "2", *extra)
     assert code == 2
-    assert out.count("\n") == 1
-    assert out.startswith("constraint violation: sign_im")
+    assert err.count("\n") == 1
+    assert err.startswith("constraint violation: sign_im")
 
 
 def test_verify_negative_sign_im_passes(capsys):
@@ -212,10 +224,10 @@ def test_obstruct_exit_zero_for_any_verdict(capsys):
 def test_gamma_and_gamma_im_are_distinct(capsys):
     # gamma is an equation constant that this family does not have;
     # gamma-im is the immersion constant and is always legal
-    code, out = run(capsys, "obstruct", "--family", "hyp-iii-lambda",
-                    "--gamma", "1")
+    code, err = run_failing(capsys, "obstruct", "--family", "hyp-iii-lambda",
+                            "--gamma", "1")
     assert code == 2
-    assert "unknown parameter" in out
+    assert "unknown parameter" in err
     code, out = run(capsys, "obstruct", "--family", "hyp-iii-lambda",
                     "--gamma-im", "0.8")
     assert code == 0
@@ -227,6 +239,13 @@ def test_obstruct_report_written(capsys, tmp_path):
                   "--report", str(rp))
     assert code == 0
     assert "Inconsistent" in rp.read_text()
+
+
+def test_unwritable_report_leaves_stdout_empty(capsys, tmp_path):
+    code, err = run_failing(capsys, "verify", "--family", "sg-basic",
+                            "--report", str(tmp_path / "no-dir" / "r.txt"))
+    assert code == 2
+    assert err.count("\n") == 1 and err.startswith("error: ")
 
 
 # ------------------------------------------------------------- immerse
@@ -245,27 +264,27 @@ def test_immerse_small_kink(capsys, tmp_path):
 
 
 def test_immerse_missing_out(capsys):
-    code, out = run(capsys, "immerse", "--family", "sg-basic",
-                    "--solution", "kink", "--grid", "-1:1:-1:1:0.1")
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
+                            "--solution", "kink", "--grid", "-1:1:-1:1:0.1")
     assert code == 2
-    assert "missing output path" in out
+    assert "missing output path" in err
 
 
 def test_immerse_invalid_strip(capsys, tmp_path):
-    code, out = run(capsys, "immerse", "--family", "evo-hlzero",
-                    "--solution", "kink", "--grid", "-1:1:-1:1:0.1",
-                    "--l", "1", "--gamma-im", "1", "--eta", "1",
-                    "--lambda", "1", "--out", str(tmp_path / "x.obj"))
+    code, err = run_failing(capsys, "immerse", "--family", "evo-hlzero",
+                            "--solution", "kink", "--grid", "-1:1:-1:1:0.1",
+                            "--l", "1", "--gamma-im", "1", "--eta", "1",
+                            "--lambda", "1", "--out", str(tmp_path / "x.obj"))
     assert code == 2
-    assert "constraint violation" in out
+    assert "constraint violation" in err
 
 
 def test_immerse_no_closed_form(capsys, tmp_path):
-    code, out = run(capsys, "immerse", "--family", "hyp-iii-zero",
-                    "--solution", "kink", "--grid", "-1:1:-1:1:0.1",
-                    "--out", str(tmp_path / "x.obj"))
+    code, err = run_failing(capsys, "immerse", "--family", "hyp-iii-zero",
+                            "--solution", "kink", "--grid", "-1:1:-1:1:0.1",
+                            "--out", str(tmp_path / "x.obj"))
     assert code == 2
-    assert "no closed-form immersion" in out
+    assert "no closed-form immersion" in err
 
 
 def test_immerse_tight_tolerance_fails(capsys, tmp_path):
@@ -278,17 +297,17 @@ def test_immerse_tight_tolerance_fails(capsys, tmp_path):
 
 
 def test_immerse_unknown_solution(capsys, tmp_path):
-    code, out = run(capsys, "immerse", "--family", "sg-basic",
-                    "--solution", "wave?", "--grid", "-1:1:-1:1:0.1",
-                    "--out", str(tmp_path / "x.obj"))
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
+                            "--solution", "wave?", "--grid", "-1:1:-1:1:0.1",
+                            "--out", str(tmp_path / "x.obj"))
     assert code == 2
-    assert "unknown solution" in out
+    assert "unknown solution" in err
 
 
 def test_immerse_bad_grid(capsys, tmp_path):
-    code, out = run(capsys, "immerse", "--family", "sg-basic",
-                    "--solution", "kink", "--grid", "1:2:3",
-                    "--out", str(tmp_path / "x.obj"))
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
+                            "--solution", "kink", "--grid", "1:2:3",
+                            "--out", str(tmp_path / "x.obj"))
     assert code == 2
 
 
@@ -310,20 +329,21 @@ def test_immerse_from_stored_grid(capsys, tmp_path):
     ("evo-hlzero", "eta, lambda"),
 ])
 def test_immerse_missing_family_parameters(capsys, tmp_path, family, missing):
-    code, out = run(capsys, "immerse", "--family", family,
-                    "--solution", "linear", "--grid", "0:1:0:1:0.1",
-                    "--out", str(tmp_path / "o.obj"))
+    code, err = run_failing(capsys, "immerse", "--family", family,
+                            "--solution", "linear", "--grid", "0:1:0:1:0.1",
+                            "--out", str(tmp_path / "o.obj"))
     assert code == 2
-    assert out == f"constraint violation: params: missing parameters: {missing}\n"
+    assert err == f"constraint violation: params: missing parameters: {missing}\n"
 
 
 def test_immerse_malformed_binary_grid(capsys, tmp_path):
     src = tmp_path / "junk.bin"
     src.write_bytes(b"not a grid header\n" + bytes(16))
-    code, out = run(capsys, "immerse", "--family", "sg-basic",
-                    "--solution", str(src), "--out", str(tmp_path / "k.obj"))
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
+                            "--solution", str(src),
+                            "--out", str(tmp_path / "k.obj"))
     assert code == 2
-    assert out == "error: grid header missing x0, t0, hx, ht, nx, nt\n"
+    assert err == "error: grid header missing x0, t0, hx, ht, nx, nt\n"
 
 
 def _stored_kink(tmp_path, kind):
@@ -348,6 +368,10 @@ def _drop_last_value(src):
     src.write_bytes(src.read_bytes()[:-8])
 
 
+def _append_value(src):
+    src.write_bytes(src.read_bytes() + bytes(8))
+
+
 def _zero_step(src):
     src.write_bytes(src.read_bytes().replace(b"hx=0.1", b"hx=0.0", 1))
 
@@ -360,6 +384,7 @@ def _zero_step(src):
     ("csv", _drop_last_row, "CSV grid data does not match the header: "
                             "440 rows of 6 values, expected 441 rows of 6"),
     ("bin", _drop_last_value, "binary grid payload does not match the header"),
+    ("bin", _append_value, "binary grid payload does not match the header"),
     ("csv", _zero_step, "grid header needs finite x0, t0, positive finite "
                         "hx, ht and positive nx, nt"),
 ])
@@ -371,8 +396,8 @@ def test_immerse_rejects_malformed_stored_grid(capsys, tmp_path, kind,
                  "--out", str(tmp_path / "k.obj")])
     captured = capsys.readouterr()
     assert code == 2
-    assert captured.out == f"error: {message}\n"
-    assert captured.err == ""
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 # ------------------------------------------------------------ surface
@@ -431,22 +456,22 @@ def test_unread_flags_are_usage_errors(monkeypatch, tmp_path, argv):
 def test_malformed_table_entry_is_one_line(capsys, tmp_path, f11):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[params]\nf11 = {f11}\n")
-    code, out = run(capsys, "verify", "--family", "evo-hlzero",
-                    "--config", str(cfg))
+    code, err = run_failing(capsys, "verify", "--family", "evo-hlzero",
+                            "--config", str(cfg))
     assert code == 2
-    assert out.count("\n") == 1
+    assert err.count("\n") == 1
 
 
 def test_non_finite_table_entry_is_not_blamed_on_constraints(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[params]\nf11 = z0 + 1e400\n")
-    code, out = run(capsys, "verify", "--family", "evo-hlzero",
-                    "--config", str(cfg))
+    code, err = run_failing(capsys, "verify", "--family", "evo-hlzero",
+                            "--config", str(cfg))
     assert code == 2
-    assert out.count("\n") == 1
-    assert out.startswith("error: zero test could not sample the domain")
-    assert "0 rejected by the constraints" in out
-    assert "where the expression is not finite" in out
+    assert err.count("\n") == 1
+    assert err.startswith("error: zero test could not sample the domain")
+    assert "0 rejected by the constraints" in err
+    assert "where the expression is not finite" in err
 
 
 # -------------------------------------------------------------- config
@@ -489,10 +514,10 @@ def test_config_command_section(capsys, tmp_path):
 def test_config_unknown_key_rejected(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("eta = 1.5\n")   # parameters must live in [params]
-    code, out = run(capsys, "verify", "--family", "sg-eta",
-                    "--config", str(cfg))
+    code, err = run_failing(capsys, "verify", "--family", "sg-eta",
+                            "--config", str(cfg))
     assert code == 2
-    assert "[params]" in out
+    assert "[params]" in err
 
 
 @pytest.mark.parametrize("command, key, value", [
@@ -503,16 +528,16 @@ def test_config_key_of_another_subcommand_rejected(capsys, tmp_path, command,
                                                     key, value):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"[{command}]\n{key} = {value}\n")
-    code, out = run(capsys, command, "--family", "sg-basic",
-                    "--config", str(cfg))
+    code, err = run_failing(capsys, command, "--family", "sg-basic",
+                            "--config", str(cfg))
     assert code == 2
-    assert out.count("\n") == 1
-    assert repr(key) in out and command in out
+    assert err.count("\n") == 1
+    assert repr(key) in err and command in err
 
 
 def test_missing_config_file(capsys):
-    code, out = run(capsys, "verify", "--family", "sg-basic",
-                    "--config", "/does/not/exist.cfg")
+    code, err = run_failing(capsys, "verify", "--family", "sg-basic",
+                            "--config", "/does/not/exist.cfg")
     assert code == 2
 
 

@@ -1,8 +1,14 @@
 import math
+import weakref
 
+import numpy as np
 import pytest
 
-from pssurf.expr import EvalError, evaluate, is_zero, parse, simplify
+from pssurf.expr import (
+    Add, Const, EvalError, Mul, Param, Pow, Var, compile_expr, evaluate, exp,
+    is_zero, parse, simplify, total_x, walk, z,
+)
+from pssurf.expr.numeric import Tape
 
 
 def test_evaluate_basics():
@@ -86,3 +92,73 @@ def test_seed_reproducible():
 def test_unsatisfiable_domain_reports():
     with pytest.raises(EvalError):
         is_zero(parse("z0"), constraints=(parse("z0 - 10"),))
+
+
+# ------------------------------------------------------------------ tape
+
+
+def test_tape_has_one_instruction_per_unique_subtree():
+    # exp(z0 - exp(z0 - ... z0)) nested 50 deep, and its x derivative,
+    # whose 6,270 nodes the closure compiler expanded one by one
+    e = z(0)
+    for _ in range(50):
+        e = exp(z(0) - e)
+    canon = simplify(e)
+    dx = simplify(total_x(canon))
+    tape = Tape((canon, dx))
+    assert len(tape) == len(set(walk(canon)) | set(walk(dx)))
+    assert tape.names == ("z0", "z1")
+
+
+def test_tape_keeps_signed_zero_constants_apart():
+    # structurally equal, but 1/0.0 and 1/-0.0 differ
+    pos, neg = Pow(Const(0.0), Const(-1)), Pow(Const(-0.0), Const(-1))
+    assert pos == neg
+    with np.errstate(divide="ignore"):
+        got = Tape((pos, neg)).run({})
+    assert got == [np.inf, -np.inf]
+
+
+def test_tape_folds_sums_and_products_left():
+    big = {"x": np.array([1e16, 1e200]), "t": np.array([-1e16, 1e200]),
+           "eta": np.array([1.0, 1e-200])}
+    x, t, eta = Var("x"), Var("t"), Param("eta")
+    with np.errstate(over="ignore"):
+        total, product = Tape((Add((x, t, eta)), Mul((x, t, eta)))).run(big)
+    assert total.tolist() == [1.0, 2e200]
+    assert product.tolist() == [-1e32, np.inf]
+
+
+class _Tracked(np.ndarray):
+    """Arrays that record how many of their kind are alive when one is made."""
+
+    made: list = []
+    peak = 0
+
+    def __array_finalize__(self, obj):
+        alive = sum(ref() is not None for ref in _Tracked.made)
+        _Tracked.peak = max(_Tracked.peak, alive)
+        _Tracked.made.append(weakref.ref(self))
+
+
+def test_tape_clears_each_slot_after_its_last_use():
+    # eight computed arrays in a chain; each is needed by the next only
+    e = parse("z0")
+    for _ in range(8):
+        e = parse(f"sin({e}) + 1")
+    tape = Tape((simplify(e),))
+    z0 = np.linspace(0.0, 1.0, 5).view(_Tracked)
+    _Tracked.made, _Tracked.peak = [weakref.ref(z0)], 0
+    value = tape.run({"z0": z0})[0]
+    assert len(_Tracked.made) == 17
+    # z0 and the argument of the array being made, nothing older
+    assert _Tracked.peak == 2
+    assert np.asarray(value).tobytes() == np.asarray(
+        compile_expr(e)({"z0": np.linspace(0.0, 1.0, 5)})).tobytes()
+
+
+def test_zero_test_samples_the_names_of_terms_and_constraints():
+    v = is_zero(parse("sin(z0) - z0"), constraints=(parse("eta + 3"),),
+                params={"z0": 0.5})
+    assert v.status == "nonzero"
+    assert set(v.witness) == {"z0", "eta"}

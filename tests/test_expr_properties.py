@@ -11,15 +11,18 @@ import math
 import operator
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fd_oracle import fd_partial
+from numeric_oracle import _compile
 
 from pssurf.expr import (
     FUNCTION_NAMES, Add, Const, Fun, Mul, Param, Pow, T, X,
-    evaluate, free_leaves, partial, simplify, walk, z,
+    evaluate, free_leaves, parse, partial, simplify, to_text, walk, z,
 )
+from pssurf.expr.numeric import Tape
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -79,6 +82,49 @@ def test_canonical_form_is_a_fixed_point_of_canonical_shape(e):
             assert sum(isinstance(a, Const) for a in node.args) <= 1
         elif isinstance(node, Pow) and isinstance(node.exponent, Const):
             assert node.exponent.value not in (0, 1)
+
+
+@SETTINGS
+@given(TREES)
+def test_printed_text_parses_back_to_the_canonical_form(e):
+    assert simplify(parse(to_text(e))) == simplify(e)
+
+
+@pytest.mark.parametrize("text", ["(0^-1)^2", "x*(0^-1)^3/z0", "x*0^-1/z0"])
+def test_zero_base_round_trips(text):
+    # a zero base printed as a divisor, 1/0^2, re-parses as 1/(0^2) = 1/0
+    e = simplify(parse(text))
+    assert simplify(parse(to_text(e))) == e
+
+
+def _bits(v):
+    v = np.asarray(v)
+    return v.tobytes(), v.dtype, v.shape
+
+
+# the sampled names are arrays of several points; eta stays a Python
+# float, as is_zero's fixed parameters do
+@SETTINGS
+@given(st.lists(TREES, min_size=1, max_size=3),
+       st.lists(POINTS, min_size=1, max_size=4))
+def test_tape_matches_closure_compiler_bit_for_bit(trees, points):
+    env = {nm: np.array([p[nm] for p in points])
+           for nm in ("z0", "z1", "x", "t")}
+    env["eta"] = points[0]["eta"]
+    roots = [simplify(e) for e in trees]
+    want, raised = [], set()
+    with np.errstate(all="ignore"):
+        for root in roots:
+            try:
+                want.append(_bits(_compile(root)(env)))
+            except Exception as exc:  # Python float arithmetic on eta alone
+                raised.add(type(exc))
+        try:
+            got = [_bits(v) for v in Tape(roots).run(env)]
+        except Exception as exc:
+            assert type(exc) in raised
+        else:
+            assert not raised and got == want
 
 
 # every function's chain rule is exercised on every run: the tree is

@@ -288,6 +288,37 @@ def test_grid_binary_rejects_short_payload(tmp_path):
         SolutionGrid.from_binary(path)
 
 
+@pytest.mark.parametrize("cut", [
+    lambda raw: raw[:-8],               # one value short
+    lambda raw: raw + bytes(8),         # one value too many
+    lambda raw: raw.split(b"\n")[0] + b"\n",  # header only
+])
+def test_grid_binary_payload_must_match_header(tmp_path, cut):
+    g = SolutionGrid.from_values(np.ones((3, 4)), 0.0, 0.0, 1.0, 1.0)
+    path = tmp_path / "grid.bin"
+    g.to_binary(path)
+    path.write_bytes(cut(path.read_bytes()))
+    with pytest.raises(ValueError) as info:
+        SolutionGrid.from_binary(path)
+    assert str(info.value) == "binary grid payload does not match the header"
+
+
+def test_grid_binary_round_trip_is_bit_identical(tmp_path):
+    u = np.random.default_rng(3).normal(size=(13, 7))
+    g = SolutionGrid.from_values(u, -1.0, 0.5, 0.1, 0.3)
+    g["u"][0, :5] = (0.0, -0.0, np.inf, np.nan, 5e-324)
+    path = tmp_path / "grid.bin"
+    g.to_binary(path)
+    back = SolutionGrid.from_binary(path)
+    assert list(back.values) == list(g.values)
+    for name, arr in g.values.items():
+        got = back[name]
+        assert got.tobytes() == arr.tobytes()
+        assert got.shape == (13, 7) and got.dtype == np.float64
+        # each field is its own array, not a view of one shared buffer
+        assert got.base is None and got.flags.writeable
+
+
 @pytest.mark.parametrize("header, key", [
     (b"garbage\n", "x0"),
     (b"x0=0.0 t0=0.0 hx=1.0 ht=1.0 nx=1 fields=u dtype=<f8\n", "nt"),
