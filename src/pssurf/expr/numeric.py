@@ -153,6 +153,9 @@ class Tape:
             return slot
 
         self._roots = tuple(map(visit, roots))
+        # visit refers to itself: drop it, so that the dicts it holds are
+        # freed now and not at the next cyclic collection
+        del visit
         # clear each slot, other than a root, after its last use
         last = {}
         for i, (_, _, first, rest) in enumerate(code):
