@@ -164,7 +164,7 @@ def cmd_verify(cfg: RunConfig) -> int:
     family = _family_of(cfg)
     fam_params, imm_params = _split_params(cfg)
     spec = build(family, fam_params)
-    rep = verify_family(spec.triple)
+    rep = verify_family(spec.triple, n=cfg.points, tol=cfg.tol, seed=cfg.seed)
     lines = [f"family: {family.value}", _param_header(cfg)]
     for note in spec.report:
         lines.append(f"note: {note}")
@@ -285,7 +285,7 @@ def build_parser():
 
     v = sub.add_parser("verify", help="check the structure equations")
     _add_common(v)
-    # sampling of the immersion's zero tests
+    # sampling of every zero test
     v.add_argument("--points", type=int)
     v.add_argument("--seed", type=int)
     v.add_argument("--tol", type=float)

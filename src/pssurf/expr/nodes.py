@@ -9,13 +9,22 @@ representation: (i, 0) is the i-th pure x-derivative (printed ``zi``),
 positive prints as ``ux{m}t{n}``.  The 0-jet u itself is (0, 0) and is
 always printed ``z0``; ``w0`` normalizes to it on construction.
 
-Expressions are immutable and hashable; equality is structural.  Lazy
-caches (_hash, _key, _canon) are filled at most once with values that do
+Nodes are hash-consed: a constructor returns the one node of its
+structure, so equal structures are one object, and equality and hashing
+are by identity.  Each node kind keeps a table of its nodes keyed by
+their fields, the children being unique already, so a lookup costs
+O(arity).  An exact constant is keyed by its Fraction and a float
+constant by its bits: 1 and 1.0, and 0.0 and -0.0, are four nodes, and
+NaNs with equal bits are one.  The tables keep every node built for as
+long as the process lives, so the per-node caches (_key, _canon) serve
+every later tree that shares a structure.  Nodes enter a table through
+``dict.setdefault`` and the lazy caches are filled with values that do
 not depend on thread timing, so concurrent use is safe.
 """
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from typing import Iterator, Union
 
@@ -25,14 +34,39 @@ FUNCTION_NAMES = (
     "exp", "log", "sqrt", "sin", "cos", "tan", "sinh", "cosh", "arctan",
 )
 
+_NO_JETS = frozenset()
+# each distinct set of jets once: many nodes share a few sets
+_JET_SETS: dict = {}
+_float_bits = struct.Struct("<d").pack
+
+
+def _new(cls, jets):
+    """A bare node of cls; the constructor fills in its fields before
+    cls._table.setdefault publishes it."""
+    node = object.__new__(cls)
+    node._key = None
+    node._canon = None
+    node._jets = jets
+    return node
+
+
+def _union_jets(args) -> frozenset:
+    out = _NO_JETS
+    for a in args:
+        j = a._jets
+        if j and not j <= out:
+            if out:
+                both = out | j
+                out = _JET_SETS.setdefault(both, both)
+            else:
+                out = j
+    return out
+
 
 class Expr:
-    __slots__ = ("_hash", "_key", "_canon")
-
-    def __init__(self) -> None:
-        self._hash = None
-        self._key = None
-        self._canon = None
+    # _jets: the frozenset of Jet leaves below the node, built from the
+    # children's sets when the node is
+    __slots__ = ("_key", "_canon", "_jets")
 
     # -- construction sugar; raw nodes, canonicalized only by simplify().
     # Negation is a -1 factor and a quotient a factor d^-1, as in the
@@ -71,26 +105,6 @@ class Expr:
     def __pos__(self):
         return self
 
-    def __eq__(self, other):
-        if self is other:
-            return True
-        if type(self) is not type(other):
-            return NotImplemented if not isinstance(other, Expr) else False
-        if hash(self) != hash(other):
-            return False
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash((type(self).__name__,) + tuple(
-                hash(f) for f in self._fields()))
-            self._hash = h
-        return h
-
-    def _fields(self) -> tuple:
-        raise NotImplementedError
-
     def children(self) -> tuple["Expr", ...]:
         return ()
 
@@ -125,22 +139,30 @@ class Const(Expr):
     """
 
     __slots__ = ("value",)
+    # exact value or float bits -> node
+    _table: dict = {}
 
-    def __init__(self, value: Number):
-        super().__init__()
+    def __new__(cls, value: Number):
         if isinstance(value, bool):
             raise TypeError("boolean is not a constant")
-        if isinstance(value, int):
-            value = Fraction(value)
-        elif not isinstance(value, (Fraction, float)):
+        if isinstance(value, float):
+            value = float(value)
+            key = _float_bits(value)
+        elif isinstance(value, (int, Fraction)):
+            # an int keys as its Fraction does; a float's bits equal neither
+            key = value
+        else:
             raise TypeError(f"bad constant {value!r}")
-        if (isinstance(value, Fraction)
-                and abs(value.numerator) >= _FLOAT_LIMIT * value.denominator):
-            raise ValueError("exact constant beyond the float range")
-        self.value = value
-
-    def _fields(self):
-        return (isinstance(self.value, Fraction), self.value)
+        node = cls._table.get(key)
+        if node is None:
+            if not isinstance(value, float):
+                value = Fraction(value)
+                if abs(value.numerator) >= _FLOAT_LIMIT * value.denominator:
+                    raise ValueError("exact constant beyond the float range")
+            node = _new(cls, _NO_JETS)
+            node.value = value
+            node = cls._table.setdefault(key, node)
+        return node
 
     @property
     def is_exact(self) -> bool:
@@ -154,13 +176,16 @@ class Param(Expr):
     """Named scalar parameter (eta, alpha, A, ...)."""
 
     __slots__ = ("name",)
+    # name -> node
+    _table: dict = {}
 
-    def __init__(self, name: str):
-        super().__init__()
-        self.name = name
-
-    def _fields(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        node = cls._table.get(name)
+        if node is None:
+            node = _new(cls, _NO_JETS)
+            node.name = name
+            node = cls._table.setdefault(name, node)
+        return node
 
     def _make_key(self):
         return (1, self.name)
@@ -170,15 +195,19 @@ class Var(Expr):
     """Independent variable: x or t."""
 
     __slots__ = ("name",)
+    # name -> node
+    _table: dict = {}
 
-    def __init__(self, name: str):
-        super().__init__()
-        if name not in ("x", "t"):
-            raise ValueError(f"independent variable must be x or t, got {name!r}")
-        self.name = name
-
-    def _fields(self):
-        return (self.name,)
+    def __new__(cls, name: str):
+        node = cls._table.get(name)
+        if node is None:
+            if name not in ("x", "t"):
+                raise ValueError(
+                    f"independent variable must be x or t, got {name!r}")
+            node = _new(cls, _NO_JETS)
+            node.name = name
+            node = cls._table.setdefault(name, node)
+        return node
 
     def _make_key(self):
         return (2, self.name)
@@ -188,16 +217,21 @@ class Jet(Expr):
     """Jet variable: d^(dx+dt) u / dx^dx dt^dt.  w0 normalizes to z0."""
 
     __slots__ = ("dx", "dt")
+    # (dx, dt) -> node
+    _table: dict = {}
 
-    def __init__(self, dx: int, dt: int):
-        super().__init__()
-        if dx < 0 or dt < 0:
-            raise ValueError("negative derivative count")
-        self.dx = dx
-        self.dt = dt
-
-    def _fields(self):
-        return (self.dx, self.dt)
+    def __new__(cls, dx: int, dt: int):
+        key = (dx, dt)
+        node = cls._table.get(key)
+        if node is None:
+            if dx < 0 or dt < 0:
+                raise ValueError("negative derivative count")
+            node = _new(cls, None)
+            node._jets = frozenset((node,))
+            node.dx = dx
+            node.dt = dt
+            node = cls._table.setdefault(key, node)
+        return node
 
     @property
     def name(self) -> str:
@@ -215,16 +249,20 @@ class Fun(Expr):
     """Unary elementary function application."""
 
     __slots__ = ("fname", "arg")
+    # (fname, arg) -> node
+    _table: dict = {}
 
-    def __init__(self, fname: str, arg: Expr):
-        super().__init__()
-        if fname not in FUNCTION_NAMES:
-            raise ValueError(f"unknown function {fname!r}")
-        self.fname = fname
-        self.arg = arg
-
-    def _fields(self):
-        return (self.fname, self.arg)
+    def __new__(cls, fname: str, arg: Expr):
+        key = (fname, arg)
+        node = cls._table.get(key)
+        if node is None:
+            if fname not in FUNCTION_NAMES:
+                raise ValueError(f"unknown function {fname!r}")
+            node = _new(cls, arg._jets)
+            node.fname = fname
+            node.arg = arg
+            node = cls._table.setdefault(key, node)
+        return node
 
     def children(self):
         return (self.arg,)
@@ -235,14 +273,18 @@ class Fun(Expr):
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
+    # (base, exponent) -> node
+    _table: dict = {}
 
-    def __init__(self, base: Expr, exponent: Expr):
-        super().__init__()
-        self.base = base
-        self.exponent = exponent
-
-    def _fields(self):
-        return (self.base, self.exponent)
+    def __new__(cls, base: Expr, exponent: Expr):
+        key = (base, exponent)
+        node = cls._table.get(key)
+        if node is None:
+            node = _new(cls, _union_jets((base, exponent)))
+            node.base = base
+            node.exponent = exponent
+            node = cls._table.setdefault(key, node)
+        return node
 
     def children(self):
         return (self.base, self.exponent)
@@ -251,42 +293,39 @@ class Pow(Expr):
         return (5, self.base.sort_key(), self.exponent.sort_key())
 
 
-class Mul(Expr):
+class _Nary(Expr):
+    """Mul and Add: an argument tuple of at least two nodes."""
+
     __slots__ = ("args",)
 
-    def __init__(self, args):
-        super().__init__()
-        self.args = tuple(args)
-        if len(self.args) < 2:
-            raise ValueError("Mul needs at least two factors")
-
-    def _fields(self):
-        return self.args
+    def __new__(cls, args):
+        args = tuple(args)
+        node = cls._table.get(args)
+        if node is None:
+            if len(args) < 2:
+                raise ValueError(f"{cls.__name__} needs at least two {cls._what}")
+            node = _new(cls, _union_jets(args))
+            node.args = args
+            node = cls._table.setdefault(args, node)
+        return node
 
     def children(self):
         return self.args
 
     def _make_key(self):
-        return (6,) + tuple(a.sort_key() for a in self.args)
+        return (self._rank,) + tuple(a.sort_key() for a in self.args)
 
 
-class Add(Expr):
-    __slots__ = ("args",)
+class Mul(_Nary):
+    __slots__ = ()
+    _table: dict = {}  # args -> node
+    _what, _rank = "factors", 6
 
-    def __init__(self, args):
-        super().__init__()
-        self.args = tuple(args)
-        if len(self.args) < 2:
-            raise ValueError("Add needs at least two terms")
 
-    def _fields(self):
-        return self.args
-
-    def children(self):
-        return self.args
-
-    def _make_key(self):
-        return (7,) + tuple(a.sort_key() for a in self.args)
+class Add(_Nary):
+    __slots__ = ()
+    _table: dict = {}  # args -> node
+    _what, _rank = "terms", 7
 
 
 # -- convenience constructors -------------------------------------------
@@ -371,8 +410,9 @@ def free_names(e: Expr) -> set:
     return {leaf.name for leaf in free_leaves(e)}
 
 
-def jets_of(e: Expr) -> set:
-    return {n for n in walk(e) if isinstance(n, Jet)}
+def jets_of(e: Expr) -> frozenset:
+    """The Jet leaves of e, read from the node: O(1) per call."""
+    return e._jets
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:

@@ -102,54 +102,47 @@ class Tape:
     """The unique subtrees of one or more canonical roots, in topological
     order, each evaluated once per run.
 
-    Nodes merge by structure, except that float constants merge only when
-    their bits agree (0.0 and -0.0 stay apart).  Each instruction computes
-    what the closure of its node kind did: constants are np.float64, a
-    name reads env[name], and products and sums fold left in argument
-    order, so every value is bit-identical.  A computed slot is cleared
-    after its last use; the roots' values are returned by ``run``.
+    Slots are keyed by node, which is unique per structure (a float
+    constant per bits, so 0.0 and -0.0 stay apart), and a Param, Var or
+    Jet leaf by its name.  Each instruction computes what the closure of
+    its node kind did: constants are np.float64, a name reads env[name],
+    and products and sums fold left in argument order, so every value is
+    bit-identical.  A computed slot is cleared after its last use; the
+    roots' values are returned by ``run``.
     """
 
     __slots__ = ("names", "_init", "_loads", "_code", "_roots")
 
     def __init__(self, roots):
-        slot_of = {}  # id(node) -> slot; the roots keep every node alive
-        by_key = {}   # structural key -> slot
+        slot_of = {}  # node, or a leaf's name -> slot
         init, loads, code = [], [], []
 
         # recursion is as deep as the tree, as in simplify, which every
         # root has been through
         def visit(node):
-            slot = slot_of.get(id(node))
+            kind = type(node)
+            leaf = kind is Param or kind is Var or kind is Jet
+            key = node.name if leaf else node
+            slot = slot_of.get(key)
             if slot is not None:
                 return slot
-            kind = type(node)
             if kind is Mul:
-                key = (_MUL,) + tuple(map(visit, node.args))
+                args = (_MUL,) + tuple(map(visit, node.args))
             elif kind is Add:
-                key = (_ADD,) + tuple(map(visit, node.args))
+                args = (_ADD,) + tuple(map(visit, node.args))
             elif kind is Pow:
-                key = (_POW, visit(node.base), visit(node.exponent))
+                args = (_POW, visit(node.base), visit(node.exponent))
             elif kind is Fun:
-                key = (node.fname, visit(node.arg))
-            elif kind is Const:
-                v = np.float64(node.value)
-                key = ("c", node.value) if node.is_exact else ("f", v.tobytes())
-            elif kind in (Param, Var, Jet):
-                key = ("n", node.name)
-            else:
+                args = (_NP_FUNS[node.fname], visit(node.arg))
+            elif kind is not Const and not leaf:
                 raise TypeError(f"unknown node {kind.__name__}")
-            slot = by_key.get(key)
-            if slot is None:
-                slot = by_key[key] = len(init)
-                # a constant's value is filled in once, for every run
-                init.append(v if kind is Const else None)
-                if key[0] == "n":
-                    loads.append((slot, node.name))
-                elif kind is not Const:
-                    code.append((_NP_FUNS.get(key[0], key[0]), slot, key[1],
-                                 key[2:]))
-            slot_of[id(node)] = slot
+            slot = slot_of[key] = len(init)
+            # a constant's value is filled in once, for every run
+            init.append(np.float64(node.value) if kind is Const else None)
+            if leaf:
+                loads.append((slot, node.name))
+            elif kind is not Const:
+                code.append((args[0], slot, args[1], args[2:]))
             return slot
 
         self._roots = tuple(map(visit, roots))

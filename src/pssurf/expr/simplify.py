@@ -219,8 +219,8 @@ def _rebuild_term(coeff, factors) -> Expr:
 
 
 def _canon_add(args) -> Expr:
-    terms: dict = {}   # monomial key -> [coeff, factors]
-    order: list = []
+    # a term's sorted factor nodes -> its coefficient, in first-seen order
+    terms: dict = {}
 
     def push(t: Expr):
         if isinstance(t, Add):
@@ -230,24 +230,16 @@ def _canon_add(args) -> Expr:
         coeff, factors = _term_parts(t)
         if coeff == 0:
             return
-        key = tuple(f.sort_key() for f in factors)
-        if key in terms:
-            terms[key][0] += coeff
-        else:
-            terms[key] = [coeff, factors]
-            order.append(key)
+        c = terms.get(factors)
+        terms[factors] = coeff if c is None else c + coeff
 
     for a in args:
         push(a)
 
-    _apply_pair_rules(terms, order)
+    _apply_pair_rules(terms)
 
-    out = []
-    for key in order:
-        coeff, factors = terms[key]
-        if coeff == 0:
-            continue
-        out.append(_rebuild_term(coeff, factors))
+    out = [_rebuild_term(coeff, factors)
+           for factors, coeff in terms.items() if coeff != 0]
     if not out:
         return ZERO
     out.sort(key=lambda t: t.sort_key())
@@ -259,16 +251,14 @@ def _canon_add(args) -> Expr:
 _PAIRS = {"sin": ("cos", 1), "cos": ("sin", 1), "sinh": ("cosh", -1), "cosh": ("sinh", -1)}
 
 
-def _apply_pair_rules(terms: dict, order: list) -> None:
+def _apply_pair_rules(terms: dict) -> None:
     """sin^2+cos^2 and cosh^2-sinh^2 collapse on equal-coefficient pairs."""
     changed = True
     while changed:
         changed = False
-        for key in list(order):
-            entry = terms.get(key)
-            if entry is None or entry[0] == 0:
+        for factors, coeff in list(terms.items()):
+            if coeff == 0:
                 continue
-            coeff, factors = entry
             for i, f in enumerate(factors):
                 if not (isinstance(f, Pow) and isinstance(f.exponent, Const)
                         and f.exponent.value == 2 and isinstance(f.base, Fun)):
@@ -278,30 +268,26 @@ def _apply_pair_rules(terms: dict, order: list) -> None:
                     continue
                 pname, rel = partner
                 pf = Pow(Fun(pname, f.base.arg), Const(2))
-                pfactors = factors[:i] + (pf,) + factors[i + 1:]
-                pkey = tuple(g.sort_key() for g in sorted(pfactors, key=lambda g: g.sort_key()))
                 # partner terms are stored with sorted factors already
-                pentry = terms.get(pkey)
-                if pentry is None or pentry[0] == 0:
+                pkey = tuple(sorted(factors[:i] + (pf,) + factors[i + 1:],
+                                    key=Expr.sort_key))
+                pcoeff = terms.get(pkey)
+                if pcoeff is None or pcoeff == 0:
                     continue
                 want = coeff if rel == 1 else -coeff
-                if pentry[0] != want:
+                if pcoeff != want:
                     continue
                 # collapse: for sin/cos keep coeff; for sinh/cosh the cosh term
                 # carries the surviving sign.
                 if rel == 1:
                     survivor = coeff
                 else:
-                    survivor = coeff if f.base.fname == "cosh" else pentry[0]
-                entry[0] = 0
-                pentry[0] = 0
+                    survivor = coeff if f.base.fname == "cosh" else pcoeff
+                terms[factors] = 0
+                terms[pkey] = 0
                 rest = factors[:i] + factors[i + 1:]
-                rkey = tuple(g.sort_key() for g in rest)
-                if rkey in terms:
-                    terms[rkey][0] += survivor
-                else:
-                    terms[rkey] = [survivor, rest]
-                    order.append(rkey)
+                c = terms.get(rest)
+                terms[rest] = survivor if c is None else c + survivor
                 changed = True
                 break
             if changed:

@@ -119,25 +119,31 @@ class FamilyReport:
         return out
 
 
-def verify_family(tr: PssTriple) -> FamilyReport:
+def verify_family(tr: PssTriple, **sampling) -> FamilyReport:
     """Full check of one family: residuals mod the PDE, off-shell detection,
     and coframe non-degeneracy (Delta_12 != 0, Delta_13^2 + Delta_23^2 != 0).
+
+    sampling (n, tol, seed) reaches every zero test; is_zero's defaults
+    hold for what it leaves out.
     """
     if tr.ctx is None:
         raise ValueError("verify_family needs the triple's equation context")
     residuals = structure_residuals(tr)
     details = {}
 
+    def check(e):
+        return tr.check_zero(e, **sampling)
+
     holds = True
     for k, r in enumerate(residuals, start=1):
-        verdict = tr.check_zero(tr.ctx.reduce(r))
+        verdict = check(tr.ctx.reduce(r))
         details[f"R{k} mod equation"] = verdict
         holds = holds and bool(verdict)
 
     # off-shell the mixed jets are free; some residual must notice
     detects = False
     for k, r in enumerate(residuals, start=1):
-        verdict = tr.check_zero(r)
+        verdict = check(r)
         details[f"R{k} off shell"] = verdict
         if verdict.status == "nonzero":
             detects = True
@@ -145,8 +151,8 @@ def verify_family(tr: PssTriple) -> FamilyReport:
     d12 = delta(tr, 1, 2)
     d13 = delta(tr, 1, 3)
     d23 = delta(tr, 2, 3)
-    v12 = tr.check_zero(d12)
-    v1323 = tr.check_zero(simplify(d13 * d13 + d23 * d23))
+    v12 = check(d12)
+    v1323 = check(simplify(d13 * d13 + d23 * d23))
     details["Delta12 nonzero"] = v12
     details["Delta13^2+Delta23^2 nonzero"] = v1323
     nondeg = v12.status == "nonzero" and v1323.status == "nonzero"

@@ -181,6 +181,27 @@ def test_verify_honours_tol(capsys):
     assert "result: FAIL" in out
 
 
+def _r1_mod_equation(capsys, *flags):
+    code, out = run(capsys, "verify", "--family", "sg-basic", *flags)
+    return code, next(l for l in out.splitlines()
+                      if l.startswith("R1 mod equation: "))
+
+
+def test_verify_sampling_flags_reach_the_structure_checks(capsys):
+    # sg-basic's residual mod the equation is zero only to rounding, so its
+    # verdict is numeric and the sampling flags move it
+    code, line = _r1_mod_equation(capsys)
+    assert code == 0
+    assert line.startswith("R1 mod equation: zero to ")
+    assert line.endswith(" on 64 points")
+    code, line = _r1_mod_equation(capsys, "--points", "16")
+    assert code == 0 and line.endswith(" on 16 points")
+    code, line = _r1_mod_equation(capsys, "--tol", "1e-30")
+    assert code == 1
+    assert line.startswith("R1 mod equation: nonzero (relative residual ")
+    assert _r1_mod_equation(capsys, "--seed", "9") != _r1_mod_equation(capsys)
+
+
 def test_verify_report_deterministic(capsys, tmp_path):
     r1, r2 = tmp_path / "a.txt", tmp_path / "b.txt"
     for r in (r1, r2):

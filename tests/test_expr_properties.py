@@ -2,25 +2,29 @@
 
 Random trees are built through the operators (+ - * / ^, unary minus) and
 the nine functions, over z0, z1, x, t, eta and small exact and float
-constants.  Their canonical forms must be fixed points of simplify and have
-the canonical shape, and partial derivatives by z0 must agree with a
-central difference wherever both are finite.
+constants.  Building a tree twice must give the one interned node, their
+canonical forms must be fixed points of simplify and have the canonical
+shape, and partial derivatives by z0 and total derivatives must agree with
+a central difference wherever both are finite.
 """
 
 import math
 import operator
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from fd_oracle import fd_partial
+from fd_oracle import fd_partial, fd_total
 from numeric_oracle import _compile
 
 from pssurf.expr import (
     FUNCTION_NAMES, Add, Const, Fun, Mul, Param, Pow, T, X,
-    evaluate, free_leaves, parse, partial, simplify, to_text, walk, z,
+    evaluate, free_leaves, free_names, parse, partial, simplify, to_text,
+    total_t, total_x, walk, z,
 )
 from pssurf.expr.numeric import Tape
 
@@ -57,7 +61,7 @@ POINTS = st.fixed_dictionaries(
 
 
 def _fresh(e):
-    """A structural copy that carries no cached canonical form."""
+    """The tree built again, node by node, through the constructors."""
     if isinstance(e, Fun):
         return Fun(e.fname, _fresh(e.arg))
     if isinstance(e, Pow):
@@ -67,12 +71,58 @@ def _fresh(e):
     return e
 
 
+# nodes are interned, so == between expressions is identity, and the
+# round-trip tests below check that the re-parsed form is the same node
+@SETTINGS
+@given(TREES)
+def test_building_a_tree_twice_gives_one_node(e):
+    assert _fresh(e) is e
+    assert _fresh(simplify(e)) is simplify(e)
+
+
+def test_constants_are_keyed_by_exact_value_or_float_bits():
+    assert Const(1) is Const(Fraction(1)) is Const(Fraction(2, 2))
+    assert Const(1) is not Const(1.0)
+    assert Const(0.0) is not Const(-0.0)
+    assert Const(0.0) is Const(0.0 * 3)
+    # equal bits make one node even though nan != nan
+    nan = float("nan")
+    assert Const(nan) is Const(float("nan"))
+    assert Const(-nan) is not Const(nan)
+
+
+def test_threads_building_one_structure_get_one_node():
+    # more threads than cores, switching often, all building the same new
+    # structures at once: a lost insert would hand two threads two nodes
+    n_threads, n_trees = 4, 3000
+    start = threading.Barrier(n_threads)
+    built = [None] * n_threads
+
+    def build(slot):
+        start.wait()
+        built[slot] = [Add((Param(f"stress{k}"), Const(k))) for k in range(n_trees)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=build, args=(i,))
+                   for i in range(n_threads)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    for nodes in zip(*built):
+        assert all(node is nodes[0] for node in nodes)
+
+
 @SETTINGS
 @given(TREES)
 def test_canonical_form_is_a_fixed_point_of_canonical_shape(e):
     c = simplify(e)
     assert simplify(c) is c
-    assert simplify(_fresh(c)) == c
     for node in walk(c):
         if isinstance(node, Mul):
             assert not any(isinstance(a, Mul) for a in node.args)
@@ -142,6 +192,10 @@ def test_partial_matches_central_difference(fname, e, env):
         got = evaluate(partial(e, z(0)), env)
     except (ValueError, OverflowError):  # EvalError, or fsum of inf - inf
         assume(False)
+    _assert_matches_central_difference(value, want, half, got)
+
+
+def _assert_matches_central_difference(value, want, half, got):
     assume(all(map(math.isfinite, (value, want, half, got))))
     # the difference quotient cancels, so its error grows with |e|
     tol = 1e-4 * (1.0 + abs(want) + abs(value))
@@ -149,3 +203,24 @@ def test_partial_matches_central_difference(fname, e, env):
     # shows as two step sizes that disagree; the oracle does not judge there
     assume(abs(want - half) <= tol)
     assert abs(got - want) <= tol
+
+
+# fd_total moves each jet at the value of the jet one derivative higher
+TOTAL_POINTS = st.fixed_dictionaries(
+    {name: _COORD for name in ("z0", "z1", "z2", "w1", "ux1t1", "x", "t",
+                               "eta")})
+
+
+@pytest.mark.parametrize("direction", ["x", "t"])
+@settings(SETTINGS, max_examples=60)
+@given(TREES.filter(lambda e: free_names(e) - {"eta"}), TOTAL_POINTS)
+def test_total_derivative_matches_central_difference(direction, e, env):
+    total = {"x": total_x, "t": total_t}[direction]
+    try:
+        value = evaluate(e, env)
+        want = fd_total(e, direction, env)
+        half = fd_total(e, direction, env, h=5e-7)
+        got = evaluate(total(e), env)
+    except (ValueError, OverflowError):  # EvalError, or fsum of inf - inf
+        assume(False)
+    _assert_matches_central_difference(value, want, half, got)

@@ -118,6 +118,13 @@ def test_codazzi_verified_for_closed_forms(fam):
 
 
 @pytest.mark.parametrize("fam", _PAIRS)
+def test_independent_builds_share_closed_form_nodes(fam):
+    # expression nodes are interned: equal structures are one object
+    first, second = (closed_form(build(fam, {})).as_tuple() for _ in range(2))
+    assert all(a is b for a, b in zip(first, second))
+
+
+@pytest.mark.parametrize("fam", _PAIRS)
 @pytest.mark.parametrize("field", ["a", "b", "c"])
 def test_codazzi_detects_coefficient_corruption(fam, field):
     spec = build(fam, {})
