@@ -139,8 +139,7 @@ class Const(Expr):
     """
 
     __slots__ = ("value",)
-    # exact value or float bits -> node
-    _table: dict = {}
+    _table: dict = {}  # exact value or float bits -> node
 
     def __new__(cls, value: Number):
         if isinstance(value, bool):
@@ -176,8 +175,7 @@ class Param(Expr):
     """Named scalar parameter (eta, alpha, A, ...)."""
 
     __slots__ = ("name",)
-    # name -> node
-    _table: dict = {}
+    _table: dict = {}  # name -> node
 
     def __new__(cls, name: str):
         node = cls._table.get(name)
@@ -195,8 +193,7 @@ class Var(Expr):
     """Independent variable: x or t."""
 
     __slots__ = ("name",)
-    # name -> node
-    _table: dict = {}
+    _table: dict = {}  # name -> node
 
     def __new__(cls, name: str):
         node = cls._table.get(name)
@@ -217,8 +214,7 @@ class Jet(Expr):
     """Jet variable: d^(dx+dt) u / dx^dx dt^dt.  w0 normalizes to z0."""
 
     __slots__ = ("dx", "dt")
-    # (dx, dt) -> node
-    _table: dict = {}
+    _table: dict = {}  # (dx, dt) -> node
 
     def __new__(cls, dx: int, dt: int):
         key = (dx, dt)
@@ -249,8 +245,7 @@ class Fun(Expr):
     """Unary elementary function application."""
 
     __slots__ = ("fname", "arg")
-    # (fname, arg) -> node
-    _table: dict = {}
+    _table: dict = {}  # (fname, arg) -> node
 
     def __new__(cls, fname: str, arg: Expr):
         key = (fname, arg)
@@ -273,8 +268,7 @@ class Fun(Expr):
 
 class Pow(Expr):
     __slots__ = ("base", "exponent")
-    # (base, exponent) -> node
-    _table: dict = {}
+    _table: dict = {}  # (base, exponent) -> node
 
     def __new__(cls, base: Expr, exponent: Expr):
         key = (base, exponent)
@@ -303,7 +297,8 @@ class _Nary(Expr):
         node = cls._table.get(args)
         if node is None:
             if len(args) < 2:
-                raise ValueError(f"{cls.__name__} needs at least two {cls._what}")
+                raise ValueError(
+                    f"{cls.__name__} needs at least two {cls._what}")
             node = _new(cls, _union_jets(args))
             node.args = args
             node = cls._table.setdefault(args, node)

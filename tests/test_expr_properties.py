@@ -100,7 +100,8 @@ def test_threads_building_one_structure_get_one_node():
 
     def build(slot):
         start.wait()
-        built[slot] = [Add((Param(f"stress{k}"), Const(k))) for k in range(n_trees)]
+        built[slot] = [Add((Param(f"stress{k}"), Const(k)))
+                       for k in range(n_trees)]
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
