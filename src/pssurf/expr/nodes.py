@@ -65,7 +65,7 @@ def _union_jets(args) -> frozenset:
 
 class Expr:
     # _jets: the frozenset of Jet leaves below the node, built from the
-    # children's sets when the node is
+    # children's sets when the node is built
     __slots__ = ("_key", "_canon", "_jets")
 
     # -- construction sugar; raw nodes, canonicalized only by simplify().

@@ -130,20 +130,16 @@ def verify_family(tr: PssTriple, **sampling) -> FamilyReport:
         raise ValueError("verify_family needs the triple's equation context")
     residuals = structure_residuals(tr)
     details = {}
-
-    def check(e):
-        return tr.check_zero(e, **sampling)
-
     holds = True
     for k, r in enumerate(residuals, start=1):
-        verdict = check(tr.ctx.reduce(r))
+        verdict = tr.check_zero(tr.ctx.reduce(r), **sampling)
         details[f"R{k} mod equation"] = verdict
         holds = holds and bool(verdict)
 
     # off-shell the mixed jets are free; some residual must notice
     detects = False
     for k, r in enumerate(residuals, start=1):
-        verdict = check(r)
+        verdict = tr.check_zero(r, **sampling)
         details[f"R{k} off shell"] = verdict
         if verdict.status == "nonzero":
             detects = True
@@ -151,8 +147,8 @@ def verify_family(tr: PssTriple, **sampling) -> FamilyReport:
     d12 = delta(tr, 1, 2)
     d13 = delta(tr, 1, 3)
     d23 = delta(tr, 2, 3)
-    v12 = check(d12)
-    v1323 = check(simplify(d13 * d13 + d23 * d23))
+    v12 = tr.check_zero(d12, **sampling)
+    v1323 = tr.check_zero(simplify(d13 * d13 + d23 * d23), **sampling)
     details["Delta12 nonzero"] = v12
     details["Delta13^2+Delta23^2 nonzero"] = v1323
     nondeg = v12.status == "nonzero" and v1323.status == "nonzero"

@@ -27,6 +27,7 @@ from pssurf.expr import (
     total_t, total_x, walk, z,
 )
 from pssurf.expr.numeric import Tape
+from pssurf.expr.simplify import _canon
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True,
                     database=None)
@@ -124,6 +125,9 @@ def test_threads_building_one_structure_get_one_node():
 def test_canonical_form_is_a_fixed_point_of_canonical_shape(e):
     c = simplify(e)
     assert simplify(c) is c
+    # recompute rather than read the cached c._canon, which every equal
+    # tree shares
+    assert all(_canon(node) is node for node in walk(c))
     for node in walk(c):
         if isinstance(node, Mul):
             assert not any(isinstance(a, Mul) for a in node.args)
