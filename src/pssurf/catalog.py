@@ -2,8 +2,15 @@
 
 Each family id maps to one coefficient table.  Tables are kept symbolic:
 named constants stay Param nodes, user-pinned values travel alongside in
-the FamilySpec and are bound at evaluation time.  Validation is by named
-constraint; violations raise ConstraintError carrying the relation.
+the FamilySpec and are bound at evaluation time.
+
+Each builder names its family's constraints by relation ("eta != 0",
+"alpha^2 < 1", ...), as expressions that must clear CONSTRAINT_MARGIN
+wherever the table is sampled.  A constraint on parameters alone is
+checked once at build against the pinned values: if its names are all
+pinned and its value does not clear the margin, the build raises
+ConstraintError carrying the relation, so build accepts exactly the
+values its zero tests can sample.
 """
 
 from dataclasses import dataclass, field
@@ -15,8 +22,10 @@ from .expr import (
     Const,
     EquationContext,
     Expr,
+    EvalError,
     Param,
-    as_expr,
+    evaluate,
+    free_names,
     is_zero,
     jets_of,
     parse,
@@ -26,6 +35,7 @@ from .expr import (
     to_text,
     z,
 )
+from .expr.numeric import clears_margin
 from .forms import PssTriple
 
 Z0 = z(0)
@@ -94,8 +104,6 @@ class FamilySpec:
 # aliases accepted on input; the right-hand names are canonical
 _ALIASES = {"lam": "lambda", "zeta": "xi", "s": "sign"}
 
-_EPS = 1e-9
-
 
 def _normalize(params):
     out = {}
@@ -140,25 +148,26 @@ class _Params:
     def value(self, name):
         return self.pinned.get(name)
 
-    def nonzero(self, name):
-        v = self.pinned.get(name)
-        if v is not None and abs(v) < _EPS:
-            raise ConstraintError(f"{name} != 0", f"{name} = {v}")
-
-
-def _triple(rows, ctx, ps: _Params, constraints, label):
-    return PssTriple.from_matrix(
-        rows,
-        ctx=ctx,
-        params=dict(ps.pinned),
-        ranges=dict(ps.ranges),
-        constraints=tuple(simplify(as_expr(c)) for c in constraints),
-        label=label,
-    )
-
 
 def _spec(family, ps, F, rows, ctx, constraints, extra_params=None):
-    tr = _triple(rows, ctx, ps, constraints, family.value)
+    """The family's spec.  constraints maps relation names to expressions;
+    the first, in declared order, whose names are all pinned and whose
+    value does not clear the margin raises ConstraintError."""
+    for relation, c in constraints.items():
+        names = sorted(free_names(c))
+        if not set(names) <= ps.pinned.keys():
+            continue
+        try:
+            ok = clears_margin(evaluate(c, ps.pinned))
+        except EvalError:
+            ok = False
+        if not ok:
+            raise ConstraintError(
+                relation, ", ".join(f"{n} = {ps.pinned[n]}" for n in names))
+    tr = PssTriple.from_matrix(
+        rows, ctx=ctx, params=dict(ps.pinned), ranges=dict(ps.ranges),
+        constraints=tuple(map(simplify, constraints.values())),
+        label=family.value)
     params = dict(ps.pinned)
     if extra_params:
         params.update(extra_params)
@@ -176,12 +185,11 @@ def _build_sg_basic(raw):
         (parse("z1/2"), parse("-w1/2")),
     )
     ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.SG_BASIC, ps, F, rows, ctx, ())
+    return _spec(FamilyId.SG_BASIC, ps, F, rows, ctx, {})
 
 
 def _build_sg_eta(raw):
     ps = _Params(FamilyId.SG_ETA, raw, numeric={"eta": (0.5, 2.0)})
-    ps.nonzero("eta")
     eta = ps.expr("eta")
     F = parse("sin(z0)")
     rows = (
@@ -190,7 +198,7 @@ def _build_sg_eta(raw):
         (Z1, Const(0)),
     )
     ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.SG_ETA, ps, F, rows, ctx, (parse("eta^2"),))
+    return _spec(FamilyId.SG_ETA, ps, F, rows, ctx, {"eta != 0": parse("eta^2")})
 
 
 def _jets_within(e, allowed, what):
@@ -207,10 +215,6 @@ def _build_evo_hlnonzero(raw):
         numeric={"eta": (0.5, 2.0), "alpha": (-0.7, 0.7)},
         other=("f11", "f22", "f31", "sign"),
     )
-    ps.nonzero("eta")
-    alpha_v = ps.value("alpha")
-    if alpha_v is not None and not alpha_v ** 2 < 1:
-        raise ConstraintError("alpha^2 < 1", f"alpha = {alpha_v}")
     s = _sign_of(raw)
 
     f11 = simplify(parse(str(raw.get("f11", "z0"))))
@@ -228,14 +232,6 @@ def _build_evo_hlnonzero(raw):
     alpha = ps.expr("alpha")
     rad = sqrt(1 - alpha * alpha)
     f31 = simplify(alpha * f11 + Const(s) * eta * rad)
-    if "f31" in raw:
-        given = simplify(parse(str(raw["f31"])))
-        gap = is_zero(simplify(given - f31), params=ps.pinned, ranges=ps.ranges,
-                      constraints=(parse("1 - alpha^2"),))
-        if not gap:
-            raise ConstraintError(
-                "f31 = alpha*f11 +/- eta*sqrt(1 - alpha^2)",
-                f"supplied f31 = {to_text(given)} does not match the sign {s:+d} branch")
 
     f22_z0z0 = partial(f22_z0, Z0)
     den = eta * rad
@@ -250,15 +246,25 @@ def _build_evo_hlnonzero(raw):
     )
     ctx = EquationContext("evolution", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
-    constraints = (
-        parse("eta^2"),
-        parse("1 - alpha^2"),
-        simplify(bracket * bracket),
-        simplify(f11_z0 * f11_z0),
-        simplify(f22_z0 * f22_z0),
-    )
+    constraints = {
+        "eta != 0": parse("eta^2"),
+        "alpha^2 < 1": parse("1 - alpha^2"),
+        "(1 - alpha^2)*f11 != sign*alpha*eta*sqrt(1 - alpha^2)":
+            simplify(bracket * bracket),
+        "f11_z0 != 0": simplify(f11_z0 * f11_z0),
+        "f22_z0 != 0": simplify(f22_z0 * f22_z0),
+    }
     spec = _spec(FamilyId.EVO_HLNONZERO, ps, F, rows, ctx, constraints,
                  extra_params={"sign": s, "f11": to_text(f11), "f22": to_text(f22)})
+    # the supplied f31 is sampled under alpha^2 < 1, which _spec has checked
+    if "f31" in raw:
+        given = simplify(parse(str(raw["f31"])))
+        gap = is_zero(simplify(given - f31), params=ps.pinned, ranges=ps.ranges,
+                      constraints=(parse("1 - alpha^2"),))
+        if not gap:
+            raise ConstraintError(
+                "f31 = alpha*f11 +/- eta*sqrt(1 - alpha^2)",
+                f"supplied f31 = {to_text(given)} does not match the sign {s:+d} branch")
     validate_evolution_constraints(spec)
     return spec
 
@@ -269,7 +275,6 @@ def _build_evo_hlzero(raw):
         numeric={"eta": (0.5, 2.0), "lambda": (0.5, 1.5)},
         other=("f11", "f12", "sign"),
     )
-    ps.nonzero("eta")
     s = _sign_of(raw)
 
     f11 = simplify(parse(str(raw.get("f11", "exp(z0)"))))
@@ -296,10 +301,8 @@ def _build_evo_hlzero(raw):
     )
     ctx = EquationContext("evolution", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
-    constraints = (
-        parse("eta^2"),
-        simplify(f11_z0 * f11_z0),
-    )
+    constraints = {"eta != 0": parse("eta^2"),
+                   "f11_z0 != 0": simplify(f11_z0 * f11_z0)}
     spec = _spec(FamilyId.EVO_HLZERO, ps, F, rows, ctx, constraints,
                  extra_params={"sign": s, "f11": to_text(f11), "f12": to_text(f12)})
     validate_evolution_constraints(spec)
@@ -321,46 +324,30 @@ def _build_hyp_i(raw, qa: bool):
     if not qa:
         numeric["B"] = (0.2, 0.9)
     ps = _Params(family, raw, numeric=numeric, other=("fkind",))
-    ps.nonzero("eta")
-    ps.nonzero("A")
 
     A = ps.expr("A")
     B = ps.expr("B") if not qa else Const(0)
     eta = ps.expr("eta")
     Q = ps.expr("Q")
 
-    a_v, b_v = ps.value("A"), (0.0 if qa else ps.value("B"))
-    alpha_sign = None
-    if a_v is not None and b_v is not None:
-        diff = a_v ** 2 - b_v ** 2
-        if abs(diff) < _EPS:
-            raise ConstraintError("A^2 - B^2 != 0", f"A = {a_v}, B = {b_v}")
-        alpha_sign = 1 if diff > 0 else -1
-
     fkind = raw.get("fkind")
     if fkind is not None and fkind not in _FKINDS:
         raise ConstraintError("fkind", f"must be one of {', '.join(_FKINDS)}")
+    a_v, b_v = ps.value("A"), (0.0 if qa else ps.value("B"))
     if qa:
-        if fkind in ("sinh", "cosh"):
-            raise ConstraintError(
-                "alpha > 0", "alpha = 1/A^2 is positive; sinh/cosh need alpha < 0")
-        fkind = fkind or "sin"
         alpha_sign = 1
+    elif a_v is not None and b_v is not None:
+        # A^2 = B^2 lands on the alpha < 0 branch, whose A^2 - B^2 != 0
+        # constraint rejects it
+        alpha_sign = 1 if a_v ** 2 > b_v ** 2 else -1
     else:
-        if alpha_sign is None:
-            # symbolic A, B: ranges must commit to one sign of alpha
-            alpha_sign = -1 if fkind in ("sinh", "cosh") else 1
-            if alpha_sign < 0:
-                ps.ranges["A"] = (0.2, 0.9)
-                ps.ranges["B"] = (1.3, 2.0)
-        if fkind is None:
-            fkind = "sin" if alpha_sign > 0 else "sinh"
-        if alpha_sign > 0 and fkind in ("sinh", "cosh"):
-            raise ConstraintError(
-                "alpha < 0", f"A = {a_v}, B = {b_v} give alpha > 0; use sin/cos")
-        if alpha_sign < 0 and fkind in ("sin", "cos"):
-            raise ConstraintError(
-                "alpha > 0", f"A = {a_v}, B = {b_v} give alpha < 0; use sinh/cosh")
+        # symbolic A, B: ranges must commit to one sign of alpha
+        alpha_sign = -1 if fkind in ("sinh", "cosh") else 1
+        if alpha_sign < 0:
+            ps.ranges["A"] = (0.2, 0.9)
+            ps.ranges["B"] = (1.3, 2.0)
+    if fkind is None:
+        fkind = "sin" if alpha_sign > 0 else "sinh"
 
     if qa:
         alpha = simplify(1 / (A * A))
@@ -389,9 +376,22 @@ def _build_hyp_i(raw, qa: bool):
 
     ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
-    constraints = [parse("eta^2"), simplify(scale_sq), simplify(wden * wden)]
-    spec = _spec(family, ps, F, rows, ctx, tuple(constraints),
+    constraints = {"eta != 0": parse("eta^2"), "A != 0": parse("A^2")}
+    if not qa:
+        constraints["A^2 - B^2 != 0"] = scale_sq
+    constraints[f"{to_text(wden)} != 0"] = simplify(wden * wden)
+    spec = _spec(family, ps, F, rows, ctx, constraints,
                  extra_params={"fkind": fkind})
+    # checked after the constraints, so that A^2 = B^2 is named as such
+    if qa and fkind in ("sinh", "cosh"):
+        raise ConstraintError(
+            "alpha > 0", "alpha = 1/A^2 is positive; sinh/cosh need alpha < 0")
+    if alpha_sign > 0 and fkind in ("sinh", "cosh"):
+        raise ConstraintError(
+            "alpha < 0", f"A = {a_v}, B = {b_v} give alpha > 0; use sin/cos")
+    if alpha_sign < 0 and fkind in ("sin", "cos"):
+        raise ConstraintError(
+            "alpha > 0", f"A = {a_v}, B = {b_v} give alpha < 0; use sinh/cosh")
     spec.alpha = alpha_for_F
     if alpha_sign < 0:
         spec.note("alpha = 1/(A^2 - B^2) < 0 for these parameters")
@@ -412,13 +412,6 @@ def _build_hyp_ii_gamma_ne1(raw):
         },
         other=("sign",),
     )
-    ps.nonzero("eta")
-    ps.nonzero("delta")
-    ps.nonzero("nu")
-    g_v = ps.value("gamma")
-    if g_v is not None and abs(g_v - 1.0) < _EPS:
-        raise ConstraintError(
-            "gamma != 1", "gamma = 1 belongs to the constant-beta family id")
     s = _sign_of(raw)
 
     eta = ps.expr("eta")
@@ -428,23 +421,10 @@ def _build_hyp_ii_gamma_ne1(raw):
     beta = ps.expr("beta")
     B = ps.expr("B")
 
-    ab_gap = None
-    if "A" in ps.pinned:
-        a_v, b_v = ps.value("A"), ps.value("B")
-        d_v, g_vv = ps.value("delta"), ps.value("gamma")
-        if None in (b_v, d_v, g_vv):
-            raise ConstraintError(
-                "A^2 - B^2 = (gamma - 1)/delta^2",
-                "pin B, gamma and delta together with A")
-        ab_gap = a_v ** 2 - b_v ** 2 - (g_vv - 1.0) / d_v ** 2
-        if abs(ab_gap) > 1e-6:
-            raise ConstraintError(
-                "A^2 - B^2 = (gamma - 1)/delta^2",
-                f"off by {ab_gap:.3g} for A={a_v}, B={b_v}, gamma={g_vv}, delta={d_v}")
-        A = ps.expr("A")
-    else:
-        # the relation pins A up to sign; keep the positive root
-        A = simplify(sqrt(B * B + (gamma - 1) / (delta * delta)))
+    a_pinned = "A" in ps.pinned
+    # the relation pins A up to sign; keep the positive root
+    A = ps.expr("A") if a_pinned else simplify(
+        sqrt(B * B + (gamma - 1) / (delta * delta)))
 
     rootD = sqrt(beta + gamma * Z1 * Z1)
     egz = _fun("exp", simplify(delta * Z0))
@@ -458,17 +438,28 @@ def _build_hyp_ii_gamma_ne1(raw):
 
     ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
-    constraints = [
-        parse("eta^2"),
-        parse("delta^2"),
-        parse("nu^2"),
-        parse("(gamma - 1)^2"),
-        simplify(beta + gamma * Z1 * Z1),
-    ]
-    if "A" not in ps.pinned:
-        constraints.append(simplify(B * B + (gamma - 1) / (delta * delta)))
-    return _spec(FamilyId.HYP_II_GAMMA_NE1, ps, F, rows, ctx, tuple(constraints),
+    constraints = {"eta != 0": parse("eta^2"), "delta != 0": parse("delta^2"),
+                   "nu != 0": parse("nu^2"), "gamma != 1": parse("(gamma - 1)^2"),
+                   "beta + gamma*z1^2 > 0": simplify(beta + gamma * Z1 * Z1)}
+    if not a_pinned:
+        constraints["A^2 = B^2 + (gamma - 1)/delta^2 > 0"] = simplify(
+            B * B + (gamma - 1) / (delta * delta))
+    spec = _spec(FamilyId.HYP_II_GAMMA_NE1, ps, F, rows, ctx, constraints,
                  extra_params={"sign": s})
+    # after _spec, which has checked delta != 0
+    if a_pinned:
+        a_v, b_v = ps.value("A"), ps.value("B")
+        d_v, g_v = ps.value("delta"), ps.value("gamma")
+        if None in (b_v, d_v, g_v):
+            raise ConstraintError(
+                "A^2 - B^2 = (gamma - 1)/delta^2",
+                "pin B, gamma and delta together with A")
+        ab_gap = a_v ** 2 - b_v ** 2 - (g_v - 1.0) / d_v ** 2
+        if abs(ab_gap) > 1e-6:
+            raise ConstraintError(
+                "A^2 - B^2 = (gamma - 1)/delta^2",
+                f"off by {ab_gap:.3g} for A={a_v}, B={b_v}, gamma={g_v}, delta={d_v}")
+    return spec
 
 
 def _build_hyp_ii_gamma1(raw):
@@ -482,10 +473,6 @@ def _build_hyp_ii_gamma1(raw):
         },
         other=("sign",),
     )
-    ps.nonzero("eta")
-    ps.nonzero("delta")
-    ps.nonzero("nu")
-    ps.nonzero("A")
     s = _sign_of(raw)
 
     eta = ps.expr("eta")
@@ -507,26 +494,22 @@ def _build_hyp_ii_gamma1(raw):
 
     ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
-    constraints = (
-        parse("eta^2"),
-        parse("delta^2"),
-        parse("nu^2"),
-        parse("A^2"),
-        simplify(Const(s) * Z1),
-    )
+    constraints = {"eta != 0": parse("eta^2"), "delta != 0": parse("delta^2"),
+                   "nu != 0": parse("nu^2"), "A != 0": parse("A^2"),
+                   "sign*z1 > 0": simplify(Const(s) * Z1)}
     return _spec(FamilyId.HYP_II_GAMMA1, ps, F, rows, ctx, constraints,
                  extra_params={"sign": s})
 
 
 def _build_hyp_iii_zero(raw):
     ps = _Params(FamilyId.HYP_III_ZERO, raw, numeric={"eta": (0.5, 2.0)})
-    ps.nonzero("eta")
     eta = ps.expr("eta")
     ez = _fun("exp", Z0)
     F = Const(0)
     rows = ((Z1, Const(0)), (eta, ez), (eta, ez))
     ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.HYP_III_ZERO, ps, F, rows, ctx, (parse("eta^2"),))
+    return _spec(FamilyId.HYP_III_ZERO, ps, F, rows, ctx,
+                 {"eta != 0": parse("eta^2")})
 
 
 def _build_hyp_iii_lambda(raw):
@@ -541,11 +524,6 @@ def _build_hyp_iii_lambda(raw):
         },
         other=("sign",),
     )
-    ps.nonzero("eta")
-    ps.nonzero("T")
-    lam_v = ps.value("lambda")
-    if lam_v is not None and abs(lam_v) < _EPS:
-        raise ConstraintError("lambda != 0", "lambda = 0 belongs to other family ids")
     s = _sign_of(raw)
 
     eta = ps.expr("eta")
@@ -563,7 +541,8 @@ def _build_hyp_iii_lambda(raw):
 
     ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
-    constraints = (parse("eta^2"), parse("lambda^2"), parse("T^2"))
+    constraints = {"eta != 0": parse("eta^2"), "lambda != 0": parse("lambda^2"),
+                   "T != 0": parse("T^2")}
     return _spec(FamilyId.HYP_III_LAMBDA, ps, F, rows, ctx, constraints,
                  extra_params={"sign": s})
 
@@ -577,11 +556,7 @@ def _build_hyp_iii_xi_tau(raw):
             "tau": (3.5, 5.0),
         },
     )
-    ps.nonzero("eta")
     xi_v = ps.value("xi")
-    tau_v = ps.value("tau")
-    if xi_v is not None and tau_v is not None and xi_v == 0.0 and abs(tau_v) < _EPS:
-        raise ConstraintError("xi^2 + tau^2 != 0", "xi = tau = 0 is the zero family")
 
     eta = ps.expr("eta")
     xi = ps.expr("xi")
@@ -590,11 +565,14 @@ def _build_hyp_iii_xi_tau(raw):
     if xi_v == 0.0:
         # integral of 1/tau dz1
         g = simplify(Z1 / tau)
-        constraints = (parse("eta^2"), parse("tau^2"))
+        constraints = {"eta != 0": parse("eta^2"),
+                       "xi^2 + tau^2 != 0": parse("tau^2")}
     else:
         # integral of 1/(xi z1 + tau) dz1
         g = simplify(_fun("log", simplify(xi * Z1 + tau)) / xi)
-        constraints = (parse("eta^2"), parse("xi^2"), simplify(xi * Z1 + tau))
+        constraints = {"eta != 0": parse("eta^2"),
+                       "xi != 0, or exactly 0": parse("xi^2"),
+                       "xi*z1 + tau > 0": simplify(xi * Z1 + tau)}
 
     F = simplify(xi * Z1 + tau)
     inv_eta = simplify(1 / eta)

@@ -29,7 +29,7 @@ from .forms import verify_family
 from .frame import export_mesh, integrate_frame, validate_surface
 from .sff import (IMMERSION_KEYS, NoImmersion, closed_form,
                   finite_jet_obstruction, verify_immersion)
-from .solutions import SolutionGrid, linear_solution, sg_kink
+from .solutions import SolutionGrid, grid_window, linear_solution, sg_kink
 
 # family parameters exposed as flags; lambda needs a safe attribute name
 _PARAM_FLAGS = ("eta", "alpha", "beta", "gamma", "delta", "nu", "xi", "zeta",
@@ -111,7 +111,7 @@ def _apply_config(cfg: RunConfig, sections, dests):
 
 
 def parse_grid(text):
-    """x0:x1:t0:t1:h or x0:x1:t0:t1:hx:ht."""
+    """x0:x1:t0:t1:h or x0:x1:t0:t1:hx:ht, checked by grid_window."""
     parts = text.split(":")
     if len(parts) not in (5, 6):
         raise ConstraintError("grid", f"expected 5 or 6 colon fields, got {text!r}")
@@ -119,14 +119,7 @@ def parse_grid(text):
         vals = [float(p) for p in parts]
     except ValueError:
         raise ConstraintError("grid", f"non-numeric field in {text!r}")
-    x0, x1, t0, t1 = vals[:4]
-    hx = vals[4]
-    ht = vals[5] if len(vals) == 6 else vals[4]
-    if hx <= 0 or ht <= 0 or x1 <= x0 or t1 <= t0:
-        raise ConstraintError("grid", "need x0 < x1, t0 < t1 and positive steps")
-    nx = int(round((x1 - x0) / hx)) + 1
-    nt = int(round((t1 - t0) / ht)) + 1
-    return x0, t0, hx, ht, nx, nt
+    return grid_window(vals)
 
 
 def _family_of(cfg):

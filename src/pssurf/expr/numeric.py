@@ -34,6 +34,12 @@ CONSTRAINT_MARGIN = 1e-3
 _MAX_ROUNDS = 64
 
 
+def clears_margin(values):
+    """Where constraint values admit a point: finite and above
+    CONSTRAINT_MARGIN.  Sampled and pinned values meet the same rule."""
+    return np.isfinite(values) & (values > CONSTRAINT_MARGIN)
+
+
 class EvalError(ValueError):
     pass
 
@@ -234,7 +240,8 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
 
     params       fixed numeric bindings, not sampled
     ranges       name -> (lo, hi) sampling interval, default (-2, 2)
-    constraints  expressions that must exceed 1e-3 at accepted points
+    constraints  expressions that must clear CONSTRAINT_MARGIN at
+                 accepted points (see clears_margin)
                  (domain guards such as arguments of log and sqrt)
     """
     canon = simplify(e)
@@ -271,7 +278,7 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
             vals = tape.run(env)
             admitted = np.ones(m, dtype=bool)
             for cv in vals[len(terms):]:
-                admitted &= np.isfinite(cv) & (cv > CONSTRAINT_MARGIN)
+                admitted &= clears_margin(cv)
             total = np.zeros(m)
             scale = np.ones(m)
             for v in vals[:len(terms)]:

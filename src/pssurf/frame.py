@@ -414,14 +414,22 @@ def _interior_full(valid):
     return out
 
 
-# incident triangles of the regular split around a vertex, as the node
-# offsets (q, r) of their other two corners
-_FAN = (((1, 0), (1, 1)),
-        ((1, 1), (0, 1)),
-        ((0, 1), (-1, 0)),      # wedge of the two cells left/up
-        ((-1, 0), (-1, -1)),
-        ((-1, -1), (0, -1)),
-        ((0, -1), (1, 0)))
+# the two triangles of a quad, as corner offsets from its (i, j) node in
+# counter-clockwise order: the split along the (+1, +1) diagonal, which the
+# mesh and the curvature both take from here
+_SPLIT = (((0, 0), (1, 0), (1, 1)),
+          ((0, 0), (1, 1), (0, 1)))
+
+
+def _fan(split):
+    """The triangles of ``split`` incident to a vertex, as the offsets
+    (q, r) of their other two corners from it, in the same orientation."""
+    return tuple(tuple((tri[(k + m) % 3][0] - tri[k][0],
+                        tri[(k + m) % 3][1] - tri[k][1]) for m in (1, 2))
+                 for k in range(3) for tri in split)
+
+
+_FAN = _fan(_SPLIT)
 
 
 def _angle_defect_curvature(X, valid):
@@ -523,9 +531,8 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
     verts = field.X[valid]
     quad = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
     qi, qj = np.nonzero(quad)
-    a, b = index[qi, qj], index[qi + 1, qj]
-    c, d = index[qi + 1, qj + 1], index[qi, qj + 1]
-    faces = np.stack([a, b, c, a, c, d], axis=1).reshape(-1, 3)
+    faces = np.stack([index[qi + di, qj + dj] for tri in _SPLIT for di, dj in tri],
+                     axis=1).reshape(-1, 3)
 
     with open(path, "w") as fh:
         fh.write("# pseudo-spherical immersion mesh\n")

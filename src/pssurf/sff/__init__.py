@@ -5,7 +5,6 @@ from .core import (
     SecondFundamentalForm,
     codazzi_residuals,
     gauss_residual,
-    jet_order_of,
     sample_strip_points,
     strip_contains,
     universal_form,
@@ -32,7 +31,6 @@ __all__ = [
     "codazzi_residuals",
     "finite_jet_obstruction",
     "gauss_residual",
-    "jet_order_of",
     "sample_strip_points",
     "TraceStep",
     "strip_contains",

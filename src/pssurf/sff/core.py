@@ -22,7 +22,6 @@ from ..expr import (
     X,
     evaluate,
     is_zero,
-    jets_of,
     simplify,
     sqrt,
     total_t,
@@ -138,15 +137,6 @@ def _numeric_params(d):
         if isinstance(v, (int, float)) and not isinstance(v, bool):
             out[k] = float(v)
     return out
-
-
-def jet_order_of(*exprs):
-    order = None
-    for e in exprs:
-        for j in jets_of(e):
-            k = j.dx if j.dt == 0 else j.dx + j.dt
-            order = k if order is None else max(order, k)
-    return order
 
 
 def gauss_residual(sff: SecondFundamentalForm) -> Expr:

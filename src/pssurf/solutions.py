@@ -222,20 +222,35 @@ class SolutionGrid:
 
     @classmethod
     def from_csv(cls, path):
+        """Read what to_csv wrote, a block of rows at a time, straight into
+        contiguous field arrays."""
         with open(path) as fh:
             grid = cls(**_parse_header(fh.readline()))
             names = _field_names(fh.readline().strip())
+            n = grid.nx * grid.nt
+            flat = np.empty((len(names), n))
+            rows, cols = 0, 1  # np.loadtxt reads no rows as shape (0, 1)
             with warnings.catch_warnings():
                 # no data rows is reported below, as a shape mismatch
                 warnings.simplefilter("ignore", UserWarning)
-                flat = np.loadtxt(fh, delimiter=",", ndmin=2)
-        if flat.shape != (grid.nx * grid.nt, len(names)):
+                while len(block := np.loadtxt(fh, delimiter=",", ndmin=2,
+                                              max_rows=_BLOCK)):
+                    if rows and block.shape[1] != cols:
+                        raise ValueError(
+                            f"CSV grid rows change from {cols} to "
+                            f"{block.shape[1]} values after row {rows}")
+                    cols = block.shape[1]
+                    # past a mismatch the rows are only counted
+                    if cols == len(names) and rows + len(block) <= n:
+                        flat[:, rows:rows + len(block)] = block.T
+                    rows += len(block)
+        if (rows, cols) != (n, len(names)):
             raise ValueError(
-                f"CSV grid data does not match the header: {flat.shape[0]} "
-                f"rows of {flat.shape[1]} values, expected {grid.nx * grid.nt}"
+                f"CSV grid data does not match the header: {rows} "
+                f"rows of {cols} values, expected {n}"
                 f" rows of {len(names)}")
-        for k, name in enumerate(names):
-            grid.values[name] = flat[:, k].reshape(grid.nx, grid.nt)
+        for name, values in zip(names, flat):
+            grid.values[name] = values.reshape(grid.nx, grid.nt)
         return grid
 
     def to_binary(self, path):
@@ -300,7 +315,7 @@ def _field_names(text):
     return names
 
 
-_BLOCK = 1024  # rows per formatting call
+_BLOCK = 1024  # rows per formatting or parsing call
 
 
 def _write_rows(fh, row_format, array):
@@ -340,8 +355,9 @@ def _rhs_function(F, params):
     return rhs
 
 
-def _goursat_window(window):
-    """(x0, t0, hx, ht, nx, nt) of (x0, x1, t0, t1, h[, ht])."""
+def grid_window(window):
+    """(x0, t0, hx, ht, nx, nt) of (x0, x1, t0, t1, h[, ht]): finite bounds,
+    positive finite steps and at least 2 nodes on each axis."""
     if len(window) == 5:
         x0, x1, t0, t1, hx = (float(v) for v in window)
         ht = hx
@@ -355,7 +371,8 @@ def _goursat_window(window):
     nx, nt = (int(round(s)) + 1 for s in steps)
     if nx < 2 or nt < 2:
         raise ConstraintError(
-            "window", f"need at least 2 nodes on each axis, got {nx} x {nt}")
+            "window", f"need x0 < x1, t0 < t1 and at least 2 nodes on each"
+            f" axis, got {nx} x {nt}")
     return x0, t0, hx, ht, nx, nt
 
 
@@ -425,7 +442,7 @@ def goursat_solve(F, phi, psi, window, params=None, u_bound=U_BOUND) -> Solution
     and the result carries a note naming the cell.
     """
     rhs = _rhs_function(F, params)
-    x0, t0, hx, ht, nx, nt = _goursat_window(window)
+    x0, t0, hx, ht, nx, nt = grid_window(window)
     x = x0 + hx * np.arange(nx)
     t = t0 + ht * np.arange(nt)
 

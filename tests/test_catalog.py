@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from pssurf.catalog import (
     sample_params,
     validate_evolution_constraints,
 )
+from pssurf.cli import main
 from pssurf.expr import is_zero, parse, partial, simplify, to_text, z
 from pssurf.forms import verify_family
 
@@ -131,6 +134,32 @@ def test_validate_rejects_non_evolution():
 def test_constraint_gates(family, params, relation):
     with pytest.raises(ConstraintError, match=relation):
         build(family, params)
+
+
+@pytest.mark.parametrize("command,family,params,relation", [
+    ("verify", "sg-eta", {"eta": 0.01}, "eta != 0"),
+    ("verify", "hyp-i", {"A": 0.5, "B": 1.5, "Q": 0.8, "eta": 0.5657},
+     "eta^2 + Q^2/(A^2 - B^2) != 0"),
+    ("verify", "evo-hlnonzero", {"alpha": 0.9999}, "alpha^2 < 1"),
+    ("obstruct", "hyp-iii-lambda", {"lambda": 0.001}, "lambda != 0"),
+    ("verify", "hyp-ii", {"gamma": 0.5, "delta": 0.5, "B": 0.1},
+     "A^2 = B^2 + (gamma - 1)/delta^2 > 0"),
+])
+def test_pinned_values_must_clear_the_constraint_margin(
+        capsys, command, family, params, relation):
+    # nonzero, but inside the margin the zero tests keep from every
+    # constraint: build names the relation instead of leaving a zero test
+    # with no point to sample
+    with pytest.raises(ConstraintError) as info:
+        build(family, params)
+    assert info.value.name == relation
+    argv = [command, "--family", family]
+    for key, value in params.items():
+        argv += [f"--{key}", str(value)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    head = re.escape(f"constraint violation: {relation}: ")
+    assert re.fullmatch(head + r"[^\n]+\n", err), err
 
 
 def test_parameter_aliases():

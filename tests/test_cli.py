@@ -38,7 +38,8 @@ def test_parse_grid_six_fields():
 
 
 @pytest.mark.parametrize("bad", ["1:2:3", "0:1:0:1:0", "a:b:c:d:e",
-                                 "1:0:0:1:0.1", "0:1:1:0:0.1"])
+                                 "1:0:0:1:0.1", "0:1:1:0:0.1",
+                                 "0:inf:0:1:0.1", "0:1:0:1:inf", "0:1:0:1:5"])
 def test_parse_grid_rejects(bad):
     with pytest.raises(ConstraintError):
         parse_grid(bad)

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from pssurf.catalog import ConstraintError, build
-from pssurf.expr import Const, is_zero, parse, partial, simplify, to_text, z
+from pssurf.expr import (Const, is_zero, jets_of, parse, partial, simplify,
+                         to_text, z)
 from pssurf.sff import (
     DomainStrip,
     NoImmersion,
@@ -15,7 +16,6 @@ from pssurf.sff import (
     codazzi_residuals,
     finite_jet_obstruction,
     gauss_residual,
-    jet_order_of,
     sample_strip_points,
     strip_contains,
     universal_form,
@@ -79,12 +79,6 @@ def test_sample_strip_points_needs_nonzero_x_coefficient():
     s = _strip(p=Const(0.0), q=Const(0.0))
     with pytest.raises(ConstraintError):
         sample_strip_points(s, 8, rng=np.random.default_rng(0))
-
-
-def test_jet_order_of():
-    assert jet_order_of(parse("x + t")) is None
-    assert jet_order_of(parse("z0"), parse("z2")) == 2
-    assert jet_order_of(parse("w1*z1")) == 1
 
 
 # ------------------------------------------------------------ closed forms
@@ -324,7 +318,7 @@ def test_closed_form_is_a_view_of_the_verdict(fam, params):
 def test_closed_form_drops_jets_of_pinned_zero_parameters():
     # with B = 0 the verdict's form still carries B*z1 terms
     sff = closed_form("hyp-i", {"B": 0.0, "A": 1.5, "fkind": "sin"})
-    assert jet_order_of(*sff.as_tuple()) == 0
+    assert set().union(*map(jets_of, sff.as_tuple())) == {z(0)}
 
 
 def test_closed_form_rejects_bad_sign_im():
