@@ -35,7 +35,7 @@ from .expr import (
     to_text,
     z,
 )
-from .expr.numeric import clears_margin
+from .expr.numeric import CONSTRAINT_MARGIN, clears_margin
 from .forms import PssTriple
 
 Z0 = z(0)
@@ -158,12 +158,16 @@ def _spec(family, ps, F, rows, ctx, constraints, extra_params=None):
         if not set(names) <= ps.pinned.keys():
             continue
         try:
-            ok = clears_margin(evaluate(c, ps.pinned))
+            value = evaluate(c, ps.pinned)
         except EvalError:
-            ok = False
-        if not ok:
+            value = float("nan")
+        if not clears_margin(value):
+            # a constraint fixed by the table entries alone names no parameter
             raise ConstraintError(
-                relation, ", ".join(f"{n} = {ps.pinned[n]}" for n in names))
+                relation,
+                ", ".join(f"{n} = {ps.pinned[n]}" for n in names)
+                or f"value {value:g} does not clear the margin "
+                   f"{CONSTRAINT_MARGIN:g}")
     tr = PssTriple.from_matrix(
         rows, ctx=ctx, params=dict(ps.pinned), ranges=dict(ps.ranges),
         constraints=tuple(map(simplify, constraints.values())),

@@ -222,35 +222,20 @@ class SolutionGrid:
 
     @classmethod
     def from_csv(cls, path):
-        """Read what to_csv wrote, a block of rows at a time, straight into
-        contiguous field arrays."""
         with open(path) as fh:
             grid = cls(**_parse_header(fh.readline()))
             names = _field_names(fh.readline().strip())
-            n = grid.nx * grid.nt
-            flat = np.empty((len(names), n))
-            rows, cols = 0, 1  # np.loadtxt reads no rows as shape (0, 1)
             with warnings.catch_warnings():
                 # no data rows is reported below, as a shape mismatch
                 warnings.simplefilter("ignore", UserWarning)
-                while len(block := np.loadtxt(fh, delimiter=",", ndmin=2,
-                                              max_rows=_BLOCK)):
-                    if rows and block.shape[1] != cols:
-                        raise ValueError(
-                            f"CSV grid rows change from {cols} to "
-                            f"{block.shape[1]} values after row {rows}")
-                    cols = block.shape[1]
-                    # past a mismatch the rows are only counted
-                    if cols == len(names) and rows + len(block) <= n:
-                        flat[:, rows:rows + len(block)] = block.T
-                    rows += len(block)
-        if (rows, cols) != (n, len(names)):
+                flat = np.loadtxt(fh, delimiter=",", ndmin=2)
+        if flat.shape != (grid.nx * grid.nt, len(names)):
             raise ValueError(
-                f"CSV grid data does not match the header: {rows} "
-                f"rows of {cols} values, expected {n}"
+                f"CSV grid data does not match the header: {flat.shape[0]} "
+                f"rows of {flat.shape[1]} values, expected {grid.nx * grid.nt}"
                 f" rows of {len(names)}")
-        for name, values in zip(names, flat):
-            grid.values[name] = values.reshape(grid.nx, grid.nt)
+        for k, name in enumerate(names):
+            grid.values[name] = flat[:, k].reshape(grid.nx, grid.nt)
         return grid
 
     def to_binary(self, path):
@@ -315,7 +300,7 @@ def _field_names(text):
     return names
 
 
-_BLOCK = 1024  # rows per formatting or parsing call
+_BLOCK = 1024  # rows per formatting call
 
 
 def _write_rows(fh, row_format, array):

@@ -144,9 +144,11 @@ def test_constraint_gates(family, params, relation):
     ("obstruct", "hyp-iii-lambda", {"lambda": 0.001}, "lambda != 0"),
     ("verify", "hyp-ii", {"gamma": 0.5, "delta": 0.5, "B": 0.1},
      "A^2 = B^2 + (gamma - 1)/delta^2 > 0"),
+    # a table entry fixes the constraint without a parameter to name
+    ("verify", "evo-hlnonzero", {"f11": "0.01*z0"}, "f11_z0 != 0"),
 ])
 def test_pinned_values_must_clear_the_constraint_margin(
-        capsys, command, family, params, relation):
+        capsys, tmp_path, command, family, params, relation):
     # nonzero, but inside the margin the zero tests keep from every
     # constraint: build names the relation instead of leaving a zero test
     # with no point to sample
@@ -154,8 +156,15 @@ def test_pinned_values_must_clear_the_constraint_margin(
         build(family, params)
     assert info.value.name == relation
     argv = [command, "--family", family]
+    table = {k: v for k, v in params.items() if isinstance(v, str)}
+    if table:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("[params]\n" + "".join(
+            f"{k} = {v}\n" for k, v in table.items()))
+        argv += ["--config", str(cfg)]
     for key, value in params.items():
-        argv += [f"--{key}", str(value)]
+        if key not in table:
+            argv += [f"--{key}", str(value)]
     assert main(argv) == 2
     err = capsys.readouterr().err
     head = re.escape(f"constraint violation: {relation}: ")
