@@ -1,8 +1,9 @@
 """Instantiate the classified families of (F, f_ij) data.
 
 Each family id maps to one coefficient table.  Tables are kept symbolic:
-named constants stay Param nodes, user-pinned values travel alongside in
-the FamilySpec and are bound at evaluation time.
+named constants stay Param nodes, and user-pinned values travel alongside
+in the spec's triple (PssTriple.params), which binds them at evaluation
+time.
 
 Each builder names its family's constraints by relation ("eta != 0",
 "alpha^2 < 1", ...), as expressions that must clear CONSTRAINT_MARGIN
@@ -84,11 +85,12 @@ class HLPMQuantities:
 
 @dataclass
 class FamilySpec:
+    """One family instance.  params holds the user's choices and the
+    branch settings the builder resolved (sign, fkind, f11, ...); the
+    table, its equation and its pinned values live in the triple."""
+
     id: FamilyId
     params: dict
-    F: Expr
-    f: tuple
-    ctx: EquationContext
     triple: PssTriple
     # for linearizing families, F'' + alpha*F = 0 with this alpha; the
     # expression is written so the identity cancels structurally
@@ -96,6 +98,10 @@ class FamilySpec:
     report: list = field(default_factory=list)
     # finite-jet verdicts for this table, keyed by (l, gamma_im)
     verdicts: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def ctx(self) -> EquationContext:
+        return self.triple.ctx
 
     def note(self, line: str):
         self.report.append(line)
@@ -142,17 +148,12 @@ class _Params:
             elif default_range is not None:
                 self.ranges[name] = default_range
 
-    def expr(self, name) -> Expr:
-        return Param(name)
 
-    def value(self, name):
-        return self.pinned.get(name)
-
-
-def _spec(family, ps, F, rows, ctx, constraints, extra_params=None):
-    """The family's spec.  constraints maps relation names to expressions;
-    the first, in declared order, whose names are all pinned and whose
-    value does not clear the margin raises ConstraintError."""
+def _spec(family, ps, kind, F, rows, constraints, extra_params=None):
+    """The family's spec, for the equation of the given kind with right-hand
+    side F.  constraints maps relation names to expressions; the first, in
+    declared order, whose names are all pinned and whose value does not
+    clear the margin raises ConstraintError."""
     for relation, c in constraints.items():
         names = sorted(free_names(c))
         if not set(names) <= ps.pinned.keys():
@@ -169,13 +170,12 @@ def _spec(family, ps, F, rows, ctx, constraints, extra_params=None):
                 or f"value {value:g} does not clear the margin "
                    f"{CONSTRAINT_MARGIN:g}")
     tr = PssTriple.from_matrix(
-        rows, ctx=ctx, params=dict(ps.pinned), ranges=dict(ps.ranges),
+        rows, ctx=EquationContext(kind, F), params=dict(ps.pinned),
+        ranges=dict(ps.ranges),
         constraints=tuple(map(simplify, constraints.values())),
         label=family.value)
-    params = dict(ps.pinned)
-    if extra_params:
-        params.update(extra_params)
-    return FamilySpec(id=family, params=params, F=F, f=rows, ctx=ctx, triple=tr)
+    return FamilySpec(id=family, params={**ps.pinned, **(extra_params or {})},
+                      triple=tr)
 
 
 # ---------------------------------------------------------------- families
@@ -188,21 +188,20 @@ def _build_sg_basic(raw):
         (parse("sin(z0/2)"), parse("-sin(z0/2)")),
         (parse("z1/2"), parse("-w1/2")),
     )
-    ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.SG_BASIC, ps, F, rows, ctx, {})
+    return _spec(FamilyId.SG_BASIC, ps, "hyperbolic", F, rows, {})
 
 
 def _build_sg_eta(raw):
     ps = _Params(FamilyId.SG_ETA, raw, numeric={"eta": (0.5, 2.0)})
-    eta = ps.expr("eta")
+    eta = Param("eta")
     F = parse("sin(z0)")
     rows = (
         (Const(0), simplify(parse("sin(z0)") / eta)),
         (eta, simplify(parse("cos(z0)") / eta)),
         (Z1, Const(0)),
     )
-    ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.SG_ETA, ps, F, rows, ctx, {"eta != 0": parse("eta^2")})
+    return _spec(FamilyId.SG_ETA, ps, "hyperbolic", F, rows,
+                 {"eta != 0": parse("eta^2")})
 
 
 def _jets_within(e, allowed, what):
@@ -232,8 +231,8 @@ def _build_evo_hlnonzero(raw):
     if is_zero(f22_z0).status != "nonzero":
         raise ConstraintError("f22_z0 != 0", "f22 must genuinely depend on z0")
 
-    eta = ps.expr("eta")
-    alpha = ps.expr("alpha")
+    eta = Param("eta")
+    alpha = Param("alpha")
     rad = sqrt(1 - alpha * alpha)
     f31 = simplify(alpha * f11 + Const(s) * eta * rad)
 
@@ -248,7 +247,6 @@ def _build_evo_hlnonzero(raw):
         + ((eta * eta + f11 * f11 - f31 * f31) * f22_z0 / (eta * bracket * f11_z0)
            + f22 / eta) * Z1
     )
-    ctx = EquationContext("evolution", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {
         "eta != 0": parse("eta^2"),
@@ -258,7 +256,7 @@ def _build_evo_hlnonzero(raw):
         "f11_z0 != 0": simplify(f11_z0 * f11_z0),
         "f22_z0 != 0": simplify(f22_z0 * f22_z0),
     }
-    spec = _spec(FamilyId.EVO_HLNONZERO, ps, F, rows, ctx, constraints,
+    spec = _spec(FamilyId.EVO_HLNONZERO, ps, "evolution", F, rows, constraints,
                  extra_params={"sign": s, "f11": to_text(f11), "f22": to_text(f22)})
     # the supplied f31 is sampled under alpha^2 < 1, which _spec has checked
     if "f31" in raw:
@@ -293,8 +291,8 @@ def _build_evo_hlzero(raw):
         raise ConstraintError(
             "f12_z1 != 0", "the evolution equation is not of second-order")
 
-    eta = ps.expr("eta")
-    lam = ps.expr("lambda")
+    eta = Param("eta")
+    lam = Param("lambda")
     f22 = lam
     f31 = simplify(Const(s) * f11)
     f32 = simplify(Const(s) * f12)
@@ -303,11 +301,10 @@ def _build_evo_hlzero(raw):
         + partial(f12, Z0) / f11_z0 * Z1
         - Const(s) * (lam * f11 - eta * f12) / f11_z0
     )
-    ctx = EquationContext("evolution", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"),
                    "f11_z0 != 0": simplify(f11_z0 * f11_z0)}
-    spec = _spec(FamilyId.EVO_HLZERO, ps, F, rows, ctx, constraints,
+    spec = _spec(FamilyId.EVO_HLZERO, ps, "evolution", F, rows, constraints,
                  extra_params={"sign": s, "f11": to_text(f11), "f12": to_text(f12)})
     validate_evolution_constraints(spec)
     return spec
@@ -329,15 +326,15 @@ def _build_hyp_i(raw, qa: bool):
         numeric["B"] = (0.2, 0.9)
     ps = _Params(family, raw, numeric=numeric, other=("fkind",))
 
-    A = ps.expr("A")
-    B = ps.expr("B") if not qa else Const(0)
-    eta = ps.expr("eta")
-    Q = ps.expr("Q")
+    A = Param("A")
+    B = Param("B") if not qa else Const(0)
+    eta = Param("eta")
+    Q = Param("Q")
 
     fkind = raw.get("fkind")
     if fkind is not None and fkind not in _FKINDS:
         raise ConstraintError("fkind", f"must be one of {', '.join(_FKINDS)}")
-    a_v, b_v = ps.value("A"), (0.0 if qa else ps.value("B"))
+    a_v, b_v = ps.pinned.get("A"), (0.0 if qa else ps.pinned.get("B"))
     if qa:
         alpha_sign = 1
     elif a_v is not None and b_v is not None:
@@ -378,13 +375,12 @@ def _build_hyp_i(raw, qa: bool):
     f12 = simplify(A * alpha * (Q * Fp - eta * F) / wden)
     f22 = simplify((eta * Fp + alpha * Q * F) / wden)
 
-    ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"), "A != 0": parse("A^2")}
     if not qa:
         constraints["A^2 - B^2 != 0"] = scale_sq
     constraints[f"{to_text(wden)} != 0"] = simplify(wden * wden)
-    spec = _spec(family, ps, F, rows, ctx, constraints,
+    spec = _spec(family, ps, "hyperbolic", F, rows, constraints,
                  extra_params={"fkind": fkind})
     # checked after the constraints, so that A^2 = B^2 is named as such
     if qa and fkind in ("sinh", "cosh"):
@@ -418,16 +414,16 @@ def _build_hyp_ii_gamma_ne1(raw):
     )
     s = _sign_of(raw)
 
-    eta = ps.expr("eta")
-    gamma = ps.expr("gamma")
-    delta = ps.expr("delta")
-    nu = ps.expr("nu")
-    beta = ps.expr("beta")
-    B = ps.expr("B")
+    eta = Param("eta")
+    gamma = Param("gamma")
+    delta = Param("delta")
+    nu = Param("nu")
+    beta = Param("beta")
+    B = Param("B")
 
     a_pinned = "A" in ps.pinned
     # the relation pins A up to sign; keep the positive root
-    A = ps.expr("A") if a_pinned else simplify(
+    A = Param("A") if a_pinned else simplify(
         sqrt(B * B + (gamma - 1) / (delta * delta)))
 
     rootD = sqrt(beta + gamma * Z1 * Z1)
@@ -440,7 +436,6 @@ def _build_hyp_ii_gamma_ne1(raw):
     f32 = simplify(Const(s) * B * delta * nu * egz)
     F = simplify(nu * egz * rootD)
 
-    ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"), "delta != 0": parse("delta^2"),
                    "nu != 0": parse("nu^2"), "gamma != 1": parse("(gamma - 1)^2"),
@@ -448,12 +443,12 @@ def _build_hyp_ii_gamma_ne1(raw):
     if not a_pinned:
         constraints["A^2 = B^2 + (gamma - 1)/delta^2 > 0"] = simplify(
             B * B + (gamma - 1) / (delta * delta))
-    spec = _spec(FamilyId.HYP_II_GAMMA_NE1, ps, F, rows, ctx, constraints,
+    spec = _spec(FamilyId.HYP_II_GAMMA_NE1, ps, "hyperbolic", F, rows, constraints,
                  extra_params={"sign": s})
     # after _spec, which has checked delta != 0
     if a_pinned:
-        a_v, b_v = ps.value("A"), ps.value("B")
-        d_v, g_v = ps.value("delta"), ps.value("gamma")
+        a_v, b_v = ps.pinned.get("A"), ps.pinned.get("B")
+        d_v, g_v = ps.pinned.get("delta"), ps.pinned.get("gamma")
         if None in (b_v, d_v, g_v):
             raise ConstraintError(
                 "A^2 - B^2 = (gamma - 1)/delta^2",
@@ -479,10 +474,10 @@ def _build_hyp_ii_gamma1(raw):
     )
     s = _sign_of(raw)
 
-    eta = ps.expr("eta")
-    delta = ps.expr("delta")
-    nu = ps.expr("nu")
-    A = ps.expr("A")
+    eta = Param("eta")
+    delta = Param("delta")
+    nu = Param("nu")
+    A = Param("A")
     egz = _fun("exp", simplify(delta * Z0))
 
     half = Const(1) / 2
@@ -496,23 +491,21 @@ def _build_hyp_ii_gamma1(raw):
     # beta = 0, gamma = 1: sqrt(z1^2) = |z1|; the sign flag picks the halfplane
     F = simplify(nu * egz * sqrt(Z1 * Z1))
 
-    ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"), "delta != 0": parse("delta^2"),
                    "nu != 0": parse("nu^2"), "A != 0": parse("A^2"),
                    "sign*z1 > 0": simplify(Const(s) * Z1)}
-    return _spec(FamilyId.HYP_II_GAMMA1, ps, F, rows, ctx, constraints,
+    return _spec(FamilyId.HYP_II_GAMMA1, ps, "hyperbolic", F, rows, constraints,
                  extra_params={"sign": s})
 
 
 def _build_hyp_iii_zero(raw):
     ps = _Params(FamilyId.HYP_III_ZERO, raw, numeric={"eta": (0.5, 2.0)})
-    eta = ps.expr("eta")
+    eta = Param("eta")
     ez = _fun("exp", Z0)
     F = Const(0)
     rows = ((Z1, Const(0)), (eta, ez), (eta, ez))
-    ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.HYP_III_ZERO, ps, F, rows, ctx,
+    return _spec(FamilyId.HYP_III_ZERO, ps, "hyperbolic", F, rows,
                  {"eta != 0": parse("eta^2")})
 
 
@@ -530,11 +523,11 @@ def _build_hyp_iii_lambda(raw):
     )
     s = _sign_of(raw)
 
-    eta = ps.expr("eta")
-    lam = ps.expr("lambda")
-    xi = ps.expr("xi")
-    tau = ps.expr("tau")
-    T = ps.expr("T")
+    eta = Param("eta")
+    lam = Param("lambda")
+    xi = Param("xi")
+    tau = Param("tau")
+    T = Param("T")
 
     f11 = simplify(Const(s) * eta * T * Z1 / lam)
     f31 = simplify(eta * T * Z1 / lam)
@@ -543,11 +536,10 @@ def _build_hyp_iii_lambda(raw):
     f32 = simplify(Const(s) * T * Z0 + Const(s) * tau * T / lam)
     F = simplify(lam * Z0 + xi * Z1 + tau)
 
-    ctx = EquationContext("hyperbolic", F)
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"), "lambda != 0": parse("lambda^2"),
                    "T != 0": parse("T^2")}
-    return _spec(FamilyId.HYP_III_LAMBDA, ps, F, rows, ctx, constraints,
+    return _spec(FamilyId.HYP_III_LAMBDA, ps, "hyperbolic", F, rows, constraints,
                  extra_params={"sign": s})
 
 
@@ -560,11 +552,11 @@ def _build_hyp_iii_xi_tau(raw):
             "tau": (3.5, 5.0),
         },
     )
-    xi_v = ps.value("xi")
+    xi_v = ps.pinned.get("xi")
 
-    eta = ps.expr("eta")
-    xi = ps.expr("xi")
-    tau = ps.expr("tau")
+    eta = Param("eta")
+    xi = Param("xi")
+    tau = Param("tau")
 
     if xi_v == 0.0:
         # integral of 1/tau dz1
@@ -581,8 +573,7 @@ def _build_hyp_iii_xi_tau(raw):
     F = simplify(xi * Z1 + tau)
     inv_eta = simplify(1 / eta)
     rows = ((g, inv_eta), (eta, Const(0)), (g, inv_eta))
-    ctx = EquationContext("hyperbolic", F)
-    return _spec(FamilyId.HYP_III_XI_TAU, ps, F, rows, ctx, constraints)
+    return _spec(FamilyId.HYP_III_XI_TAU, ps, "hyperbolic", F, rows, constraints)
 
 
 _BUILDERS = {
@@ -624,8 +615,10 @@ def validate_evolution_constraints(spec: FamilySpec):
     if spec.id not in (FamilyId.EVO_HLNONZERO, FamilyId.EVO_HLZERO):
         raise ConstraintError(
             "evolution family required", f"{spec.id.value} is not an evolution id")
-    (f11, f12), (f21, f22), (f31, f32) = spec.f
-    kw = spec.triple.zero_kwargs()
+    tr = spec.triple
+    f11, f12, f22, f31, f32 = (tr.f(1, 1), tr.f(1, 2), tr.f(2, 2),
+                               tr.f(3, 1), tr.f(3, 2))
+    kw = tr.zero_kwargs()
 
     # second-order necessary conditions: no z2 anywhere, no z1 in the dx row
     for name, e in (("f11", f11), ("f12", f12), ("f22", f22),

@@ -237,7 +237,7 @@ def cmd_immerse(cfg: RunConfig) -> int:
         lines.append("result: FAIL (no admissible nodes on the grid)")
         _emit(lines, cfg.report)
         return 1
-    diag = validate_surface(field_, spec.triple, sff)
+    diag = validate_surface(field_)
     export_mesh(field_, cfg.out, diag)
     lines.append(f"mesh: {cfg.out}")
     lines.extend(diag.lines())

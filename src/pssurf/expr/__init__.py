@@ -12,7 +12,7 @@ from .simplify import simplify
 from .printer import to_text
 from .parser import KNOWN_PARAMS, ParseError, parse
 from .numeric import (
-    EvalError, ZeroVerdict, compile_expr, evaluate, is_zero, required_names,
+    EvalError, ZeroVerdict, compile_expr, evaluate, is_zero,
 )
 from .calculus import (
     EquationContext, partial, total_t, total_x,
@@ -27,6 +27,5 @@ __all__ = [
     "simplify", "to_text",
     "KNOWN_PARAMS", "ParseError", "parse",
     "EvalError", "ZeroVerdict", "compile_expr", "evaluate", "is_zero",
-    "required_names",
     "EquationContext", "partial", "total_t", "total_x",
 ]

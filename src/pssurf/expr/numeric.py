@@ -23,10 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import (
-    Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
-    free_names,
-)
+from .nodes import Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var
 from .simplify import simplify
 
 DEFAULT_RANGE = (-2.0, 2.0)
@@ -207,10 +204,6 @@ def compile_expr(e: Expr):
     return lambda env: tape.run(env)[0]
 
 
-def required_names(e: Expr) -> tuple:
-    return tuple(sorted(free_names(simplify(e))))
-
-
 @dataclass
 class ZeroVerdict:
     status: str          # "proven" | "numeric" | "nonzero"
@@ -306,17 +299,9 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
     if max_rel <= tol:
         return ZeroVerdict("numeric", max_rel, None, len(rel_all))
 
-    # locate the worst point for the witness
+    # the worst point, at the same index of the rounds' points in order
     idx = int(rel_all.argmax())
-    off = 0
     witness = dict(params)
-    for block_rel, block_env in zip(rel_acc, env_acc):
-        k = len(block_rel)
-        usable = min(k, len(rel_all) - off)
-        if idx < off + usable:
-            j = idx - off
-            for nm in sample_names:
-                witness[nm] = float(block_env[nm][j])
-            break
-        off += usable
+    for nm in sample_names:
+        witness[nm] = float(np.concatenate([e[nm] for e in env_acc])[idx])
     return ZeroVerdict("nonzero", max_rel, witness, len(rel_all))

@@ -33,10 +33,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import compile_expr, required_names
+from .expr import simplify
+from .expr.numeric import Tape
 from .forms import PssTriple
 from .catalog import ConstraintError
-from .sff.core import SecondFundamentalForm, _numeric_params, strip_contains
+from .sff.core import SecondFundamentalForm, strip_contains
 from .solutions import SolutionGrid, _write_rows
 
 __all__ = [
@@ -50,21 +51,7 @@ __all__ = [
 
 _JET_FIELDS = {"z0": "u", "z1": "u_x", "z2": "u_xx",
                "w1": "u_t", "w2": "u_tt"}
-
-
-def _grid_env(grid: SolutionGrid, params):
-    xx, tt = grid.mesh()
-    env = dict(params)
-    env["x"] = xx
-    env["t"] = tt
-    for jet, name in _JET_FIELDS.items():
-        env[jet] = grid[name]
-    return env
-
-
-def _eval_on(e, env, shape):
-    out = np.asarray(compile_expr(e)(dict(env)), dtype=float)
-    return np.broadcast_to(out, shape).copy()
+_F_KEYS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2))
 
 
 @dataclass(frozen=True)
@@ -101,6 +88,7 @@ class FrameField:
     mask: np.ndarray         # (nx, nt) admissibility before connectivity
     seed_index: tuple
     grid: SolutionGrid
+    f: dict                  # (i, j) -> f_ij over the grid; may share grid memory
 
     @property
     def mask_fraction(self):
@@ -111,27 +99,40 @@ class FrameField:
 
 
 class _Coefficients:
-    """Connection-form coefficient grids for one table and form pair."""
+    """Connection-form coefficient grids for one table and form pair.
+
+    One tape evaluates the six f_ij and a, b, c over the grid; a value
+    the tape names and neither the parameters nor the grid supply raises
+    ConstraintError.
+    """
 
     def __init__(self, tr: PssTriple, sff: SecondFundamentalForm,
                  grid: SolutionGrid):
-        merged, env, f = _table_grids(tr, sff, grid)
+        params = {**tr.params, **sff.params}
+        exprs = [tr.f(i, j) for i, j in _F_KEYS] + list(sff.as_tuple())
+        tape = Tape(tuple(map(simplify, exprs)))
+        xx, tt = grid.mesh()
+        env = {**params, "x": xx, "t": tt}
+        env.update((jet, grid[name]) for jet, name in _JET_FIELDS.items())
+        missing = sorted(set(tape.names) - env.keys())
+        if missing:
+            raise ConstraintError("params", "missing parameters: "
+                                  + ", ".join(missing))
         shape = (grid.nx, grid.nt)
         # degenerate nodes produce inf/nan here; they are masked below
         with np.errstate(all="ignore"):
-            a, b, c = (_eval_on(e, env, shape) for e in sff.as_tuple())
-            self.f = f
+            *entries, a, b, c = (np.broadcast_to(np.asarray(v, dtype=float),
+                                                 shape) for v in tape.run(env))
+            self.f = f = dict(zip(_F_KEYS, entries))
             self.d12 = _d12(f)
             self.wx = _connection_rows(f, a, b, c, 1)
             self.wt = _connection_rows(f, a, b, c, 2)
         finite = np.isfinite(self.d12)
         for w in self.wx + self.wt:
             finite &= np.isfinite(w)
-        self.finite = finite
         if sff.strip is not None:
-            xx, tt = grid.mesh()
-            inside = strip_contains(sff.strip, xx, tt, merged)
-            self.finite &= inside
+            finite &= strip_contains(sff.strip, xx, tt, params)
+        self.finite = finite
 
     def matrix(self, direction, i, j):
         """Connection blocks at the nodes (i, j); i and j may be index arrays."""
@@ -139,30 +140,9 @@ class _Coefficients:
         return _connection_matrix(*(w[i, j] for w in rows))
 
 
-def _table_grids(tr, sff, grid):
-    """The merged parameters, the grid environment and the six f_ij grids."""
-    merged = {**_numeric_params(tr.params), **_numeric_params(sff.params)}
-    env = _grid_env(grid, merged)
-    _require_names(tr, sff, env)
-    shape = (grid.nx, grid.nt)
-    with np.errstate(all="ignore"):
-        f = {(i, j): _eval_on(tr.f(i, j), env, shape)
-             for i in (1, 2, 3) for j in (1, 2)}
-    return merged, env, f
-
-
 def _d12(f):
     with np.errstate(all="ignore"):
         return f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
-
-
-def _require_names(tr, sff, env):
-    """Raise ConstraintError naming every value the forms need and env lacks."""
-    exprs = [tr.f(i, j) for i in (1, 2, 3) for j in (1, 2)] + list(sff.as_tuple())
-    missing = sorted({n for e in exprs for n in required_names(e)} - set(env))
-    if missing:
-        raise ConstraintError("params", "missing parameters: "
-                              + ", ".join(missing))
 
 
 def _connection_rows(f, a, b, c, col):
@@ -334,14 +314,14 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
     mask = coeffs.finite & (np.abs(coeffs.d12) > eps_deg)
 
     nx, nt = mask.shape
-    empty = FrameField(
-        X=np.full((nx, nt, 3), np.nan),
-        frames=np.full((nx, nt, 3, 3), np.nan),
-        valid=np.zeros((nx, nt), dtype=bool),
-        path_residual=np.full((nx, nt), np.nan),
-        drift_max=0.0, mask=mask, seed_index=(-1, -1), grid=grid)
     if not mask.any():
-        return empty
+        return FrameField(
+            X=np.full((nx, nt, 3), np.nan),
+            frames=np.full((nx, nt, 3, 3), np.nan),
+            valid=np.zeros((nx, nt), dtype=bool),
+            path_residual=np.full((nx, nt), np.nan),
+            drift_max=0.0, mask=mask, seed_index=(-1, -1), grid=grid,
+            f=coeffs.f)
 
     if seed_index is None:
         ii, jj = np.nonzero(mask)
@@ -356,6 +336,7 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
 
     Y1, vis1, drift1 = _sweep(coeffs, grid, mask, seed_index, seed, "xt")
     Y2, vis2, drift2 = _sweep(coeffs, grid, mask, seed_index, seed, "tx")
+    f = coeffs.f
     del coeffs
     both = vis1 & vis2
     residual = np.full((nx, nt), np.nan)
@@ -373,7 +354,8 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
         drift_max=max(drift1, drift2),
         mask=mask,
         seed_index=seed_index,
-        grid=grid)
+        grid=grid,
+        f=f)
 
 
 # ------------------------------------------------------------ validation
@@ -461,11 +443,11 @@ def _angle_defect_curvature(X, valid):
     return K
 
 
-def validate_surface(field: FrameField, tr: PssTriple,
-                     sff: SecondFundamentalForm) -> SurfaceDiagnostics:
-    """First-fundamental-form, curvature and normal checks on the field."""
+def validate_surface(field: FrameField) -> SurfaceDiagnostics:
+    """First-fundamental-form, curvature and normal checks on the field,
+    against the table entries it was integrated with."""
     grid = field.grid
-    _, _, f = _table_grids(tr, sff, grid)
+    f = field.f
     X = field.X
     valid = field.valid
 

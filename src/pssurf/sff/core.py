@@ -8,7 +8,7 @@ admits is decided by the finite-jet analysis in ``obstruction``.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,8 +39,8 @@ class DomainStrip:
     """Open strip lower < sign*(p*x + q*t) < upper in the (x, t) plane.
 
     The bounds come from requiring a^2 = l*E - gamma_im^2*E^2 - 1 > 0 with
-    E = exp(2*sign*(p*x + q*t)); l > 0 and l^2 > 4*gamma_im^2 make the
-    strip nonempty.
+    E = exp(2*sign*(p*x + q*t)); finite l > 2*|gamma_im| makes the strip
+    nonempty.  p and q may name parameters, bound by the caller's env.
     """
 
     sign: int
@@ -48,39 +48,47 @@ class DomainStrip:
     q: Expr
     l: float
     gamma_im: float
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise ConstraintError("sign", f"strip sign must be +1 or -1, got {self.sign}")
+        if not (math.isfinite(self.l) and math.isfinite(self.gamma_im)):
+            raise ConstraintError(
+                "l and gamma_im finite", f"l = {self.l}, gamma_im = {self.gamma_im}")
         if not self.l > 0:
             raise ConstraintError("l > 0", f"l = {self.l}")
-        if not self.l ** 2 > 4 * self.gamma_im ** 2:
+        # l^2 > 4*gamma_im^2 for l > 0, without squaring
+        if not self.l > 2 * abs(self.gamma_im):
             raise ConstraintError(
                 "l^2 > 4*gamma_im^2", f"l = {self.l}, gamma_im = {self.gamma_im}")
 
+    def _root(self) -> float:
+        """sqrt(1 - r^2) with r = 2*|gamma_im|/l < 1.  The bounds are the
+        logarithms of E = (l -/+ sqrt(l^2 - 4*gamma_im^2))/(2*gamma_im^2)
+        over 2, written in r so that no square overflows and the smaller
+        root does not cancel."""
+        r = 2 * abs(self.gamma_im) / self.l
+        return math.sqrt((1 - r) * (1 + r))
+
     @property
     def lower(self) -> float:
-        g2 = self.gamma_im ** 2
-        if g2 == 0.0:
+        if self.gamma_im == 0.0:
             return -0.5 * math.log(self.l)
-        disc = math.sqrt(self.l ** 2 - 4 * g2)
-        return 0.5 * math.log((self.l - disc) / (2 * g2))
+        return 0.5 * (math.log(2 / (1 + self._root())) - math.log(self.l))
 
     @property
     def upper(self) -> float:
-        g2 = self.gamma_im ** 2
-        if g2 == 0.0:
+        if self.gamma_im == 0.0:
             return math.inf
-        disc = math.sqrt(self.l ** 2 - 4 * g2)
-        return 0.5 * math.log((self.l + disc) / (2 * g2))
+        return 0.5 * (math.log((1 + self._root()) / 2) + math.log(self.l)
+                      - 2 * math.log(abs(self.gamma_im)))
 
     def form(self) -> Expr:
         return simplify(Const(self.sign) * (self.p * X + self.q * T))
 
     def coefficients(self, params=None):
-        env = dict(self.params)
-        env.update(params or {})
+        """p and q at the parameter values params."""
+        env = params or {}
         return evaluate(self.p, env), evaluate(self.q, env)
 
     def constraint_exprs(self):
@@ -94,7 +102,8 @@ class DomainStrip:
 
 
 def strip_contains(strip: DomainStrip, x, t, params=None):
-    """Whether (x, t) lies strictly inside the strip; arrays broadcast."""
+    """Whether (x, t) lies strictly inside the strip; arrays broadcast.
+    params binds the parameters p and q name."""
     pv, qv = strip.coefficients(params)
     s = strip.sign * (pv * np.asarray(x, dtype=float) + qv * np.asarray(t, dtype=float))
     inside = (s > strip.lower) & (s < strip.upper)
@@ -104,7 +113,8 @@ def strip_contains(strip: DomainStrip, x, t, params=None):
 
 
 def sample_strip_points(strip: DomainStrip, n, rng=None, params=None, margin=0.05):
-    """n points (x, t) strictly inside the strip, t drawn in [-2, 2]."""
+    """n points (x, t) strictly inside the strip, t drawn in [-2, 2];
+    params binds the parameters p and q name."""
     if rng is None:
         rng = np.random.default_rng(0)
     pv, qv = strip.coefficients(params)
@@ -123,20 +133,19 @@ class SecondFundamentalForm:
     b: Expr
     c: Expr
     strip: DomainStrip = None
-    params: dict = field(default_factory=dict)
     constraints: tuple = ()
     label: str = ""
 
+    @property
+    def params(self) -> dict:
+        """The values of the form's own parameters: a universal form's
+        strip constants; a zero-jet form has none."""
+        if self.strip is None:
+            return {}
+        return {"l": self.strip.l, "gamma_im": self.strip.gamma_im}
+
     def as_tuple(self):
         return (self.a, self.b, self.c)
-
-
-def _numeric_params(d):
-    out = {}
-    for k, v in (d or {}).items():
-        if isinstance(v, (int, float)) and not isinstance(v, bool):
-            out[k] = float(v)
-    return out
 
 
 def gauss_residual(sff: SecondFundamentalForm) -> Expr:
@@ -187,10 +196,8 @@ def verify_immersion(tr: PssTriple, sff: SecondFundamentalForm,
                      n=64, tol=1e-8, seed=1234) -> ImmersionReport:
     """Check Gauss exactly/numerically and Codazzi mod the equation."""
     kw = tr.zero_kwargs()
-    kw["constraints"] = tuple(kw.get("constraints", ())) + tuple(sff.constraints)
-    kw["params"] = dict(_numeric_params(kw.get("params", {})),
-                        **_numeric_params(sff.params))
-    kw.update(n=n, tol=tol, seed=seed)
+    kw["constraints"] = tuple(kw["constraints"]) + tuple(sff.constraints)
+    kw.update(params={**tr.params, **sff.params}, n=n, tol=tol, seed=seed)
     g = is_zero(gauss_residual(sff), **kw)
     e1, e2 = codazzi_residuals(tr, sff)
     v1 = is_zero(e1, **kw)
@@ -202,17 +209,15 @@ def verify_immersion(tr: PssTriple, sff: SecondFundamentalForm,
 # ------------------------------------------------------------ universal forms
 
 
-def universal_form(strip: DomainStrip, params=None) -> SecondFundamentalForm:
+def universal_form(strip: DomainStrip) -> SecondFundamentalForm:
     """The jet-free family a^2 = l*E - gamma_im^2*E^2 - 1, b = gamma_im*E on
-    the strip, with E = exp(2*s); Gauss holds structurally."""
+    the strip, with E = exp(2*s); Gauss holds structurally.  l and gamma_im
+    stay Param nodes, bound to the strip's constants by the form's params."""
     l = Param("l")
     gam = Param("gamma_im")
     E = simplify(Fun("exp", simplify(2 * strip.form())))
     a = simplify(sqrt(l * E - gam * gam * E * E - 1))
     b = simplify(gam * E)
     c = simplify((b * b - 1) / a)
-    merged = {**_numeric_params(params), "l": strip.l, "gamma_im": strip.gamma_im}
-    return SecondFundamentalForm(
-        a=a, b=b, c=c, strip=strip, params=merged,
-        constraints=strip.constraint_exprs(),
-    )
+    return SecondFundamentalForm(a=a, b=b, c=c, strip=strip,
+                                 constraints=strip.constraint_exprs())

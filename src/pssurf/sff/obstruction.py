@@ -40,7 +40,6 @@ from .core import (
     DomainStrip,
     NoImmersion,
     SecondFundamentalForm,
-    _numeric_params,
     gauss_residual,
     universal_form,
     verify_immersion,
@@ -154,7 +153,8 @@ def closed_form(family, params=None) -> SecondFundamentalForm:
         raise NoImmersion(verdict.trace[-1].note)
     sff = verdict.sff
     coeffs = sff.as_tuple()
-    zeros = {Param(k): Const(0) for k, v in sff.params.items() if v == 0.0}
+    zeros = {Param(k): Const(0)
+             for k, v in {**spec.triple.params, **sff.params}.items() if v == 0.0}
     if zeros:
         coeffs = tuple(simplify(substitute(e, zeros)) for e in coeffs)
     if sign < 0 and verdict.outcome is Outcome.ZERO_JET_FAMILY:
@@ -180,15 +180,12 @@ def _pinned_candidate(tr, a, constraint):
     return SecondFundamentalForm(
         a=a, b=simplify(1 - r * a),
         c=simplify(r * r * a - 2 * r),
-        params=_numeric_params(tr.params),
         constraints=(simplify(constraint),))
 
 
 def _strip_candidate(tr, s, q_expr, strip_consts):
-    strip = DomainStrip(sign=s, p=tr.f(2, 1), q=q_expr, l=strip_consts[0],
-                        gamma_im=strip_consts[1],
-                        params=_numeric_params(tr.params))
-    return universal_form(strip, tr.params)
+    return universal_form(DomainStrip(sign=s, p=tr.f(2, 1), q=q_expr,
+                                      l=strip_consts[0], gamma_im=strip_consts[1]))
 
 
 def _closing_verdict(tr, steps, cand, *derivation):

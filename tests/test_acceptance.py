@@ -169,7 +169,7 @@ def test_criterion_5_kink_end_to_end():
         if h == 0.02:
             u = grid["u"]
             assert np.array_equal(field.mask, np.abs(np.sin(u)) > 0.1)
-            diag_fine = validate_surface(field, spec.triple, sff)
+            diag_fine = validate_surface(field)
 
     assert diag_fine.mean_abs_k_plus_1 < 1e-2
     assert diag_fine.metric_max_rel < 1e-3
@@ -204,7 +204,7 @@ def test_criterion_7_derivative_oracle():
         params = sample_params(fam, rng=rng)
         spec = build(fam, params)
         exprs = [spec.triple.f(i, j) for i in (1, 2, 3) for j in (1, 2)]
-        exprs.append(spec.F)
+        exprs.append(spec.ctx.rhs)
         pinned = {k: v for k, v in spec.triple.params.items()
                   if v is not None}
         for e in exprs:

@@ -54,7 +54,8 @@ def test_both_sign_branches(family, sign):
 def test_linearizing_identity_is_structural(family, fkind):
     # F'' + alpha F must cancel to the literal zero, not just numerically
     spec = build(family, {"fkind": fkind})
-    resid = simplify(partial(partial(spec.F, z(0)), z(0)) + spec.alpha * spec.F)
+    F = spec.ctx.rhs
+    resid = simplify(partial(partial(F, z(0)), z(0)) + spec.alpha * F)
     assert to_text(resid) == "0"
 
 
@@ -67,7 +68,7 @@ def test_hyp_i_fkind_follows_pinned_sign():
 
 def test_hyp_i_qa_shape():
     spec = build("hyp-i-qa", {"A": 2.0, "Q": 0.0, "eta": 1.0})
-    assert to_text(spec.f[2][1]) == "0"
+    assert to_text(spec.triple.f(3, 2)) == "0"
     assert to_text(spec.alpha) == "1/A^2"
     assert verify_family(spec.triple).ok
 
@@ -76,8 +77,8 @@ def test_evolution_defaults_reduce_to_known_equation():
     spec = build("evo-hlnonzero",
                  {"alpha": 0.0, "eta": 1.0, "f11": "z0", "f22": "z0", "sign": 1})
     kw = spec.triple.zero_kwargs()
-    assert is_zero(simplify(spec.F - parse("-z2 + 2*z0*z1")), **kw)
-    assert is_zero(simplify(spec.f[2][0] - parse("1")), **kw)
+    assert is_zero(simplify(spec.ctx.rhs - parse("-z2 + 2*z0*z1")), **kw)
+    assert is_zero(simplify(spec.triple.f(3, 1) - parse("1")), **kw)
     assert spec.report[:1] == ["P = 0: proven"]
     assert any(line.startswith("M = -L^2/eta^2") for line in spec.report)
     assert "H*L != 0: confirmed" in spec.report
@@ -86,7 +87,8 @@ def test_evolution_defaults_reduce_to_known_equation():
 def test_evolution_second_family_default_equation():
     spec = build("evo-hlzero", {"f11": "exp(z0)", "f12": "exp(z0)*z1", "sign": 1})
     kw = spec.triple.zero_kwargs()
-    assert is_zero(simplify(spec.F - parse("z2 + z1^2 - lambda + eta*z1")), **kw)
+    assert is_zero(simplify(spec.ctx.rhs - parse("z2 + z1^2 - lambda + eta*z1")),
+                   **kw)
     assert "L = 0: proven" in spec.report
     assert "f31 = +1*f11: proven" in spec.report
     assert "f32 = +1*f12: proven" in spec.report

@@ -301,6 +301,41 @@ def test_immerse_invalid_strip(capsys, tmp_path):
     assert "constraint violation" in err
 
 
+_LAMBDA_FAMILY = ("--family", "hyp-iii-lambda", "--eta", "1", "--lambda", "1",
+                  "--xi", "0.1", "--tau", "0.2", "--T", "1")
+
+
+@pytest.mark.parametrize("command, strip, message", [
+    ("obstruct", ("--l", "inf"),
+     "constraint violation: l and gamma_im finite: l = inf, gamma_im = 1.0"),
+    ("verify", ("--l", "inf"),
+     "constraint violation: l and gamma_im finite: l = inf, gamma_im = 1.0"),
+    ("obstruct", ("--gamma-im", "nan"),
+     "constraint violation: l and gamma_im finite: l = 4.0, gamma_im = nan"),
+    ("verify", ("--l", "1e308", "--gamma-im", "1"),
+     "error: zero test could not sample the domain"),
+    ("immerse", ("--l", "1e308", "--gamma-im", "1"),
+     "error: zero test could not sample the domain"),
+])
+def test_strip_constants_out_of_range_are_one_line(capsys, tmp_path, command,
+                                                   strip, message):
+    extra = (("--solution", "linear", "--grid", "0:1:0:1:0.1",
+              "--out", str(tmp_path / "x.obj")) if command == "immerse" else ())
+    code, err = run_failing(capsys, command, *_LAMBDA_FAMILY, *strip, *extra)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(message)
+
+
+def test_obstruct_large_strip_constant(capsys):
+    # l^2 overflows a float; the strip and its bounds do not
+    code, out = run(capsys, "obstruct", "--family", "hyp-iii-lambda",
+                    "--l", "1e200")
+    assert code == 0
+    assert "verdict: UniversalFamily" in out
+    assert "strip: -230.259 < " in out and " < 230.259" in out
+
+
 def test_immerse_no_closed_form(capsys, tmp_path):
     code, err = run_failing(capsys, "immerse", "--family", "hyp-iii-zero",
                             "--solution", "kink", "--grid", "-1:1:-1:1:0.1",

@@ -89,6 +89,25 @@ def test_seed_reproducible():
     assert a.max_rel == b.max_rel
 
 
+def test_witness_reproduces_max_rel_across_sampling_rounds(monkeypatch):
+    # the constraint admits about a quarter of each round, so the points
+    # come from several rounds; with seed 0 the worst of them all is drawn
+    # after the first
+    runs = []
+    run = Tape.run
+    monkeypatch.setattr(Tape, "run",
+                        lambda self, env: runs.append(1) or run(self, env))
+    e = simplify(parse("z0*z1 + z1 - eta"))
+    v = is_zero(e, constraints=(parse("z0 - 1"),), params={"eta": 0.25},
+                seed=0)
+    assert v.status == "nonzero"
+    assert len(runs) > 2
+    assert v.witness["z0"] > 1 and v.witness["eta"] == 0.25
+    terms = [evaluate(t, v.witness) for t in e.args]
+    rel = abs(math.fsum(terms)) / (1.0 + sum(abs(t) for t in terms))
+    assert rel == pytest.approx(v.max_rel, rel=1e-14)
+
+
 def test_unsatisfiable_domain_reports():
     with pytest.raises(EvalError):
         is_zero(parse("z0"), constraints=(parse("z0 - 10"),))

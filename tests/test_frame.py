@@ -8,12 +8,12 @@ import pytest
 from scipy import ndimage
 
 from pssurf.catalog import ConstraintError, FamilyId, build
-from pssurf.expr import Const, parse, simplify
+from pssurf.expr import Const, compile_expr, parse, simplify
 from pssurf.frame import (FrameState, _Coefficients, export_mesh,
                           integrate_frame, validate_surface)
 from pssurf.sff import closed_form
 from pssurf.sff.core import DomainStrip, SecondFundamentalForm
-from pssurf.solutions import SolutionGrid, sg_kink
+from pssurf.solutions import SolutionGrid, linear_solution, sg_kink
 
 
 @pytest.fixture(scope="module")
@@ -186,8 +186,7 @@ def test_strip_confines_mask(sg, kink):
     tr, sff = sg
     strip = DomainStrip(sign=1, p=Const(1.0), q=Const(0.0), l=4.0,
                         gamma_im=1.0)
-    clipped = SecondFundamentalForm(sff.a, sff.b, sff.c, strip=strip,
-                                    params={"l": 4.0, "gamma_im": 1.0})
+    clipped = SecondFundamentalForm(sff.a, sff.b, sff.c, strip=strip)
     grid = kink_grid(kink, -1.0, 1.0, 0.05)
     field = integrate_frame(tr, sff, grid)
     confined = integrate_frame(tr, clipped, grid)
@@ -228,6 +227,32 @@ def test_deterministic_output(sg, kink):
     assert np.array_equal(f1.path_residual, f2.path_residual, equal_nan=True)
 
 
+def _strip_family():
+    spec = build("hyp-iii-xi-tau", {"eta": 1.0, "xi": 0.5, "tau": 4.0})
+    sol = linear_solution(0.0, 0.5, 4.0, p=1.0)
+    return (spec.triple, closed_form(spec),
+            SolutionGrid.from_solution(sol, -0.3, -0.3, 0.05, 0.05, 13, 13))
+
+
+@pytest.mark.parametrize("case", ["kink", "strip"])
+def test_field_keeps_the_table_grids_of_each_entry(sg, kink, case):
+    # the shared tape gives each f_ij the bits of its own compiled expression
+    tr, sff, grid = (_strip_family() if case == "strip"
+                     else (*sg, kink_grid(kink, -1.0, 1.0, 0.1)))
+    field = integrate_frame(tr, sff, grid)
+    assert field.count_valid() > 0
+    xx, tt = grid.mesh()
+    env = {**tr.params, **sff.params, "x": xx, "t": tt, "z0": grid["u"],
+           "z1": grid["u_x"], "z2": grid["u_xx"], "w1": grid["u_t"],
+           "w2": grid["u_tt"]}
+    for i in (1, 2, 3):
+        for j in (1, 2):
+            with np.errstate(all="ignore"):
+                want = np.broadcast_to(np.asarray(
+                    compile_expr(tr.f(i, j))(env), dtype=float), xx.shape)
+            assert field.f[i, j].tobytes() == want.tobytes(), (i, j)
+
+
 # ------------------------------------------------------------ validation
 
 
@@ -235,7 +260,7 @@ def test_kink_surface_diagnostics(sg, kink):
     tr, sff = sg
     grid = kink_grid(kink, -1.0, 1.0, 0.02)
     field = integrate_frame(tr, sff, grid)
-    diag = validate_surface(field, tr, sff)
+    diag = validate_surface(field)
     assert diag.mean_abs_k_plus_1 < 1e-2
     assert diag.max_abs_k_plus_1 < 5e-2
     assert diag.metric_max_rel < 1e-3
@@ -250,7 +275,7 @@ def test_gauss_map_matches_normal(sg, kink):
     tr, sff = sg
     grid = kink_grid(kink, -1.5, 1.5, 0.02)
     field = integrate_frame(tr, sff, grid, eps_deg=0.3)
-    diag = validate_surface(field, tr, sff)
+    diag = validate_surface(field)
     assert diag.normal_max_err < 1e-3
 
 
@@ -289,7 +314,7 @@ def test_flat_coefficients_flagged(sg, kink):
     flat = SecondFundamentalForm(zero, zero, zero, label="flat")
     grid = kink_grid(kink, -1.0, 1.0, 0.05)
     field = integrate_frame(tr, flat, grid)
-    diag = validate_surface(field, tr, flat)
+    diag = validate_surface(field)
     # the image is planar, so K sits near 0, far from -1
     assert diag.mean_abs_k_plus_1 > 0.5
 
@@ -351,9 +376,8 @@ def test_export_deterministic(sg, kink, tmp_path):
 
 
 def test_sidecar_carries_diagnostics(sg, kink, tmp_path):
-    tr, sff = sg
     field = full_small_field(sg, kink)
-    diag = validate_surface(field, tr, sff)
+    diag = validate_surface(field)
     export_mesh(field, tmp_path / "d.obj", diag)
     text = open(tmp_path / "d.diag.txt").read()
     assert "curvature" in text and "metric" in text

@@ -42,8 +42,7 @@ def _kink_grid(x0, x1, h):
 def _strip_form(sff):
     strip = DomainStrip(sign=1, p=Const(1.0), q=Const(0.0), l=4.0,
                         gamma_im=1.0)
-    return SecondFundamentalForm(sff.a, sff.b, sff.c, strip=strip,
-                                 params={"l": 4.0, "gamma_im": 1.0})
+    return SecondFundamentalForm(sff.a, sff.b, sff.c, strip=strip)
 
 
 def _maze_grid(n=16, seed=7):

@@ -23,9 +23,9 @@ from pssurf.sff import (
 )
 
 
-def _strip(l=4.0, gamma_im=1.0, sign=1, p=None, q=None, params=None):
+def _strip(l=4.0, gamma_im=1.0, sign=1, p=None, q=None):
     return DomainStrip(sign=sign, p=p or Const(1.0), q=q or Const(0.0),
-                       l=l, gamma_im=gamma_im, params=params or {})
+                       l=l, gamma_im=gamma_im)
 
 
 # ------------------------------------------------------------ strips
@@ -53,6 +53,35 @@ def test_strip_gamma_zero_is_half_line():
 def test_strip_rejects_empty_configurations(kw, frag):
     with pytest.raises(ConstraintError, match="l"):
         _strip(**kw)
+
+
+@pytest.mark.parametrize("l, gamma_im, relation", [
+    (math.inf, 1.0, "l and gamma_im finite"),
+    (math.nan, 1.0, "l and gamma_im finite"),
+    (4.0, -math.inf, "l and gamma_im finite"),
+    (1e308, 1e308, "l^2 > 4*gamma_im^2"),
+    (1e-300, 1e-300, "l^2 > 4*gamma_im^2"),
+])
+def test_strip_names_the_relation_it_rejects(l, gamma_im, relation):
+    with pytest.raises(ConstraintError) as info:
+        _strip(l=l, gamma_im=gamma_im)
+    assert info.value.name == relation
+
+
+@pytest.mark.parametrize("l, gamma_im", [
+    (4.0, 1.0), (3.0, -0.7), (1e200, 1.0), (1e308, 1.0), (1e100, 1e-80),
+    (1.7e308, 8e307), (1e-300, 1e-301),
+])
+def test_strip_bounds_are_the_roots_without_overflow(l, gamma_im):
+    # the roots E of gamma_im^2*E^2 - l*E + 1 have product 1/gamma_im^2 and
+    # sum l/gamma_im^2; checked in logarithms, which stay finite
+    s = _strip(l=l, gamma_im=gamma_im)
+    assert math.isfinite(s.lower) and math.isfinite(s.upper)
+    assert s.lower < s.upper
+    log_g = math.log(abs(gamma_im))
+    assert s.lower + s.upper == pytest.approx(-log_g, rel=1e-12, abs=1e-12)
+    assert np.logaddexp(2 * s.lower, 2 * s.upper) == pytest.approx(
+        math.log(l) - 2 * log_g, rel=1e-12)
 
 
 def test_strip_rejects_bad_sign():
@@ -319,6 +348,20 @@ def test_closed_form_drops_jets_of_pinned_zero_parameters():
     # with B = 0 the verdict's form still carries B*z1 terms
     sff = closed_form("hyp-i", {"B": 0.0, "A": 1.5, "fkind": "sin"})
     assert set().union(*map(jets_of, sff.as_tuple())) == {z(0)}
+
+
+def test_closed_form_substitutes_a_strip_constant_pinned_to_zero():
+    assert to_text(closed_form("hyp-iii-lambda", {"gamma_im": 0.0}).b) == "0"
+
+
+@pytest.mark.parametrize("fam", _PAIRS)
+def test_form_params_are_its_own_strip_constants(fam):
+    spec = build(fam, {"eta": 1.2} if fam != "sg-basic" else {})
+    sff = closed_form(spec, {"l": 5.0, "gamma_im": 0.5})
+    if sff.strip is None:
+        assert sff.params == {}
+    else:
+        assert sff.params == {"l": 5.0, "gamma_im": 0.5}
 
 
 def test_closed_form_rejects_bad_sign_im():
