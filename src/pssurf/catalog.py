@@ -618,7 +618,6 @@ def validate_evolution_constraints(spec: FamilySpec):
     tr = spec.triple
     f11, f12, f22, f31, f32 = (tr.f(1, 1), tr.f(1, 2), tr.f(2, 2),
                                tr.f(3, 1), tr.f(3, 2))
-    kw = tr.zero_kwargs()
 
     # second-order necessary conditions: no z2 anywhere, no z1 in the dx row
     for name, e in (("f11", f11), ("f12", f12), ("f22", f22),
@@ -631,7 +630,7 @@ def validate_evolution_constraints(spec: FamilySpec):
             raise ConstraintError(f"{name} independent of z1", to_text(e))
 
     q = hlpm(f11, f31)
-    nc2 = is_zero(simplify(partial(f11, Z0) ** 2 + partial(f31, Z0) ** 2), **kw)
+    nc2 = tr.check_zero(simplify(partial(f11, Z0) ** 2 + partial(f31, Z0) ** 2))
     if nc2.status != "nonzero":
         raise ConstraintError("f11_z0^2 + f31_z0^2 != 0", str(nc2))
 
@@ -640,23 +639,23 @@ def validate_evolution_constraints(spec: FamilySpec):
     if spec.id is FamilyId.EVO_HLNONZERO:
         for name, e in (("P = 0", q.P),
                         ("M = -L^2/eta^2", simplify(q.M + q.L * q.L / (eta * eta)))):
-            v = is_zero(e, **kw)
+            v = tr.check_zero(e)
             if not v:
                 raise ConstraintError(name, str(v))
             lines.append(f"{name}: {v.status}")
-        hl = is_zero(simplify(q.H * q.L), **kw)
+        hl = tr.check_zero(simplify(q.H * q.L))
         if hl.status != "nonzero":
             raise ConstraintError("H*L != 0", str(hl))
         lines.append("H*L != 0: confirmed")
     else:
-        v = is_zero(q.L, **kw)
+        v = tr.check_zero(q.L)
         if not v:
             raise ConstraintError("L = 0", str(v))
         lines.append(f"L = 0: {v.status}")
         s = spec.params.get("sign", 1)
         for name, e in ((f"f31 = {s:+d}*f11", simplify(f31 - Const(s) * f11)),
                         (f"f32 = {s:+d}*f12", simplify(f32 - Const(s) * f12))):
-            v = is_zero(e, **kw)
+            v = tr.check_zero(e)
             if not v:
                 raise ConstraintError(name, str(v))
             lines.append(f"{name}: {v.status}")

@@ -14,7 +14,8 @@ An EquationContext represents a PDE in solved form:
 Reduction rewrites every forbidden jet through the prolonged equation.
 Prolongations are memoized per context; a cycle (an rhs that needs its
 own prolongation) or an order blow-up raises instead of recursing
-forever.
+forever.  ``partial`` and the free total derivatives are memoized per
+canonical node for the life of the process, as the nodes themselves are.
 """
 
 from __future__ import annotations
@@ -88,19 +89,31 @@ def _derive(e: Expr, leaf_rule) -> Expr:
     raise TypeError(f"unknown node {type(e).__name__}")
 
 
+# canonical derivatives by (canonical node, leaf) and by (canonical node,
+# direction); nodes are interned, so each is built once per process
+_PARTIALS: dict = {}
+_TOTALS: dict = {}
+
+
 def partial(e: Expr, leaf) -> Expr:
     """d e / d leaf with every other leaf held fixed."""
     leaf = as_expr(leaf)
     if not isinstance(leaf, (Param, Var, Jet)):
         raise TypeError("can only differentiate by a parameter, variable, or jet")
+    e = simplify(e)
+    out = _PARTIALS.get((e, leaf))
+    if out is None:
+        out = _PARTIALS[e, leaf] = simplify(_derive(e, _partial_rule(leaf)))
+    return out
 
+
+def _partial_rule(leaf):
     def rule(node):
         return ONE if node == leaf else ZERO
+    return rule
 
-    return simplify(_derive(simplify(e), rule))
 
-
-def _total_free(e: Expr, direction: str) -> Expr:
+def _total_rule(direction: str):
     """Free total derivative: jets shift, nothing is reduced."""
 
     def rule(node):
@@ -112,7 +125,16 @@ def _total_free(e: Expr, direction: str) -> Expr:
             return Jet(node.dx, node.dt + 1)
         return ZERO  # Const, Param
 
-    return _derive(e, rule)
+    return rule
+
+
+def _total_free(e: Expr, direction: str) -> Expr:
+    """The canonical free total derivative of e in direction "x" or "t"."""
+    e = simplify(as_expr(e))
+    out = _TOTALS.get((e, direction))
+    if out is None:
+        out = _TOTALS[e, direction] = simplify(_derive(e, _total_rule(direction)))
+    return out
 
 
 class EquationContext:
@@ -178,7 +200,7 @@ class EquationContext:
         return out
 
     def _reduced_total(self, e: Expr, direction: str) -> Expr:
-        return self.reduce(_total_free(simplify(e), direction))
+        return self.reduce(_total_free(e, direction))
 
     def reduce(self, e: Expr) -> Expr:
         """Rewrite every reducible jet in e through the equation."""
@@ -195,12 +217,12 @@ class EquationContext:
 
 def total_x(e: Expr, ctx: EquationContext | None = None) -> Expr:
     """Total x-derivative; reduced modulo ctx when given."""
-    out = simplify(_total_free(simplify(as_expr(e)), "x"))
+    out = _total_free(e, "x")
     return ctx.reduce(out) if ctx is not None else out
 
 
 def total_t(e: Expr, ctx: EquationContext | None = None) -> Expr:
     """Total t-derivative; reduced modulo ctx when given."""
-    out = simplify(_total_free(simplify(as_expr(e)), "t"))
+    out = _total_free(e, "t")
     return ctx.reduce(out) if ctx is not None else out
 

@@ -204,7 +204,7 @@ def compile_expr(e: Expr):
     return lambda env: tape.run(env)[0]
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroVerdict:
     status: str          # "proven" | "numeric" | "nonzero"
     max_rel: float
@@ -249,6 +249,7 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
     params = {k: float(v) for k, v in (params or {}).items()}
     ranges = dict(ranges or {})
     terms = canon.args if isinstance(canon, Add) else (canon,)
+    k = len(terms)
     tape = Tape(terms + tuple(simplify(c) for c in constraints))
     sample_names = [nm for nm in tape.names if nm not in params]
 
@@ -268,15 +269,17 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
         env = dict(rng_env)
         env.update(params)
         with np.errstate(all="ignore"):
+            # a row of ones, then one row per term and per constraint.
+            # add.reduce along axis 0 folds the rows in order, so total and
+            # scale have the bits of a sum taken term by term
             vals = tape.run(env)
-            admitted = np.ones(m, dtype=bool)
-            for cv in vals[len(terms):]:
-                admitted &= clears_margin(cv)
-            total = np.zeros(m)
-            scale = np.ones(m)
-            for v in vals[:len(terms)]:
-                total = total + v
-                scale = scale + np.abs(v)
+            rows = np.empty((1 + len(vals), m))
+            rows[0] = 1.0
+            for i, v in enumerate(vals, start=1):
+                rows[i] = v
+            admitted = clears_margin(rows[1 + k:]).all(axis=0)
+            total = np.add.reduce(rows[1:1 + k], axis=0)
+            scale = np.add.reduce(np.abs(rows[:1 + k]), axis=0)
             ok = admitted & np.isfinite(total) & np.isfinite(scale)
         rejected += m - int(admitted.sum())
         non_finite += int((admitted & ~ok).sum())
@@ -289,10 +292,13 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
         have += int(ok.sum())
 
     if have < max(8, n // 4):
+        # with no finite point, the pinned values are the likely cause
+        pinned = ", ".join(f"{nm} = {v:g}" for nm, v in sorted(params.items()))
         raise EvalError(
             f"zero test could not sample the domain: {have} points accepted,"
             f" {rejected} rejected by the constraints and {non_finite} where"
-            " the expression is not finite")
+            " the expression is not finite"
+            + (f" (pinned: {pinned})" if pinned and not have else ""))
 
     rel_all = np.concatenate(rel_acc)[:n] if rel_acc else np.zeros(0)
     max_rel = float(rel_all.max())

@@ -13,6 +13,7 @@ so the wedge coefficient of omega^i ^ omega^j is Delta_ij = f_i1 f_j2 -
 f_j1 f_i2 (antisymmetric in i, j).
 """
 
+import inspect
 from dataclasses import dataclass, field
 
 from .expr import (
@@ -24,6 +25,11 @@ from .expr import (
     total_t,
     total_x,
 )
+
+# what is_zero samples with when check_zero's caller leaves it out
+_ZERO_DEFAULTS = {nm: p.default
+                  for nm, p in inspect.signature(is_zero).parameters.items()
+                  if p.default is not p.empty}
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,9 @@ class PssTriple:
     ranges: dict = field(default_factory=dict)
     constraints: tuple = ()
     label: str = ""
+    # check_zero's verdicts; dataclasses.replace starts a new table empty
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     def f(self, i: int, j: int) -> Expr:
         """Coefficient f_ij, i in 1..3 rows, j in {1: dx, 2: dt}."""
@@ -75,9 +84,23 @@ class PssTriple:
         }
 
     def check_zero(self, e, **overrides) -> ZeroVerdict:
-        kw = self.zero_kwargs()
-        kw.update(overrides)
-        return is_zero(e, **kw)
+        """is_zero(e) with the triple's params, ranges and constraints;
+        overrides replace any of them and set n, tol and seed.
+
+        The verdict is kept on the triple, keyed by every argument is_zero
+        reads (canonical nodes, and the repr of the values, so 0.0 and
+        -0.0 stay apart), so each distinct test of a table runs once and
+        a changed argument is never served an old verdict.
+        """
+        kw = {**_ZERO_DEFAULTS, **self.zero_kwargs(), **overrides}
+        e = simplify(e)
+        kw["constraints"] = tuple(simplify(c) for c in kw["constraints"])
+        key = (e, kw["constraints"], repr(
+            [kw[nm] for nm in ("params", "ranges", "n", "tol", "seed")]))
+        verdict = self._verdicts.get(key)
+        if verdict is None:
+            verdict = self._verdicts[key] = is_zero(e, **kw)
+        return verdict
 
 
 def delta(tr: PssTriple, i: int, j: int) -> Expr:

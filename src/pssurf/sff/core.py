@@ -21,7 +21,6 @@ from ..expr import (
     T,
     X,
     evaluate,
-    is_zero,
     simplify,
     sqrt,
     total_t,
@@ -195,13 +194,13 @@ class ImmersionReport:
 def verify_immersion(tr: PssTriple, sff: SecondFundamentalForm,
                      n=64, tol=1e-8, seed=1234) -> ImmersionReport:
     """Check Gauss exactly/numerically and Codazzi mod the equation."""
-    kw = tr.zero_kwargs()
-    kw["constraints"] = tuple(kw["constraints"]) + tuple(sff.constraints)
-    kw.update(params={**tr.params, **sff.params}, n=n, tol=tol, seed=seed)
-    g = is_zero(gauss_residual(sff), **kw)
+    kw = dict(params={**tr.params, **sff.params},
+              constraints=tuple(tr.constraints) + tuple(sff.constraints),
+              n=n, tol=tol, seed=seed)
+    g = tr.check_zero(gauss_residual(sff), **kw)
     e1, e2 = codazzi_residuals(tr, sff)
-    v1 = is_zero(e1, **kw)
-    v2 = is_zero(e2, **kw)
+    v1 = tr.check_zero(e1, **kw)
+    v2 = tr.check_zero(e2, **kw)
     ok = bool(g) and bool(v1) and bool(v2)
     return ImmersionReport(gauss=g, codazzi=(v1, v2), ok=ok)
 

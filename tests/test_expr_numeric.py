@@ -113,6 +113,22 @@ def test_unsatisfiable_domain_reports():
         is_zero(parse("z0"), constraints=(parse("z0 - 10"),))
 
 
+def test_nowhere_finite_names_the_pinned_values():
+    # sqrt of a negative number at every point: what was pinned is named,
+    # on the one line, after the counts
+    e = parse("l*sqrt(-1 - z0^2)")
+    with pytest.raises(EvalError) as info:
+        is_zero(e, params={"l": 1e308, "gamma_im": 1.0})
+    msg = str(info.value)
+    assert msg.startswith("zero test could not sample the domain: 0 points")
+    assert msg.endswith(
+        "not finite (pinned: gamma_im = 1, l = 1e+308)")
+    assert "\n" not in msg
+    with pytest.raises(EvalError) as info:
+        is_zero(e * parse("l"), params={})
+    assert "pinned" not in str(info.value)
+
+
 # ------------------------------------------------------------------ tape
 
 

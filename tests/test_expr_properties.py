@@ -5,7 +5,9 @@ the nine functions, over z0, z1, x, t, eta and small exact and float
 constants.  Building a tree twice must give the one interned node, their
 canonical forms must be fixed points of simplify and have the canonical
 shape, and partial derivatives by z0 and total derivatives must agree with
-a central difference wherever both are finite.
+a central difference wherever both are finite.  The memoized derivatives
+and the stacked zero test must give what the uncached derivation and the
+per-term zero test give.
 """
 
 import math
@@ -19,13 +21,14 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from fd_oracle import fd_partial, fd_total
-from numeric_oracle import _compile
+from numeric_oracle import _compile, loop_is_zero
 
 from pssurf.expr import (
-    FUNCTION_NAMES, Add, Const, Fun, Mul, Param, Pow, T, X,
-    evaluate, free_leaves, free_names, parse, partial, simplify, to_text,
-    total_t, total_x, walk, z,
+    FUNCTION_NAMES, Add, Const, EvalError, Fun, Mul, Param, Pow, T, X,
+    evaluate, free_leaves, free_names, is_zero, parse, partial, simplify,
+    to_text, total_t, total_x, walk, z,
 )
+from pssurf.expr.calculus import _derive, _partial_rule, _total_rule
 from pssurf.expr.numeric import Tape
 from pssurf.expr.simplify import _canon
 
@@ -229,3 +232,49 @@ def test_total_derivative_matches_central_difference(direction, e, env):
     except (ValueError, OverflowError):  # EvalError, or fsum of inf - inf
         assume(False)
     _assert_matches_central_difference(value, want, half, got)
+
+
+# ------------------------------------------- memoized derivatives, zero test
+
+
+@SETTINGS
+@given(TREES)
+def test_memoized_derivatives_are_the_uncached_derivation(e):
+    c = simplify(e)
+    for leaf in (z(0), z(1), X, Param("eta")):
+        assert partial(e, leaf) is simplify(_derive(c, _partial_rule(leaf)))
+    for direction, total in (("x", total_x), ("t", total_t)):
+        assert total(e) is simplify(_derive(c, _total_rule(direction)))
+
+
+# terms whose values overflow, or are nan, on part of the domain
+_WILD = st.sampled_from([parse("exp(exp(3*z0))"), parse("log(z1)"),
+                         parse("sqrt(z0 - 1)"), parse("1/(x - t)")])
+_SUM_TERMS = st.one_of(TREES, TREES, _WILD,
+                       st.sampled_from(_CONSTANTS + [Const(-0.0), Const(0.0)]))
+# sin(2u) - 2*sin(u)*cos(u) vanishes, but not symbolically
+_DOUBLE_ANGLE = TREES.map(lambda u: [Fun("sin", 2 * u),
+                                     -2 * Fun("sin", u) * Fun("cos", u)])
+# constraints admitting about 1/2, 1/4 and 1/16 of a round
+_CONSTRAINTS = st.sampled_from([(), (parse("z1"),), (parse("z0 - 1"),),
+                                (parse("z0 - 1"), parse("t - 1"))])
+
+
+@settings(SETTINGS, max_examples=300)
+@given(st.one_of(st.lists(_SUM_TERMS, min_size=1, max_size=5), _DOUBLE_ANGLE),
+       _CONSTRAINTS,
+       st.sampled_from([None, 0.0, -0.0, 1.5]), st.sampled_from([16, 64]),
+       st.integers(0, 3))
+def test_stacked_zero_test_matches_the_per_term_loop(terms, constraints, eta,
+                                                     n, seed):
+    e = Add(tuple(terms)) if len(terms) > 1 else terms[0]
+    kw = dict(constraints=constraints, n=n, seed=seed,
+              params={} if eta is None else {"eta": eta})
+    try:
+        want = loop_is_zero(e, **kw)
+    except EvalError:
+        with pytest.raises(EvalError):
+            is_zero(e, **kw)
+        return
+    # repr shows every field, floats exactly and -0.0 apart from 0.0
+    assert repr(is_zero(e, **kw)) == repr(want)
