@@ -10,50 +10,85 @@ or unusable configuration.
 
 Configuration files are line-oriented `key = value` with optional
 `[section]` headers; the section named after the subcommand and the
-`[params]` section are merged, and command-line flags win over the file.
-The PSSURF_CONFIG environment variable supplies a default config path.
+`[params]` section are merged, OPTIONS converts a key's value as it does
+its flag's, and flags win over the file. The PSSURF_CONFIG environment
+variable supplies a default config path.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
-from dataclasses import dataclass, field, fields
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .catalog import ConstraintError, FamilyId, build
+from .catalog import ConstraintError, build
 from .forms import verify_family
 from .frame import export_mesh, integrate_frame, validate_surface
 from .sff import (IMMERSION_KEYS, NoImmersion, closed_form,
                   finite_jet_obstruction, verify_immersion)
 from .solutions import SolutionGrid, grid_window, linear_solution, sg_kink
 
-# family parameters exposed as flags; lambda needs a safe attribute name
-_PARAM_FLAGS = ("eta", "alpha", "beta", "gamma", "delta", "nu", "xi", "zeta",
-                "tau", "A", "B", "Q", "T", "sign")
+
+def _checked(cast, what, ok):
+    """A converter that rejects, naming the text, what no run can use."""
+    def convert(text):
+        try:
+            if ok(value := cast(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return convert
 
 
-@dataclass
-class RunConfig:
-    command: str
-    family: str = None
-    params: dict = field(default_factory=dict)
-    grid: str = None
-    solution: str = None
-    a: float = 1.0
-    p: float = 1.0
-    C: float = 1.0
-    out: str = None
-    report: str = None
-    points: int = 64
-    tol: float = 1e-8
-    seed: int = 1234
-    eps_deg: float = None
-    k_tol: float = 1e-2
-    metric_tol: float = 1e-3
+class Option(NamedTuple):
+    """A flag, and how a config file sets it: `file` is "key" (a top-level
+    or subcommand-section key), "params", or None (--config itself)."""
+    convert: Callable[[str], object] = str    # the flag's and the key's text
+    default: object = None
+    commands: tuple = ("verify", "obstruct", "immerse")
+    solutions: tuple = ()       # the immerse solutions that read it, if not all
+    file: str | None = "key"
+
+
+_VERIFY, _IMMERSE = ("verify",), ("immerse",)
+_TOLERANCE = _checked(float, "a finite number >= 0", lambda x: 0 <= x < math.inf)
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_FAMILY_PARAMS = ("eta", "alpha", "beta", "gamma", "delta", "nu", "xi", "zeta",
+                  "tau", "A", "B", "Q", "T", "sign", "lambda")
+
+# every flag of every subcommand; build checks the family parameters
+OPTIONS = {
+    "family": Option(),
+    "config": Option(file=None),
+    "report": Option(),
+    **{name: Option(float, file="params")
+       for name in _FAMILY_PARAMS + IMMERSION_KEYS if name != "sign_im"},
+    # the sampling of every zero test
+    "points": Option(_checked(int, "an integer >= 1", lambda n: n >= 1), 64, _VERIFY),
+    "seed": Option(_checked(int, "an integer >= 0", lambda n: n >= 0), 1234, _VERIFY),
+    "tol": Option(_TOLERANCE, 1e-8, _VERIFY),
+    # obstruct builds no form to pick the sign of
+    "sign_im": Option(float, commands=("verify", "immerse"), file="params"),
+    "solution": Option(commands=_IMMERSE),
+    "grid": Option(commands=_IMMERSE, solutions=("kink", "linear")),
+    "a": Option(_FINITE, commands=_IMMERSE, solutions=("kink",)),
+    "p": Option(_FINITE, commands=_IMMERSE, solutions=("linear",)),
+    "C": Option(_FINITE, commands=_IMMERSE, solutions=("linear",)),
+    "out": Option(commands=_IMMERSE),
+    "eps_deg": Option(_TOLERANCE, None, _IMMERSE),
+    "k_tol": Option(_TOLERANCE, 1e-2, _IMMERSE),
+    "metric_tol": Option(_TOLERANCE, 1e-3, _IMMERSE),
+}
+
+# flags and config keys spell underscores as dashes
+_KEYS = {name.replace("_", "-"): name
+         for name, opt in OPTIONS.items() if opt.file == "key"}
 
 
 def read_config(path):
@@ -77,6 +112,7 @@ def read_config(path):
 
 
 def _coerce(text):
+    """A [params] value: a number, or the text of an expression."""
     for cast in (int, float):
         try:
             return cast(text)
@@ -85,29 +121,26 @@ def _coerce(text):
     return text
 
 
-# every RunConfig field but the command and the parameters is an option;
-# config files spell its underscores as dashes
-_OPTIONS = tuple(f.name for f in fields(RunConfig)
-                 if f.name not in ("command", "params"))
-_OPTION_KEYS = {name.replace("_", "-") for name in _OPTIONS}
-
-
-def _apply_config(cfg: RunConfig, sections, dests):
-    """Top-level keys serve every subcommand; a key in the subcommand's own
-    section must be one of its options, dests being what argparse set."""
+def _apply_config(cfg, sections):
+    """Top-level keys serve every subcommand, each taking those it reads; a
+    key in the subcommand's own section must be one of its options. A value
+    goes through its flag's converter."""
     own = sections.get(cfg.command, {})
-    merged = {**sections.get("", {}), **own}
-    for key, value in merged.items():
-        name = key.replace("-", "_")
-        if key not in _OPTION_KEYS:
+    for key, text in {**sections.get("", {}), **own}.items():
+        if key not in _KEYS:
             raise ConstraintError(
                 "config", f"unknown option {key!r}; parameters go in [params]")
-        if key in own and name not in dests:
+        name = _KEYS[key]
+        if cfg.command in OPTIONS[name].commands:
+            try:
+                setattr(cfg, name, OPTIONS[name].convert(text))
+            except argparse.ArgumentTypeError as exc:
+                raise ConstraintError("config", f"{key} = {exc}")
+        elif key in own:
             raise ConstraintError(
                 "config", f"{key!r} is not an option of {cfg.command}")
-        setattr(cfg, name, _coerce(value))
-    for key, value in sections.get("params", {}).items():
-        cfg.params[key] = _coerce(value)
+    for key, text in sections.get("params", {}).items():
+        cfg.params[key] = _coerce(text)
 
 
 def parse_grid(text):
@@ -122,10 +155,13 @@ def parse_grid(text):
     return grid_window(vals)
 
 
-def _family_of(cfg):
+def _build(cfg):
+    """The family's spec, and the immersion constants given."""
     if not cfg.family:
         raise ConstraintError("family", "no family given")
-    return FamilyId.from_name(cfg.family)
+    imm = {k: v for k, v in cfg.params.items() if k in IMMERSION_KEYS}
+    fam = {k: v for k, v in cfg.params.items() if k not in imm}
+    return build(cfg.family, fam), imm
 
 
 def _emit(lines, report_path):
@@ -144,21 +180,13 @@ def _param_header(cfg):
                              or "(defaults)")
 
 
-def _split_params(cfg):
-    fam = {k: v for k, v in cfg.params.items() if k not in IMMERSION_KEYS}
-    imm = {k: v for k, v in cfg.params.items() if k in IMMERSION_KEYS}
-    return fam, imm
-
-
 # ------------------------------------------------------------- commands
 
 
-def cmd_verify(cfg: RunConfig) -> int:
-    family = _family_of(cfg)
-    fam_params, imm_params = _split_params(cfg)
-    spec = build(family, fam_params)
+def cmd_verify(cfg) -> int:
+    spec, imm_params = _build(cfg)
     rep = verify_family(spec.triple, n=cfg.points, tol=cfg.tol, seed=cfg.seed)
-    lines = [f"family: {family.value}", _param_header(cfg)]
+    lines = [f"family: {spec.id.value}", _param_header(cfg)]
     for note in spec.report:
         lines.append(f"note: {note}")
     lines.extend(rep.lines())
@@ -182,56 +210,58 @@ def cmd_verify(cfg: RunConfig) -> int:
     return 0 if ok else 1
 
 
-def cmd_obstruct(cfg: RunConfig) -> int:
-    family = _family_of(cfg)
-    fam_params, imm_params = _split_params(cfg)
-    spec = build(family, fam_params)
+def cmd_obstruct(cfg) -> int:
+    spec, imm_params = _build(cfg)
     # a config file's [params] may carry sign_im for verify and immerse
     imm_params.pop("sign_im", None)
     verdict = finite_jet_obstruction(spec, **imm_params)
-    lines = [f"family: {family.value}", _param_header(cfg)]
+    lines = [f"family: {spec.id.value}", _param_header(cfg)]
     lines.extend(verdict.lines())
     _emit(lines, cfg.report)
     return 0
 
 
-def _load_solution_grid(cfg: RunConfig):
+def _load_solution_grid(cfg):
     src = cfg.solution or ""
-    if src.endswith(".csv") or src.endswith(".bin"):
+    stored = src.endswith(".csv") or src.endswith(".bin")
+    if not (stored or cfg.grid):
+        raise ConstraintError("grid", "no grid given (x0:x1:t0:t1:h)")
+    if not stored and src not in ("kink", "linear"):
+        raise ConstraintError(
+            "solution", f"unknown solution {src!r}; use kink, linear, "
+            "or a stored grid (.csv/.bin)")
+    for name, opt in OPTIONS.items():
+        if (opt.solutions and src not in opt.solutions
+                and getattr(cfg, name) is not None):
+            raise ConstraintError(name, f"not read by --solution {src}")
+    if stored:
         if not os.path.exists(src):
             raise ConstraintError("solution", f"no such grid file: {src}")
         return (SolutionGrid.from_csv(src) if src.endswith(".csv")
                 else SolutionGrid.from_binary(src))
-    if not cfg.grid:
-        raise ConstraintError("grid", "no grid given (x0:x1:t0:t1:h)")
     x0, t0, hx, ht, nx, nt = parse_grid(cfg.grid)
     if src == "kink":
-        sol = sg_kink(cfg.a)
-    elif src == "linear":
+        sol = sg_kink(1.0 if cfg.a is None else cfg.a)
+    else:
         sol = linear_solution(cfg.params.get("lambda", 0.0),
                               cfg.params.get("xi", 0.0),
                               cfg.params.get("tau", 0.0),
-                              p=cfg.p, C=cfg.C)
-    else:
-        raise ConstraintError(
-            "solution", f"unknown solution {src!r}; use kink, linear, "
-            "or a stored grid (.csv/.bin)")
+                              p=1.0 if cfg.p is None else cfg.p,
+                              C=1.0 if cfg.C is None else cfg.C)
     return SolutionGrid.from_solution(sol, x0, t0, hx, ht, nx, nt)
 
 
-def cmd_immerse(cfg: RunConfig) -> int:
+def cmd_immerse(cfg) -> int:
     if not cfg.out:
         raise ConstraintError("out", "missing output path for the mesh")
-    family = _family_of(cfg)
-    fam_params, imm_params = _split_params(cfg)
-    spec = build(family, fam_params)
+    spec, imm_params = _build(cfg)
     try:
         sff = closed_form(spec, imm_params)
     except NoImmersion as exc:
         raise ConstraintError("immersion", f"no closed-form immersion: {exc}")
     grid = _load_solution_grid(cfg)
     field_ = integrate_frame(spec.triple, sff, grid, eps_deg=cfg.eps_deg)
-    lines = [f"family: {family.value}", _param_header(cfg),
+    lines = [f"family: {spec.id.value}", _param_header(cfg),
              f"grid: {grid.nx} x {grid.nt} nodes, hx={grid.hx:g} ht={grid.ht:g}"]
     if field_.count_valid() == 0:
         lines.append("result: FAIL (no admissible nodes on the grid)")
@@ -252,17 +282,6 @@ def cmd_immerse(cfg: RunConfig) -> int:
 # ------------------------------------------------------------- wiring
 
 
-def _add_common(sp):
-    sp.add_argument("--family")
-    sp.add_argument("--config")
-    sp.add_argument("--report")
-    for name in _PARAM_FLAGS:
-        sp.add_argument(f"--{name}", type=float)
-    sp.add_argument("--lambda", dest="lambda_", type=float, metavar="LAMBDA")
-    sp.add_argument("--l", type=float)
-    sp.add_argument("--gamma-im", dest="gamma_im", type=float)
-
-
 # grid specs such as -3:3:-3:3:0.02 start with a dash; widen the token
 # class argparse treats as a value rather than an option
 _VALUE_MATCHER = re.compile(r"^-\d+(?:[:.\-]\d*)*$|^-\.\d+(?:[:.\-]\d*)*$")
@@ -273,66 +292,46 @@ def build_parser():
         prog="pssurf",
         description="verify, obstruct and immerse pseudo-spherical "
                     "surface equations")
-    ap._negative_number_matcher = _VALUE_MATCHER
     sub = ap.add_subparsers(dest="command", required=True)
-
-    v = sub.add_parser("verify", help="check the structure equations")
-    _add_common(v)
-    # sampling of every zero test
-    v.add_argument("--points", type=int)
-    v.add_argument("--seed", type=int)
-    v.add_argument("--tol", type=float)
-
-    o = sub.add_parser("obstruct", help="finite-jet obstruction analysis")
-    _add_common(o)
-
-    i = sub.add_parser("immerse", help="build and export an immersed surface")
-    _add_common(i)
-    for sp in (v, i):
-        sp.add_argument("--sign-im", dest="sign_im", type=float)
-    i.add_argument("--solution")
-    i.add_argument("--grid")
-    i.add_argument("--a", type=float)
-    i.add_argument("--p", type=float)
-    i.add_argument("--C", type=float)
-    i.add_argument("--out")
-    i.add_argument("--eps-deg", dest="eps_deg", type=float)
-    i.add_argument("--k-tol", dest="k_tol", type=float)
-    i.add_argument("--metric-tol", dest="metric_tol", type=float)
-    for sp in (v, o, i):
+    for command, (_, text) in _DISPATCH.items():
+        # an absent flag sets nothing, so make_config sees those given
+        sp = sub.add_parser(command, help=text,
+                            argument_default=argparse.SUPPRESS)
         sp._negative_number_matcher = _VALUE_MATCHER
+        for name, opt in OPTIONS.items():
+            if command in opt.commands:
+                sp.add_argument("--" + name.replace("_", "-"), dest=name,
+                                type=opt.convert)
     return ap
 
 
-def make_config(args) -> RunConfig:
-    cfg = RunConfig(command=args.command)
-    path = args.config or os.environ.get("PSSURF_CONFIG")
+def make_config(args) -> argparse.Namespace:
+    """The table's defaults, then the config file's values, then the flags."""
+    given = dict(vars(args))
+    command = given.pop("command")
+    cfg = argparse.Namespace(command=command, params={}, **{
+        name: opt.default for name, opt in OPTIONS.items()
+        if command in opt.commands and opt.file == "key"})
+    path = given.pop("config", None) or os.environ.get("PSSURF_CONFIG")
     if path:
         if not os.path.exists(path):
             raise ConstraintError("config", f"no such config file: {path}")
-        _apply_config(cfg, read_config(path), vars(args))
-    for name in _OPTIONS:
-        value = getattr(args, name, None)
-        if value is not None:
-            setattr(cfg, name, value)
-    for name in _PARAM_FLAGS + IMMERSION_KEYS:
-        value = getattr(args, name, None)
-        if value is not None:
-            cfg.params[name] = value
-    if getattr(args, "lambda_", None) is not None:
-        cfg.params["lambda"] = args.lambda_
+        _apply_config(cfg, read_config(path))
+    for name, value in given.items():
+        (cfg.params if OPTIONS[name].file == "params" else vars(cfg))[name] = value
     return cfg
 
 
-_DISPATCH = {"verify": cmd_verify, "obstruct": cmd_obstruct,
-             "immerse": cmd_immerse}
+_DISPATCH = {"verify": (cmd_verify, "check the structure equations"),
+             "obstruct": (cmd_obstruct, "finite-jet obstruction analysis"),
+             "immerse": (cmd_immerse, "build and export an immersed surface")}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = make_config(args)
-        return _DISPATCH[cfg.command](cfg)
+        return _DISPATCH[cfg.command][0](cfg)
     except ConstraintError as exc:
         sys.stderr.write(f"constraint violation: {exc}\n")
         return 2

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from pssurf.cli import build_parser, main, parse_grid, read_config
+from pssurf.cli import (OPTIONS, build_parser, main, make_config, parse_grid,
+                        read_config)
 from pssurf.catalog import ConstraintError
 from pssurf.solutions import SolutionGrid, sg_kink
 
@@ -593,6 +594,165 @@ def test_config_key_of_another_subcommand_rejected(capsys, tmp_path, command,
     assert code == 2
     assert err.count("\n") == 1
     assert repr(key) in err and command in err
+
+
+_KINK = ("--family", "sg-basic", "--solution", "kink", "--grid", "-1:1:-1:1:0.5")
+
+
+def _without(flags, key):
+    """flags, less the flag that a config key would be overridden by."""
+    i = flags.index(f"--{key}") if f"--{key}" in flags else len(flags)
+    return flags[:i] + flags[i + 2:]
+
+
+@pytest.mark.parametrize("section", ["", "[{command}]\n"],
+                         ids=["top-level", "own-section"])
+@pytest.mark.parametrize("command, key, value, message", [
+    ("verify", "points", "abc", "constraint violation: config: points = 'abc' "
+                                "is not an integer >= 1"),
+    ("verify", "points", "1e3", "constraint violation: config: points = '1e3' "
+                                "is not an integer >= 1"),
+    ("verify", "seed", "1.5", "constraint violation: config: seed = '1.5' "
+                              "is not an integer >= 0"),
+    ("verify", "tol", "abc", "constraint violation: config: tol = 'abc' "
+                             "is not a finite number >= 0"),
+    ("immerse", "solution", "1", "constraint violation: solution: unknown "
+                                 "solution '1'"),
+    ("immerse", "grid", "5", "constraint violation: grid: expected 5 or 6 "
+                             "colon fields, got '5'"),
+    ("immerse", "family", "7", "error: unknown family '7'"),
+    ("immerse", "eps-deg", "x", "constraint violation: config: eps-deg = 'x' "
+                                "is not a finite number >= 0"),
+    ("immerse", "k-tol", "abc", "constraint violation: config: k-tol = 'abc' "
+                                "is not a finite number >= 0"),
+    # values of the right type that no run can use
+    ("verify", "points", "0", "constraint violation: config: points = '0' "
+                              "is not an integer >= 1"),
+    ("verify", "points", "-5", "constraint violation: config: points = '-5' "
+                               "is not an integer >= 1"),
+    ("verify", "seed", "-1", "constraint violation: config: seed = '-1' "
+                             "is not an integer >= 0"),
+    ("verify", "tol", "nan", "constraint violation: config: tol = 'nan' "
+                             "is not a finite number >= 0"),
+    ("verify", "tol", "-1", "constraint violation: config: tol = '-1' "
+                            "is not a finite number >= 0"),
+    ("immerse", "eps-deg", "nan", "constraint violation: config: eps-deg = "
+                                  "'nan' is not a finite number >= 0"),
+    ("immerse", "k-tol", "nan", "constraint violation: config: k-tol = 'nan' "
+                                "is not a finite number >= 0"),
+    ("immerse", "metric-tol", "-1", "constraint violation: config: metric-tol "
+                                    "= '-1' is not a finite number >= 0"),
+    ("immerse", "a", "nan", "constraint violation: config: a = 'nan' "
+                            "is not a finite number"),
+    ("immerse", "a", "inf", "constraint violation: config: a = 'inf' "
+                            "is not a finite number"),
+    ("immerse", "C", "nan", "constraint violation: config: C = 'nan' "
+                            "is not a finite number"),
+])
+def test_bad_config_value_is_one_line(capsys, tmp_path, section, command, key,
+                                      value, message):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{section.format(command=command)}{key} = {value}\n")
+    flags = (_KINK + ("--out", str(tmp_path / "m.obj"))
+             if command == "immerse" else ("--family", "sg-basic"))
+    code, err = run_failing(capsys, command, *_without(flags, key),
+                            "--config", str(cfg))
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(message)
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    ("verify", "--points", "0"), ("verify", "--points", "-5"),
+    ("verify", "--seed", "-1"), ("verify", "--tol", "nan"),
+    ("verify", "--tol", "-1"), ("immerse", "--eps-deg", "nan"),
+    ("immerse", "--k-tol", "nan"), ("immerse", "--metric-tol", "-1"),
+    ("immerse", "--a", "nan"), ("immerse", "--a", "inf"),
+    ("immerse", "--p", "inf"), ("immerse", "--C", "nan"),
+])
+def test_bad_flag_value_is_a_usage_error(capsys, monkeypatch, tmp_path,
+                                         command, flag, value):
+    monkeypatch.chdir(tmp_path)   # a run that got through writes m.obj here
+    flags = _KINK + ("--out", "m.obj") if command == "immerse" else ()
+    with pytest.raises(SystemExit) as info:
+        main([command, *flags, flag, value])
+    captured = capsys.readouterr()
+    assert info.value.code == 2
+    assert captured.out == ""
+    assert f"error: argument {flag}: {value!r} is not " in captured.err
+
+
+# a value each option set by a config key takes, as its flag's text
+_SAMPLE_TEXT = {"family": "sg-eta", "report": "r.txt", "points": "16",
+                "seed": "9", "tol": "1e-6", "solution": "linear",
+                "grid": "0:1:0:2:0.5", "a": "-2", "p": "0.5", "C": "3",
+                "out": "m.obj", "eps_deg": "0.5", "k_tol": "0.1",
+                "metric_tol": "0.01"}
+
+
+def _config_of(*argv):
+    return make_config(build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("name", [n for n, o in OPTIONS.items() if o.file])
+def test_flag_and_config_key_give_the_same_config(tmp_path, monkeypatch, name):
+    monkeypatch.delenv("PSSURF_CONFIG", raising=False)
+    opt = OPTIONS[name]
+    # a [params] value reads "1.5" as the float its flag makes of it
+    command = opt.commands[-1]
+    text = _SAMPLE_TEXT[name] if opt.file == "key" else "1.5"
+    key = name.replace("_", "-")
+    if opt.file == "key":
+        bodies = [f"{key} = {text}\n", f"[{command}]\n{key} = {text}\n"]
+    else:
+        bodies = [f"[params]\n{name} = {text}\n"]
+    expected = _config_of(command, f"--{key}", text)
+    got = expected.params[name] if opt.file == "params" else getattr(expected,
+                                                                     name)
+    assert got == opt.convert(text) and got != opt.default
+    for i, body in enumerate(bodies):
+        path = tmp_path / f"{i}.cfg"
+        path.write_text(body)
+        assert _config_of(command, "--config", str(path)) == expected, body
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("solution, key, value", [
+    ("csv", "grid", "-1:1:-1:1:0.5"), ("bin", "grid", "-1:1:-1:1:0.5"),
+    ("csv", "a", "2"), ("bin", "a", "2"),
+    ("kink", "p", "2"), ("kink", "C", "2"), ("linear", "a", "2"),
+])
+def test_option_the_solution_does_not_read_is_refused(capsys, tmp_path, source,
+                                                      solution, key, value):
+    if solution in ("csv", "bin"):
+        src, flags = str(_stored_kink(tmp_path, solution)), ()
+    else:
+        src, flags = solution, ("--grid", "-1:1:-1:1:0.5")
+    if source == "flag":
+        flags += (f"--{key}", value)
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        flags += ("--config", str(cfg))
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
+                            "--solution", src, "--out", str(tmp_path / "m.obj"),
+                            *flags)
+    assert code == 2
+    assert err == f"constraint violation: {key}: not read by --solution {src}\n"
+
+
+def test_linear_solution_reads_p_and_c(capsys, tmp_path):
+    def report(*flags):
+        code, out = run(capsys, "immerse", "--family", "hyp-iii-xi-tau",
+                        "--eta", "1", "--xi", "0.5", "--tau", "4",
+                        "--solution", "linear", "--grid", "-0.3:0.3:-0.3:0.3:0.1",
+                        "--out", str(tmp_path / "l.obj"), *flags)
+        assert code in (0, 1)
+        return out
+    default = report()
+    assert report("--p", "1", "--C", "1") == default
+    assert report("--p", "0.5") != default
+    assert report("--C", "2") != default
 
 
 def test_missing_config_file(capsys):
