@@ -14,6 +14,7 @@ ConstraintError carrying the relation, so build accepts exactly the
 values its zero tests can sample.
 """
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -144,7 +145,11 @@ class _Params:
                     f"(accepts: {', '.join(sorted(known)) or 'none'})")
         for name, default_range in numeric.items():
             if name in raw and raw[name] is not None:
-                self.pinned[name] = float(raw[name])
+                value = float(raw[name])
+                # before any relation, which would take the blame for it
+                if not math.isfinite(value):
+                    raise ConstraintError(f"{name} finite", f"{name} = {value}")
+                self.pinned[name] = value
             elif default_range is not None:
                 self.ranges[name] = default_range
 

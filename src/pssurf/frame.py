@@ -15,15 +15,20 @@ test asserts it.  States are stepped with a classical 4th-order rule and
 re-orthonormalized after each step; path independence is measured by
 running the sweep in both edge orders and differencing the results.
 
-Every step advances a batch of nodes as one stack of 4x4 systems.  A sweep
-walks the seed's line as a chain, then walks from every node of that line
-across it at once, one batch per offset; each cross walk ends at its first
-masked node, and no two of them share a node.  What the line passes miss is
-attached breadth-first one level per batch.  Within a level the nodes are
-ranked by (rank of the parent, move), and a node takes its lowest-ranked
-neighbour in the level before as parent, so each node is stepped from the
-same neighbour a first-in first-out queue over the sorted visited nodes
-would pick.
+The two sweeps advance together in rounds; a round is one kernel call
+that steps a batch of nodes as one stack of 4x4 systems.  The "xt" sweep
+walks the seed's x line as a chain and then walks along t from every node
+of that line at once; "tx" is the transpose.  Both signs of both sweeps
+share each round, every walk ends at its first masked or visited node,
+and no two walks share a node.  What the line passes miss is attached
+breadth-first, one level of both sweeps per round, starting from the
+visited nodes that have a free neighbour.  Within a sweep the nodes of a
+level are ranked by (rank of the parent, move), and a node takes its
+lowest-ranked neighbour in the level before as parent, so each node is
+stepped from the same neighbour a first-in first-out queue over the sorted
+visited nodes would pick.  A round's destinations are distinct and its
+sources were filled in earlier rounds, so no node's arithmetic depends on
+the batch it is stepped in.
 """
 
 from __future__ import annotations
@@ -133,11 +138,22 @@ class _Coefficients:
         if sff.strip is not None:
             finite &= strip_contains(sff.strip, xx, tt, params)
         self.finite = finite
+        # flat views of wx and wt, gathered by flat node index
+        self.flat = tuple([w.reshape(-1) for w in rows]
+                          for rows in (self.wx, self.wt))
 
     def matrix(self, direction, i, j):
         """Connection blocks at the nodes (i, j); i and j may be index arrays."""
         rows = self.wx if direction == "x" else self.wt
-        return _connection_matrix(*(w[i, j] for w in rows))
+        return _blocks(np.stack([w[i, j] for w in rows], -1))
+
+    def blocks(self, along_t, q):
+        """Connection blocks at the flat node indices q, shape (n, 4, 4):
+        along t where along_t is set and along x elsewhere."""
+        fx, ft = self.flat
+        C = np.where(along_t, np.array([w[q] for w in ft]),
+                     np.array([w[q] for w in fx]))
+        return _blocks(C.T)
 
 
 def _d12(f):
@@ -151,26 +167,31 @@ def _connection_rows(f, a, b, c, col):
     return w1, w2, f[3, col], a * w1 + b * w2, b * w1 + c * w2
 
 
-def _connection_matrix(w1, w2, w21, w31, w32):
-    """The 4x4 connection block, batched: coefficients of shape S give S + (4, 4)."""
-    w1, w2, w21, w31, w32 = np.broadcast_arrays(w1, w2, w21, w31, w32)
-    M = np.zeros(w1.shape + (4, 4))
-    M[..., 0, 1] = w1
-    M[..., 0, 2] = w2
-    M[..., 1, 2] = w21
-    M[..., 1, 3] = w31
-    M[..., 2, 1] = -w21
-    M[..., 2, 3] = w32
-    M[..., 3, 1] = -w31
-    M[..., 3, 2] = -w32
-    return M
+def _signs():
+    """The flattened 4x4 connection block as a linear map of the five
+    coefficients: w1 and w2 feed X, and the frame rows form a rotation
+    generator."""
+    S = np.zeros((5, 4, 4))
+    for k, (r, c) in enumerate(((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))):
+        S[k, r, c] = 1.0
+        if r:
+            S[k, c, r] = -1.0
+    return S.reshape(5, 16)
+
+
+_SIGNS = _signs()
+
+
+def _blocks(C):
+    """The 4x4 connection blocks of coefficient rows C, shape (..., 5)."""
+    return (C @ _SIGNS).reshape(C.shape[:-1] + (4, 4))
 
 
 def _rk4_edge(Y, M0, M1, h):
     """One classical step of Y' = M(s) Y along an edge, midpoint averaged.
 
-    Y is a stack (..., 4, 3) of states and M0, M1 the matching (..., 4, 4)
-    blocks at the edge's two ends.
+    Y is a stack (n, 4, 3) of states, M0, M1 the matching (n, 4, 4) blocks
+    at the edge's two ends and h the signed steps, shape (n, 1, 1).
     """
     Mm = 0.5 * (M0 + M1)
     k1 = M0 @ Y
@@ -180,115 +201,145 @@ def _rk4_edge(Y, M0, M1, h):
     return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+# (a x b)[c] = a[_C1[c]] * b[_C2[c]] - a[_C2[c]] * b[_C1[c]]
+_C1, _C2 = [1, 2, 0], [2, 0, 1]
+
+
 def _renormalize(Y):
-    """Gram-Schmidt on the frame rows of a stack (..., 4, 3); e3 is rebuilt
-    as e1 x e2.  Returns the new stack and the largest drift in it."""
-    r1, r2, r3 = Y[..., 1, :], Y[..., 2, :], Y[..., 3, :]
-    n1 = np.linalg.norm(r1, axis=-1, keepdims=True)
-    n2 = np.linalg.norm(r2, axis=-1, keepdims=True)
-    e1 = r1 / n1
+    """Gram-Schmidt on the frame rows of a stack (n, 4, 3), in place; e3 is
+    rebuilt as e1 x e2.  Returns the stack and the largest drift in it."""
+    r1, r2, r3 = Y[:, 1], Y[:, 2], Y[:, 3]
+    R = Y[:, 1:3]
+    n12 = np.sqrt((R * R).sum(-1))[..., None]
+    e1 = r1 / n12[:, 0]
     e2 = r2 - (r2 * e1).sum(-1, keepdims=True) * e1
-    e2 /= np.linalg.norm(e2, axis=-1, keepdims=True)
-    drift = max(float(np.abs(n1 - 1.0).max()), float(np.abs(n2 - 1.0).max()),
-                float(np.abs((r1 * r2).sum(-1)).max()),
-                float(np.abs(r3 - np.cross(e1, r2 / n2)).max()))
-    out = Y.copy()
-    out[..., 1, :], out[..., 2, :], out[..., 3, :] = e1, e2, np.cross(e1, e2)
-    return out, drift
+    e2 /= np.sqrt((e2 * e2).sum(-1, keepdims=True))
+    # e1 x r2/|r2| for the drift and e1 x e2 for the new e3, in one product
+    b = np.array([r2 / n12[:, 1], e2])
+    e3 = e1[:, _C1] * b[..., _C2] - e1[:, _C2] * b[..., _C1]
+    dev = np.concatenate([n12[..., 0] - 1.0, (r1 * r2).sum(-1, keepdims=True),
+                          r3 - e3[0]], -1)
+    drift = float(np.abs(dev).max())
+    Y[:, 1], Y[:, 2], Y[:, 3] = e1, e2, e3[1]
+    return Y, drift
 
 
-# neighbour offsets in the order the breadth-first attach tries them
-_MOVES = ((0, 1), (0, -1), (1, 0), (-1, 0))
+# neighbour offsets in the order the breadth-first attach tries them: a
+# move is an index into this table
+_MOVES = np.array(((0, 1), (0, -1), (1, 0), (-1, 0)))
+_ALONG_T = _MOVES[:, 1] != 0
 
 
-class _Sweep:
-    """One sweep's states; every step moves a batch of nodes by one offset."""
+class _Sweeps:
+    """The "xt" and "tx" sweeps, stepped together in rounds.
+
+    Sweep 0 ("xt") walks the seed's x line first and then along t from
+    every node of it; sweep 1 ("tx") is the transpose.  Each sweep keeps
+    its states in its own (nx, nt, 4, 3) array, since the returned field
+    holds views of one of them.  A node of sweep s is addressed by its
+    flat index q in the grid and p in the padded free array.  A round is
+    one call of step over a batch that lists sweep 0's nodes first.
+    """
 
     def __init__(self, coeffs, grid, mask, seed_index, seed_state):
         nx, nt = mask.shape
         self.coeffs = coeffs
-        self.h = (grid.hx, grid.ht)
-        self.Y = np.full((nx, nt, 4, 3), np.nan)
-        self.visited = np.zeros_like(mask, dtype=bool)
-        # admissible and not yet visited, padded by one node on every side
-        self.free = np.zeros((nx + 2, nt + 2), dtype=bool)
-        self.free[1:-1, 1:-1] = mask
+        self.mask = mask
+        self.Y = tuple(np.full((nx, nt, 4, 3), np.nan) for _ in range(2))
+        # admissible and not yet reached, per sweep, padded by one node on
+        # every side
+        self.free = np.zeros((2, nx + 2, nt + 2), dtype=bool)
+        self.free[:, 1:-1, 1:-1] = mask
+        # per move: flat offsets in the grid and in free, and signed step
+        self.dq = _MOVES @ (nt, 1)
+        self.dp = _MOVES @ (nt + 2, 1)
+        self.h = _MOVES[:, 0] * grid.hx + _MOVES[:, 1] * grid.ht
         self.drift = 0.0
         i, j = seed_index
-        self.Y[i, j] = seed_state.matrix()
-        self.visited[i, j] = True
-        self.free[i + 1, j + 1] = False
+        for Y in self.Y:
+            Y[i, j] = seed_state.matrix()
+        self.free[:, i + 1, j + 1] = False
 
-    def step(self, i, j, di, dj):
-        """Step the states at the nodes (i, j) to (i + di, j + dj)."""
-        axis = 0 if di else 1
-        direction = "xt"[axis]
-        i2, j2 = i + di, j + dj
-        M0 = self.coeffs.matrix(direction, i, j)
-        M1 = self.coeffs.matrix(direction, i2, j2)
-        nxt, d = _renormalize(_rk4_edge(self.Y[i, j], M0, M1,
-                                        (di + dj) * self.h[axis]))
-        self.drift = max(self.drift, d)
-        self.Y[i2, j2] = nxt
-        self.visited[i2, j2] = True
-        self.free[i2 + 1, j2 + 1] = False
+    def index(self, s, i, j):
+        """Flat indices (q, p) of the nodes (i, j) of sweeps s."""
+        nx, nt = self.mask.shape
+        return i * nt + j, (s * (nx + 2) + i + 1) * (nt + 2) + j + 1
 
-    def walk(self, i, j, di, dj):
-        """Walk from every node (i, j) by (di, dj) at once; a walk ends at the
-        grid edge or at its first masked or visited node."""
-        while i.size:
-            go = self.free[i + di + 1, j + dj + 1]
-            i, j = i[go], j[go]
-            if i.size:
-                self.step(i, j, di, dj)
-            i, j = i + di, j + dj
+    def visited(self):
+        """(2, nx, nt): the nodes each sweep has reached."""
+        return self.mask & ~self.free[:, 1:-1, 1:-1]
+
+    def step(self, s, q, p, m):
+        """Step the states at the nodes (q, p) of sweeps s by the moves m;
+        returns the destinations' (q, p)."""
+        k = s.size - np.count_nonzero(s)
+        q2, p2 = q + self.dq[m], p + self.dp[m]
+        t = _ALONG_T[m]
+        M0, M1 = self.coeffs.blocks(t, q), self.coeffs.blocks(t, q2)
+        Y0, Y1 = (Y.reshape(-1, 4, 3) for Y in self.Y)
+        Y = np.concatenate([Y0[q[:k]], Y1[q[k:]]])
+        Y, drift = _renormalize(_rk4_edge(Y, M0, M1, self.h[m][:, None, None]))
+        self.drift = max(self.drift, drift)
+        Y0[q2[:k]], Y1[q2[k:]] = Y[:k], Y[k:]
+        self.free.reshape(-1)[p2] = False
+        return q2, p2
+
+    def walk(self, s, i, j, m):
+        """Walk from every node (i, j) of sweeps s by its move m, one round
+        per offset; a walk ends at the grid edge or at its first masked or
+        visited node."""
+        q, p = self.index(s, i, j)
+        free = self.free.reshape(-1)
+        while True:
+            go = free[p + self.dp[m]]
+            s, q, p, m = s[go], q[go], p[go], m[go]
+            if not s.size:
+                return
+            q, p = self.step(s, q, p, m)
+
+    def lines(self, seed_index):
+        """The line walks from the seed, then the cross walks from every
+        node of each line, both signs of both sweeps in every round."""
+        i0, j0 = seed_index
+        # sweep 0 walks x (moves 2, 3) and sweep 1 walks t (moves 0, 1),
+        # then each walks across its line
+        s = np.array([0, 0, 1, 1])
+        self.walk(s, np.full(4, i0), np.full(4, j0), np.array([2, 3, 0, 1]))
+        vis = self.visited()
+        a, b = np.flatnonzero(vis[0, :, j0]), np.flatnonzero(vis[1, i0, :])
+        sizes = (a.size, a.size, b.size, b.size)
+        self.walk(np.repeat((0, 0, 1, 1), sizes),
+                  np.concatenate([a, a, np.full(2 * b.size, i0)]),
+                  np.concatenate([np.full(2 * a.size, j0), b, b]),
+                  np.repeat((0, 1, 2, 3), sizes))
 
     def attach(self):
         """Breadth-first attachment of the reachable nodes not yet visited.
 
-        Stepped one level at a time.  Level 0 is every visited node in
-        lexicographic order; a new node's parent is its lowest-ranked
-        neighbour in the level before, and the new level is ranked by
-        (parent rank, index of the move in _MOVES).  That is the parent and
-        the order a first-in first-out queue seeded with the sorted visited
-        nodes gives.
+        Stepped one level of both sweeps per round.  Level 0 is every
+        visited node with a free neighbour, in lexicographic (sweep, i, j)
+        order; a new node's parent is its lowest-ranked neighbour in the
+        level before, and the new level is ranked by (sweep, parent rank,
+        move).  Within each sweep that is the parent and the order a
+        first-in first-out queue seeded with the sorted visited nodes gives:
+        a visited node without a free neighbour claims nothing, and dropping
+        it keeps the relative rank of the others.
         """
-        nt = self.visited.shape[1]
-        di, dj = np.array(_MOVES).T
-        pi, pj = np.nonzero(self.visited)
-        while pi.size:
-            ni = (pi[:, None] + di).ravel()
-            nj = (pj[:, None] + dj).ravel()
-            # claims in (parent rank, move) order; each node keeps its first
-            claim = np.flatnonzero(self.free[ni + 1, nj + 1])
-            _, first = np.unique(ni[claim] * nt + nj[claim], return_index=True)
-            parent, move = np.divmod(claim[np.sort(first)], len(_MOVES))
-            for m, (mi, mj) in enumerate(_MOVES):
-                sel = parent[move == m]
-                if sel.size:
-                    self.step(pi[sel], pj[sel], mi, mj)
-            pi, pj = pi[parent] + di[move], pj[parent] + dj[move]
-
-
-def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
-    """Fill the component of seed_index, stepping edges in the given order.
-
-    order "xt" walks the seed row first and then columns; "tx" is the
-    transpose.  Remaining reachable nodes are attached breadth-first, so an
-    irregular component is still covered.  Returns (Y, visited, drift).
-    """
-    sweep = _Sweep(coeffs, grid, mask, seed_index, seed_state)
-    primary = ((0, 1), (0, -1)) if order == "tx" else ((1, 0), (-1, 0))
-    cross = ((1, 0), (-1, 0)) if order == "tx" else ((0, 1), (0, -1))
-    i0, j0 = (np.array([k]) for k in seed_index)
-    for d in primary:
-        sweep.walk(i0, j0, *d)
-    # the cross walks start from every node the line walks reached
-    i, j = np.nonzero(sweep.visited)
-    for d in cross:
-        sweep.walk(i, j, *d)
-    sweep.attach()
-    return sweep.Y, sweep.visited, sweep.drift
+        F = self.free
+        edge = F[:, 2:, 1:-1] | F[:, :-2, 1:-1] | F[:, 1:-1, 2:] | F[:, 1:-1, :-2]
+        s, i, j = np.nonzero(self.visited() & edge)
+        q, p = self.index(s, i, j)
+        free = F.reshape(-1)
+        while s.size:
+            # claims in (sweep, parent rank, move) order; each node keeps
+            # its first
+            nb = (p[:, None] + self.dp).ravel()
+            claim = np.flatnonzero(free[nb])
+            _, first = np.unique(nb[claim], return_index=True)
+            parent, m = np.divmod(claim[np.sort(first)], len(_MOVES))
+            s = s[parent]
+            if s.size:
+                q, p = self.step(s, q[parent], p[parent], m)
 
 
 def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
@@ -327,31 +378,44 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
         ii, jj = np.nonzero(mask)
         mid = np.array([(nx - 1) / 2.0, (nt - 1) / 2.0])
         dist = (ii - mid[0]) ** 2 + (jj - mid[1]) ** 2
-        k = int(np.lexsort((jj, ii, dist))[0])
+        # nonzero lists the nodes in (i, j) order, so the first nearest
+        # node breaks ties by (i, j)
+        k = int(np.argmin(dist))
         seed_index = (int(ii[k]), int(jj[k]))
     else:
         seed_index = (int(seed_index[0]), int(seed_index[1]))
+        # a negative index would wrap around in mask but not in the sweeps
+        if not (0 <= seed_index[0] < nx and 0 <= seed_index[1] < nt):
+            raise ConstraintError("seed", "seed node is outside the grid")
         if not mask[seed_index]:
             raise ConstraintError("seed", "seed node is outside the mask")
 
-    Y1, vis1, drift1 = _sweep(coeffs, grid, mask, seed_index, seed, "xt")
-    Y2, vis2, drift2 = _sweep(coeffs, grid, mask, seed_index, seed, "tx")
+    sweeps = _Sweeps(coeffs, grid, mask, seed_index, seed)
+    sweeps.lines(seed_index)
+    sweeps.attach()
+    Y1, Y2 = sweeps.Y
+    # the field keeps vis1: a view would keep the (2, nx, nt) pair alive
+    vis1, vis2 = (v.copy() for v in sweeps.visited())
+    drift = sweeps.drift
     f = coeffs.f
-    del coeffs
-    both = vis1 & vis2
-    residual = np.full((nx, nt), np.nan)
+    del coeffs, sweeps
     # in place and without copies of Y1: full-grid temporaries raise the
     # memory peak of every run
-    diff = np.subtract(Y1, Y2, out=Y2)
-    diff = np.abs(diff, out=diff).max(axis=(2, 3))
-    residual[both] = diff[both]
+    diff = np.subtract(Y1, Y2, out=Y2).reshape(nx, nt, 12)
+    np.abs(diff, out=diff)
+    # the largest of the 12 entries one entry at a time: a max over the
+    # short trailing axis is about four times slower on the NaN-padded grid
+    top = diff[..., 0].copy()
+    for k in range(1, 12):
+        np.maximum(top, diff[..., k], out=top)
+    residual = np.where(vis1 & vis2, top, np.nan)
 
     return FrameField(
         X=Y1[:, :, 0, :],
         frames=Y1[:, :, 1:, :],
         valid=vis1,
         path_residual=residual,
-        drift_max=max(drift1, drift2),
+        drift_max=drift,
         mask=mask,
         seed_index=seed_index,
         grid=grid,
@@ -521,8 +585,8 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
         if not len(verts):
             fh.write("# warning: empty field, no valid nodes\n")
         fh.write(f"# vertices: {len(verts)} faces: {len(faces)}\n")
-        _write_rows(fh, "v %.12g %.12g %.12g\n", verts)
-        _write_rows(fh, "f %d %d %d\n", faces)
+        _write_rows(fh, "v %.12g %.12g %.12g\n", verts.T)
+        _write_rows(fh, "f %d %d %d\n", faces.T)
 
     sidecar = path + ".diag.txt" if not path.endswith(".obj") \
         else path[:-4] + ".diag.txt"

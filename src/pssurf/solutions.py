@@ -217,8 +217,8 @@ class SolutionGrid:
         with open(path, "w") as fh:
             fh.write(self._header() + "\n")
             fh.write(",".join(names) + "\n")
-            flat = np.column_stack([self.values[n].reshape(-1) for n in names])
-            _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n", flat)
+            _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n",
+                        [self.values[n].reshape(-1) for n in names])
 
     @classmethod
     def from_csv(cls, path):
@@ -303,11 +303,12 @@ def _field_names(text):
 _BLOCK = 1024  # rows per formatting call
 
 
-def _write_rows(fh, row_format, array):
-    """Write each row of a 2-D array as row_format % row, formatting
-    _BLOCK rows per call, so one block's text is alive at a time."""
-    for k in range(0, len(array), _BLOCK):
-        block = array[k:k + _BLOCK]
+def _write_rows(fh, row_format, columns):
+    """Write row k of the equal-length columns as row_format % (their k-th
+    values), stacking and formatting _BLOCK rows per call, so one block's
+    values and text are alive at a time."""
+    for k in range(0, len(columns[0]), _BLOCK):
+        block = np.column_stack([c[k:k + _BLOCK] for c in columns])
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 

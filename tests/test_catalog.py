@@ -138,6 +138,19 @@ def test_constraint_gates(family, params, relation):
         build(family, params)
 
 
+@pytest.mark.parametrize("family, params, name", [
+    ("sg-eta", {"eta": float("inf")}, "eta"),
+    ("hyp-ii", {"gamma": 2.0, "nu": float("nan")}, "nu"),
+    ("hyp-iii-lambda", {"lambda": float("-inf")}, "lambda"),
+    ("hyp-iii-xi-tau", {"tau": float("nan")}, "tau"),
+])
+def test_non_finite_pinned_value_is_named_before_any_relation(family, params,
+                                                              name):
+    with pytest.raises(ConstraintError) as info:
+        build(family, params)
+    assert info.value.name == f"{name} finite"
+
+
 @pytest.mark.parametrize("command,family,params,relation", [
     ("verify", "sg-eta", {"eta": 0.01}, "eta != 0"),
     ("verify", "hyp-i", {"A": 0.5, "B": 1.5, "Q": 0.8, "eta": 0.5657},

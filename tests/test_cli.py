@@ -331,6 +331,19 @@ def test_strip_constants_out_of_range_are_one_line(capsys, tmp_path, command,
         assert "l = 1e+308" in err
 
 
+@pytest.mark.parametrize("family, flag, value", [
+    ("sg-eta", "--eta", "inf"),
+    ("hyp-ii", "--nu", "nan"),
+    # no relation names tau alone, so the zero tests used to take the blame
+    ("hyp-iii-xi-tau", "--tau", "nan"),
+])
+def test_non_finite_parameter_is_named(capsys, family, flag, value):
+    code, err = run_failing(capsys, "verify", "--family", family, flag, value)
+    name = flag[2:]
+    assert code == 2
+    assert err == f"constraint violation: {name} finite: {name} = {value}\n"
+
+
 def test_obstruct_large_strip_constant(capsys):
     # l^2 overflows a float; the strip and its bounds do not
     code, out = run(capsys, "obstruct", "--family", "hyp-iii-lambda",

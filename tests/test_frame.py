@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy import ndimage
 
+from pssurf import frame
 from pssurf.catalog import ConstraintError, FamilyId, build
 from pssurf.expr import Const, compile_expr, parse, simplify
 from pssurf.frame import (FrameState, _Coefficients, export_mesh,
@@ -180,6 +181,9 @@ def test_custom_seed_index(sg, kink):
     with pytest.raises(ConstraintError, match="seed"):
         degenerate = np.argwhere(~field.mask)[0]
         integrate_frame(tr, sff, grid, seed_index=tuple(degenerate))
+    for outside in ((-1, -1), (grid.nx, 0), (0, -grid.nt)):
+        with pytest.raises(ConstraintError, match="outside the grid"):
+            integrate_frame(tr, sff, grid, seed_index=outside)
 
 
 def test_strip_confines_mask(sg, kink):
@@ -225,6 +229,25 @@ def test_deterministic_output(sg, kink):
     f2 = integrate_frame(tr, sff, grid)
     assert np.array_equal(f1.X, f2.X, equal_nan=True)
     assert np.array_equal(f1.path_residual, f2.path_residual, equal_nan=True)
+
+
+def test_readme_kink_steps_both_sweeps_in_lockstep(sg, kink, monkeypatch):
+    # a round steps every direction of both sweeps in one kernel call:
+    # about 150 line, 150 cross and 150 attach rounds on the README grid,
+    # where one call per sweep and direction took 1,188
+    calls = []
+    step = frame._Sweeps.step
+
+    def counting(self, s, *rest):
+        calls.append(s.size)
+        return step(self, s, *rest)
+
+    monkeypatch.setattr(frame._Sweeps, "step", counting)
+    tr, sff = sg
+    field = integrate_frame(tr, sff, kink_grid(kink, -3.0, 3.0, 0.02))
+    assert len(calls) <= 450
+    # every node of each sweep but the seed is stepped exactly once
+    assert sum(calls) == 2 * (field.count_valid() - 1)
 
 
 def _strip_family():

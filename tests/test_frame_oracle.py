@@ -76,10 +76,16 @@ def _cases(sg):
             x0=0.0, t0=0.0, hx=0.1, ht=0.1, nx=6, nt=6,
             values={n: np.zeros((6, 6)) for n in _NAMES}), {}),
         "maze": (tr, sff, _maze_grid(), {}),
+        # nx != nt, hx != ht and a seed by one edge: the two sweeps' line
+        # and cross walks end in different rounds of the lockstep
+        "wide-edge-seed": (tr, sff, SolutionGrid.from_solution(
+            sg_kink(1.0), -1.2, -0.3, 0.1, 0.07, 24, 13),
+            {"seed_index": (1, 10)}),
     }
 
 
-CASES = ("kink-3:3", "strip", "seed-3-4", "masked-10x10", "degenerate", "maze")
+CASES = ("kink-3:3", "strip", "seed-3-4", "masked-10x10", "degenerate", "maze",
+         "wide-edge-seed")
 
 
 def _oracle_field(tr, sff, grid, field):
@@ -153,16 +159,17 @@ def test_export_matches_loop_oracle(sg, case, tmp_path):
 @pytest.mark.parametrize("case", ["kink-3:3", "masked-10x10", "maze"])
 def test_cases_reach_breadth_first_attach(sg, case, monkeypatch):
     # the line passes miss part of these components, so the rank-ordered
-    # frontier is what the oracle comparison above exercises
+    # frontier is what the oracle comparison above exercises; both sweeps
+    # attach in the one lockstep call, so count per sweep
     attached = []
-    attach = frame._Sweep.attach
+    attach = frame._Sweeps.attach
 
     def counting(self):
-        before = int(self.visited.sum())
+        before = self.visited().sum(axis=(1, 2))
         attach(self)
-        attached.append(int(self.visited.sum()) - before)
+        attached.append(self.visited().sum(axis=(1, 2)) - before)
 
-    monkeypatch.setattr(frame._Sweep, "attach", counting)
+    monkeypatch.setattr(frame._Sweeps, "attach", counting)
     tr, sff, grid, kw = _cases(sg)[case]
     integrate_frame(tr, sff, grid, **kw)
-    assert len(attached) == 2 and min(attached) > 0
+    assert len(attached) == 1 and attached[0].min() > 0

@@ -345,6 +345,31 @@ def test_grid_csv_matches_savetxt_across_blocks(tmp_path):
     assert path.read_text() == ref.getvalue()
 
 
+def test_grid_csv_bytes_on_a_small_grid(tmp_path):
+    # rows are stacked one block at a time; the text is what the whole
+    # stacked table gave, whatever the memory layout of a field
+    base = np.array([[0.1, -0.0], [1 / 3, 2.5], [1e-300, 7.0]])
+    values = {n: base * (k + 1) for k, n in enumerate(
+        ("u", "u_x", "u_t", "u_xx", "u_xt", "u_tt"))}
+    values["u_tt"] = np.asfortranarray(values["u_tt"])
+    g = SolutionGrid(x0=-1.0, t0=0.5, hx=0.1, ht=0.3, nx=3, nt=2,
+                     values=values)
+    path = tmp_path / "grid.csv"
+    g.to_csv(path)
+    assert path.read_text() == (
+        "x0=-1.0 t0=0.5 hx=0.1 ht=0.3 nx=3 nt=2\n"
+        "u,u_x,u_t,u_xx,u_xt,u_tt\n"
+        "0.10000000000000001,0.20000000000000001,0.30000000000000004,"
+        "0.40000000000000002,0.5,0.60000000000000009\n"
+        "-0,-0,-0,-0,-0,-0\n"
+        "0.33333333333333331,0.66666666666666663,1,1.3333333333333333,"
+        "1.6666666666666665,2\n"
+        "2.5,5,7.5,10,12.5,15\n"
+        "1e-300,2.0000000000000001e-300,3.0000000000000002e-300,"
+        "4.0000000000000001e-300,5e-300,6.0000000000000005e-300\n"
+        "7,14,21,28,35,42\n")
+
+
 def _write_grid(tmp_path, kind):
     g = SolutionGrid.from_solution(sg_kink(1.0), 0.0, 0.0, 0.1, 0.1, 3, 4)
     path = tmp_path / f"grid.{kind}"
