@@ -233,8 +233,8 @@ def test_deterministic_output(sg, kink):
 
 def test_readme_kink_steps_both_sweeps_in_lockstep(sg, kink, monkeypatch):
     # a round steps every direction of both sweeps in one kernel call:
-    # about 150 line, 150 cross and 150 attach rounds on the README grid,
-    # where one call per sweep and direction took 1,188
+    # 149 line, 149 cross and 149 attach rounds on the README grid, where
+    # a call per sweep and direction would make 1,188
     calls = []
     step = frame._Sweeps.step
 
