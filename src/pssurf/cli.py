@@ -183,9 +183,20 @@ def _param_header(cfg):
 # ------------------------------------------------------------- commands
 
 
+def _sampled(check, cfg, *args):
+    """check(*args) with the zero tests' sampling flags."""
+    try:
+        return check(*args, n=cfg.points, tol=cfg.tol, seed=cfg.seed)
+    except MemoryError:
+        # a zero test holds a few arrays of --points floats
+        raise ConstraintError(
+            "points", f"{cfg.points} sample points per zero test do not fit"
+            " in memory; lower --points") from None
+
+
 def cmd_verify(cfg) -> int:
     spec, imm_params = _build(cfg)
-    rep = verify_family(spec.triple, n=cfg.points, tol=cfg.tol, seed=cfg.seed)
+    rep = _sampled(verify_family, cfg, spec.triple)
     lines = [f"family: {spec.id.value}", _param_header(cfg)]
     for note in spec.report:
         lines.append(f"note: {note}")
@@ -198,8 +209,7 @@ def cmd_verify(cfg) -> int:
         lines.append(f"immersion closed-form: none ({exc})")
         sff = None
     if sff is not None:
-        imm = verify_immersion(spec.triple, sff, n=cfg.points, tol=cfg.tol,
-                               seed=cfg.seed)
+        imm = _sampled(verify_immersion, cfg, spec.triple, sff)
         lines.append("immersion closed-form: " + (sff.label or "present"))
         lines.extend("  " + l for l in imm.lines())
         imm_ok = imm.ok

@@ -22,71 +22,62 @@ from __future__ import annotations
 
 from .nodes import (
     Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
-    ONE, ZERO, as_expr, jets_of, substitute, sqrt,
+    ONE, ZERO, as_expr, jets_of, postorder, substitute, sqrt,
 )
 from .simplify import simplify
 
 MAX_PROLONG_ORDER = 16
 
 
-def _chain(fname: str, u: Expr) -> Expr:
-    if fname == "sin":
-        return Fun("cos", u)
-    if fname == "cos":
-        return -Fun("sin", u)
-    if fname == "tan":
-        return ONE + Pow(Fun("tan", u), Const(2))
-    if fname == "exp":
-        return Fun("exp", u)
-    if fname == "log":
-        return Pow(u, Const(-1))
-    if fname == "sqrt":
-        return ONE / (Const(2) * sqrt(u))
-    if fname == "sinh":
-        return Fun("cosh", u)
-    if fname == "cosh":
-        return Fun("sinh", u)
-    if fname == "arctan":
-        return Pow(ONE + Pow(u, Const(2)), Const(-1))
-    raise ValueError(f"no derivative rule for {fname!r}")
+# d/du f(u) for each function f
+_CHAIN = {
+    "sin": lambda u: Fun("cos", u),
+    "cos": lambda u: -Fun("sin", u),
+    "tan": lambda u: ONE + Pow(Fun("tan", u), Const(2)),
+    "exp": lambda u: Fun("exp", u),
+    "log": lambda u: Pow(u, Const(-1)),
+    "sqrt": lambda u: ONE / (Const(2) * sqrt(u)),
+    "sinh": lambda u: Fun("cosh", u),
+    "cosh": lambda u: Fun("sinh", u),
+    "arctan": lambda u: Pow(ONE + Pow(u, Const(2)), Const(-1)),
+}
 
 
 def _derive(e: Expr, leaf_rule) -> Expr:
     """Generic derivation: leaf_rule maps each leaf to its derivative."""
-    if isinstance(e, (Const, Param, Var, Jet)):
-        return leaf_rule(e)
-    if isinstance(e, Fun):
-        inner = _derive(e.arg, leaf_rule)
-        if inner is ZERO:
-            return ZERO
-        return _chain(e.fname, e.arg) * inner
-    if isinstance(e, Pow):
-        db = _derive(e.base, leaf_rule)
-        dp = _derive(e.exponent, leaf_rule)
-        out = ZERO
-        if db is not ZERO:
-            out = out + e.exponent * Pow(e.base, e.exponent - ONE) * db
-        if dp is not ZERO:
-            out = out + Pow(e.base, e.exponent) * Fun("log", e.base) * dp
-        return out
-    if isinstance(e, Mul):
-        terms = []
-        for i, a in enumerate(e.args):
-            da = _derive(a, leaf_rule)
-            if da is ZERO:
-                continue
-            rest = e.args[:i] + e.args[i + 1:]
-            terms.append(Mul((da,) + rest) if rest else da)
-        if not terms:
-            return ZERO
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
-    if isinstance(e, Add):
-        terms = [t for t in (_derive(a, leaf_rule) for a in e.args)
-                 if t is not ZERO]
-        if not terms:
-            return ZERO
-        return terms[0] if len(terms) == 1 else Add(tuple(terms))
-    raise TypeError(f"unknown node {type(e).__name__}")
+    d = {}  # node -> its raw derivative
+    for node in postorder((e,)):
+        if isinstance(node, Fun):
+            inner = d[node.arg]
+            out = ZERO if inner is ZERO else _CHAIN[node.fname](node.arg) * inner
+        elif isinstance(node, Pow):
+            db, dp = d[node.base], d[node.exponent]
+            out = ZERO
+            if db is not ZERO:
+                out = out + node.exponent * Pow(node.base, node.exponent - ONE) * db
+            if dp is not ZERO:
+                out = out + Pow(node.base, node.exponent) * Fun("log", node.base) * dp
+        elif isinstance(node, Mul):
+            terms = []
+            for i, a in enumerate(node.args):
+                da = d[a]
+                if da is ZERO:
+                    continue
+                rest = node.args[:i] + node.args[i + 1:]
+                terms.append(Mul((da,) + rest) if rest else da)
+            out = _sum(terms)
+        elif isinstance(node, Add):
+            out = _sum([t for t in map(d.__getitem__, node.args) if t is not ZERO])
+        else:
+            out = leaf_rule(node)
+        d[node] = out
+    return d[e]
+
+
+def _sum(terms) -> Expr:
+    if not terms:
+        return ZERO
+    return terms[0] if len(terms) == 1 else Add(tuple(terms))
 
 
 # canonical derivatives by (canonical node, leaf) and by (canonical node,

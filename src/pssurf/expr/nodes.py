@@ -20,6 +20,11 @@ long as the process lives, so the per-node caches (_key, _canon) serve
 every later tree that shares a structure.  Nodes enter a table through
 ``dict.setdefault`` and the lazy caches are filled with values that do
 not depend on thread timing, so concurrent use is safe.
+
+Every pass over a tree is one loop over ``postorder``, which lists each
+unique node once, children first, from its own stack: a pass reads the
+children's results from a dict or a node cache, so a shared subtree is
+visited once and an API-built tree may be as deep as memory allows.
 """
 
 from __future__ import annotations
@@ -116,16 +121,13 @@ class Expr:
         from .printer import to_text
         return f"{type(self).__name__}({to_text(self)})"
 
-    # sort key: a tuple that orders expressions totally and deterministically.
+    # sort key: a tuple that orders expressions totally and deterministically;
+    # _make_key builds a node's from its children's, which are set first
     def sort_key(self) -> tuple:
-        k = self._key
-        if k is None:
-            k = self._make_key()
-            self._key = k
-        return k
-
-    def _make_key(self) -> tuple:
-        raise NotImplementedError
+        if self._key is None:
+            for node in postorder((self,), lambda n: n._key is not None):
+                node._key = node._make_key()
+        return self._key
 
 
 # an exact value at or beyond this rounds to inf as a float
@@ -263,7 +265,7 @@ class Fun(Expr):
         return (self.arg,)
 
     def _make_key(self):
-        return (4, self.fname, self.arg.sort_key())
+        return (4, self.fname, self.arg._key)
 
 
 class Pow(Expr):
@@ -284,7 +286,7 @@ class Pow(Expr):
         return (self.base, self.exponent)
 
     def _make_key(self):
-        return (5, self.base.sort_key(), self.exponent.sort_key())
+        return (5, self.base._key, self.exponent._key)
 
 
 class _Nary(Expr):
@@ -308,7 +310,7 @@ class _Nary(Expr):
         return self.args
 
     def _make_key(self):
-        return (self._rank,) + tuple(a.sort_key() for a in self.args)
+        return (self._rank,) + tuple(a._key for a in self.args)
 
 
 class Mul(_Nary):
@@ -392,13 +394,38 @@ def walk(e: Expr) -> Iterator[Expr]:
         stack.extend(node.children())
 
 
+def postorder(roots, handled=None) -> list:
+    """Each unique node below roots once, children before parents, in the
+    order a recursive left-to-right visit finishes them, from an explicit
+    stack.  A node for which ``handled(node)`` is true is neither entered
+    nor listed: the caller has its result already."""
+    out = []
+    seen = set()
+    # the children still to enter, per open node, deepest last
+    todo, open_nodes = [iter(roots)], [None]
+    while todo:
+        for node in todo[-1]:
+            if handled is not None and handled(node) or node in seen:
+                continue
+            seen.add(node)
+            kids = node.children()
+            if kids:
+                todo.append(iter(kids))
+                open_nodes.append(node)
+                break
+            out.append(node)
+        else:
+            todo.pop()
+            node = open_nodes.pop()
+            if node is not None:
+                out.append(node)
+    return out
+
+
 def free_leaves(e: Expr) -> set:
     """All Param/Var/Jet leaves occurring in the expression."""
-    out = set()
-    for node in walk(e):
-        if isinstance(node, (Param, Var, Jet)):
-            out.add(node)
-    return out
+    return {node for node in postorder((e,))
+            if isinstance(node, (Param, Var, Jet))}
 
 
 def free_names(e: Expr) -> set:
@@ -411,24 +438,18 @@ def jets_of(e: Expr) -> frozenset:
 
 
 def substitute(e: Expr, mapping: dict) -> Expr:
-    """Replace leaf occurrences per ``mapping`` (keyed by leaf node)."""
+    """Replace occurrences of the nodes in ``mapping`` (leaves, as a rule)
+    by their values; nothing below a replaced node is visited."""
     if not mapping:
         return e
-    return _subst(e, mapping)
-
-
-def _subst(e: Expr, mapping: dict) -> Expr:
-    hit = mapping.get(e)
-    if hit is not None:
-        return hit
-    if isinstance(e, (Const, Param, Var, Jet)):
-        return e
-    if isinstance(e, Fun):
-        return Fun(e.fname, _subst(e.arg, mapping))
-    if isinstance(e, Pow):
-        return Pow(_subst(e.base, mapping), _subst(e.exponent, mapping))
-    if isinstance(e, Mul):
-        return Mul(tuple(_subst(a, mapping) for a in e.args))
-    if isinstance(e, Add):
-        return Add(tuple(_subst(a, mapping) for a in e.args))
-    raise TypeError(f"unknown node {e!r}")
+    new = dict(mapping)
+    for node in postorder((e,), new.__contains__):
+        if isinstance(node, Fun):
+            new[node] = Fun(node.fname, new[node.arg])
+        elif isinstance(node, Pow):
+            new[node] = Pow(new[node.base], new[node.exponent])
+        elif isinstance(node, (Mul, Add)):
+            new[node] = type(node)(tuple(new[a] for a in node.args))
+        else:
+            new[node] = node
+    return new[e]

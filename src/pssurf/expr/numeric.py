@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .nodes import Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var
+from .nodes import Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var, postorder
 from .simplify import simplify
 
 DEFAULT_RANGE = (-2.0, 2.0)
@@ -42,8 +42,9 @@ class EvalError(ValueError):
 
 
 _MATH_FUNS = {
-    "exp": math.exp, "sin": math.sin, "cos": math.cos, "tan": math.tan,
-    "sinh": math.sinh, "cosh": math.cosh, "arctan": math.atan,
+    "exp": math.exp, "log": math.log, "sqrt": math.sqrt, "sin": math.sin,
+    "cos": math.cos, "tan": math.tan, "sinh": math.sinh, "cosh": math.cosh,
+    "arctan": math.atan,
 }
 
 _NP_FUNS = {
@@ -56,46 +57,42 @@ _NP_FUNS = {
 def evaluate(e: Expr, env: dict) -> float:
     """Evaluate at a point given by name -> float.  Raises EvalError on
     unbound names and domain violations."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, (Param, Var, Jet)):
-        try:
-            return float(env[e.name])
-        except KeyError:
-            raise EvalError(f"unbound name {e.name!r}") from None
-    if isinstance(e, Fun):
-        v = evaluate(e.arg, env)
-        if e.fname == "log":
-            if v <= 0.0:
+    val = {}  # node -> its value
+    for node in postorder((e,)):
+        if isinstance(node, Const):
+            v = float(node.value)
+        elif isinstance(node, (Param, Var, Jet)):
+            if node.name not in env:
+                raise EvalError(f"unbound name {node.name!r}")
+            v = float(env[node.name])
+        elif isinstance(node, Fun):
+            v = val[node.arg]
+            if node.fname == "log" and v <= 0.0:
                 raise EvalError(f"log of non-positive value {v}")
-            return math.log(v)
-        if e.fname == "sqrt":
-            if v < 0.0:
+            if node.fname == "sqrt" and v < 0.0:
                 raise EvalError(f"sqrt of negative value {v}")
-            return math.sqrt(v)
-        try:
-            return _MATH_FUNS[e.fname](v)
-        except OverflowError:
-            raise EvalError(f"overflow in {e.fname}({v})") from None
-    if isinstance(e, Pow):
-        b = evaluate(e.base, env)
-        p = evaluate(e.exponent, env)
-        if b == 0.0 and p < 0.0:
-            raise EvalError("zero raised to a negative power")
-        if b < 0.0 and p != int(p):
-            raise EvalError(f"negative base {b} with fractional exponent {p}")
-        try:
-            return b ** p
-        except OverflowError:
-            raise EvalError(f"overflow in {b} ** {p}") from None
-    if isinstance(e, Mul):
-        out = 1.0
-        for a in e.args:
-            out *= evaluate(a, env)
-        return out
-    if isinstance(e, Add):
-        return math.fsum(evaluate(a, env) for a in e.args)
-    raise TypeError(f"unknown node {type(e).__name__}")
+            try:
+                v = _MATH_FUNS[node.fname](v)
+            except OverflowError:
+                raise EvalError(f"overflow in {node.fname}({v})") from None
+        elif isinstance(node, Pow):
+            b, p = val[node.base], val[node.exponent]
+            if b == 0.0 and p < 0.0:
+                raise EvalError("zero raised to a negative power")
+            if b < 0.0 and p != int(p):
+                raise EvalError(f"negative base {b} with fractional exponent {p}")
+            try:
+                v = b ** p
+            except OverflowError:
+                raise EvalError(f"overflow in {b} ** {p}") from None
+        elif isinstance(node, Mul):
+            v = 1.0
+            for a in node.args:
+                v *= val[a]
+        else:
+            v = math.fsum(val[a] for a in node.args)
+        val[node] = v
+    return val[e]
 
 
 _ADD, _MUL, _POW = "+", "*", "^"  # Fun instructions carry their numpy function
@@ -105,59 +102,48 @@ class Tape:
     """The unique subtrees of one or more canonical roots, in topological
     order, each evaluated once per run.
 
-    Slots are keyed by node, which is unique per structure (a float
-    constant per bits, so 0.0 and -0.0 stay apart), and a Param, Var or
-    Jet leaf by its name.  Each instruction computes what the closure of
-    its node kind did: constants are np.float64, a name reads env[name],
-    and products and sums fold left in argument order, so every value is
-    bit-identical.  A computed slot is cleared after its last use; the
-    roots' values are returned by ``run``.
+    The instructions follow ``postorder`` of the roots, so a root of any
+    depth compiles.  Slots are keyed by node, which is unique per
+    structure (a float constant per bits, so 0.0 and -0.0 stay apart),
+    and a Param, Var or Jet leaf by its name.  Each instruction computes
+    what the closure of its node kind did: constants are np.float64, a
+    name reads env[name], and products and sums fold left in argument
+    order, so every value is bit-identical.  A computed slot is cleared
+    after its last use; the roots' values are returned by ``run``.
     """
 
     __slots__ = ("names", "_init", "_loads", "_code", "_roots")
 
     def __init__(self, roots):
-        slot_of = {}  # node, or a leaf's name -> slot
+        slot_of = {}  # node -> slot
+        named = {}    # a Param/Var/Jet leaf's name -> slot
+        last = {}     # slot -> the last instruction that reads it
         init, loads, code = [], [], []
-
-        # recursion is as deep as the tree, as in simplify, which every
-        # root has been through
-        def visit(node):
+        for node in postorder(roots):
             kind = type(node)
-            leaf = kind is Param or kind is Var or kind is Jet
-            key = node.name if leaf else node
-            slot = slot_of.get(key)
-            if slot is not None:
-                return slot
-            if kind is Mul:
-                args = (_MUL,) + tuple(map(visit, node.args))
-            elif kind is Add:
-                args = (_ADD,) + tuple(map(visit, node.args))
-            elif kind is Pow:
-                args = (_POW, visit(node.base), visit(node.exponent))
-            elif kind is Fun:
-                args = (_NP_FUNS[node.fname], visit(node.arg))
-            elif kind is not Const and not leaf:
-                raise TypeError(f"unknown node {kind.__name__}")
-            slot = slot_of[key] = len(init)
-            # a constant's value is filled in once, for every run
-            init.append(np.float64(node.value) if kind is Const else None)
-            if leaf:
-                loads.append((slot, node.name))
-            elif kind is not Const:
-                code.append((args[0], slot, args[1], args[2:]))
-            return slot
-
-        self._roots = tuple(map(visit, roots))
-        # visit refers to itself: drop it, so that the dicts it holds are
-        # freed now and not at the next cyclic collection
-        del visit
+            if kind is Const:
+                # a constant's value is filled in once, for every run
+                slot_of[node] = len(init)
+                init.append(np.float64(node.value))
+                continue
+            if kind is Param or kind is Var or kind is Jet:
+                slot = named.get(node.name)
+                if slot is None:
+                    slot = named[node.name] = len(init)
+                    init.append(None)
+                    loads.append((slot, node.name))
+                slot_of[node] = slot
+                continue
+            args = tuple(map(slot_of.__getitem__, node.children()))
+            for a in args:
+                last[a] = len(code)
+            op = (_NP_FUNS[node.fname] if kind is Fun else _POW if kind is Pow
+                  else _MUL if kind is Mul else _ADD)
+            slot = slot_of[node] = len(init)
+            init.append(None)
+            code.append((op, slot, args[0], args[1:]))
+        self._roots = tuple(slot_of[root] for root in roots)
         # clear each slot, other than a root, after its last use
-        last = {}
-        for i, (_, _, first, rest) in enumerate(code):
-            last[first] = i
-            for a in rest:
-                last[a] = i
         keep = set(self._roots)
         dead = [[] for _ in code]
         for slot, i in last.items():

@@ -23,8 +23,8 @@ _JET_Z_RE = re.compile(r"z(\d+)$")
 _JET_W_RE = re.compile(r"w(\d+)$")
 _JET_MIXED_RE = re.compile(r"ux(\d+)t(\d+)$")
 _OPS = "+-*/^()"
-# deepest nesting of parentheses, signs and exponents; every tree walk of
-# the library recurses, so deeper input is refused before it is built
+# deepest nesting of parentheses, signs and exponents; the descent
+# recurses, so deeper input is refused before it is built
 MAX_DEPTH = 50
 
 

@@ -4,6 +4,10 @@ The output re-parses to the same canonical expression: negative integer
 powers print as divisions, coefficients fold their sign into the
 enclosing sum, and parentheses are inserted from operator precedence
 only where required.
+
+The text is built from an explicit work list of text pieces and (node,
+parent precedence) items and joined once, so a tree of any depth prints
+in time linear in its text.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from fractions import Fraction
 from .nodes import (
     Add, Const, Expr, Fun, Jet, Mul, Param, Pow, Var,
 )
+from .simplify import _canon_pow
 
 # precedence levels used for parenthesization
 _P_ADD = 1
@@ -23,11 +28,15 @@ _P_ATOM = 5
 
 
 def to_text(e: Expr) -> str:
-    return _fmt(e, 0)
-
-
-def _wrap(s: str, prec: int, parent: int) -> str:
-    return f"({s})" if prec < parent else s
+    out = []
+    todo = [(e, 0)]  # pieces still to print, the next one last
+    while todo:
+        item = todo.pop()
+        if isinstance(item, str):
+            out.append(item)
+        else:
+            todo.extend(reversed(_pieces(*item)))
+    return "".join(out)
 
 
 def _fmt_number(v) -> tuple[str, int]:
@@ -44,11 +53,7 @@ def _fmt_number(v) -> tuple[str, int]:
 def _neg_part(t: Expr):
     """If t is negative-looking, return its positive counterpart, else None."""
     if isinstance(t, Const):
-        try:
-            neg = t.value < 0
-        except TypeError:
-            return None
-        return Const(-t.value) if neg else None
+        return Const(-t.value) if t.value < 0 else None
     if isinstance(t, Mul) and isinstance(t.args[0], Const):
         c = t.args[0]
         if c.value < 0:
@@ -60,62 +65,69 @@ def _neg_part(t: Expr):
     return None
 
 
-def _fmt(e: Expr, parent: int) -> str:
+def _pieces(e: Expr, parent: int) -> list:
+    """e as text pieces and (child, precedence) items, in parentheses if
+    it binds more loosely than parent."""
+    if isinstance(e, (Param, Var, Jet)):
+        return [e.name]
+    if isinstance(e, Fun):
+        return [f"{e.fname}(", (e.arg, 0), ")"]
     if isinstance(e, Const):
         s, prec = _fmt_number(e.value)
-        return _wrap(s, prec, parent)
-    if isinstance(e, (Param, Var, Jet)):
-        return e.name
-    if isinstance(e, Fun):
-        return f"{e.fname}({_fmt(e.arg, 0)})"
-    if isinstance(e, Pow):
-        return _wrap(_fmt_pow(e), _pow_prec(e), parent)
-    if isinstance(e, Mul):
-        s, prec = _fmt_mul(e)
-        return _wrap(s, prec, parent)
-    if isinstance(e, Add):
-        parts = [_fmt(e.args[0], _P_ADD)]
+        body = [s]
+    elif isinstance(e, Pow):
+        n = _divisor_power(e)
+        if n is None:
+            body, prec = [(e.base, _P_ATOM), "^", (e.exponent, _P_ATOM)], _P_POW
+        else:
+            body, prec = ["1/", _power(e.base, n)], _P_MUL
+    elif isinstance(e, Mul):
+        body, prec = _mul_pieces(e)
+    else:
+        body, prec = [(e.args[0], _P_ADD)], _P_ADD
         for t in e.args[1:]:
             pos = _neg_part(t)
-            if pos is not None:
-                parts.append(f" - {_fmt(pos, _P_PREFIX)}")
-            else:
-                parts.append(f" + {_fmt(t, _P_PREFIX)}")
-        return _wrap("".join(parts), _P_ADD, parent)
-    raise TypeError(f"unknown node {type(e).__name__}")
+            body += [" + ", (t, _P_PREFIX)] if pos is None else [" - ", (pos, _P_PREFIX)]
+    return ["(", *body, ")"] if prec < parent else body
 
 
-def _neg_int_exponent(e: Pow):
-    """n when e prints as a division 1/base^n, else None.  A zero base
-    keeps its exponent: 1/0^2 would re-parse as 1/(0^2), which folds to
-    1/0, and x/(0*y) as x/0."""
-    ex = e.exponent
-    if isinstance(e.base, Const) and e.base.value == 0:
+def _divisor_power(e: Pow):
+    """n when e = base^-n prints as the divisor base^n, else None.
+
+    A base keeps its ^-n where the divisor would re-parse to another
+    factor: a power to a non-constant exponent merges with a like base
+    beside it (1/(z0^2*(z0^z0)) is 1/z0^(2 + z0)), and a constant base
+    whose n-th power folds, while e does not, folds (1/0^2 is 1/0, and
+    1/(1/4)^512 a constant).
+    """
+    ex, base = e.exponent, e.base
+    if not (isinstance(ex, Const) and isinstance(ex.value, Fraction)
+            and ex.value.denominator == 1 and ex.value < 0):
         return None
-    if isinstance(ex, Const) and isinstance(ex.value, Fraction):
-        if ex.value.denominator == 1 and ex.value < 0:
-            return -ex.value
-    return None
+    n = -ex.value
+    if isinstance(base, Pow) and not isinstance(base.exponent, Const):
+        return None
+    if (isinstance(base, Const) and isinstance(_canon_pow(base, Const(n)), Const)
+            and not isinstance(_canon_pow(base, ex), Const)):
+        return None
+    return n
 
 
-def _pow_prec(e: Pow) -> int:
-    return _P_MUL if _neg_int_exponent(e) is not None else _P_POW
+def _power(base: Expr, n):
+    """The divisor base^n as one item."""
+    return (base, _P_ATOM) if n == 1 else (Pow(base, Const(n)), _P_POW)
 
 
-def _fmt_pow(e: Pow) -> str:
-    n = _neg_int_exponent(e)
-    if n is not None:
-        if n == 1:
-            return f"1/{_fmt(e.base, _P_ATOM)}"
-        return f"1/{_fmt(e.base, _P_ATOM)}^{_fmt(Const(n), _P_ATOM)}"
-    return f"{_fmt(e.base, _P_ATOM)}^{_fmt(e.exponent, _P_ATOM)}"
+def _joined(items: list, sep: str) -> list:
+    out = [sep] * (2 * len(items) - 1)
+    out[::2] = items
+    return out
 
 
-def _fmt_mul(e: Mul):
-    num: list[str] = []
-    den: list[str] = []
+def _mul_pieces(e: Mul):
+    num, den = [], []  # one item per factor
     sign = ""
-    args = list(e.args)
+    args = e.args
     if isinstance(args[0], Const):
         c = args[0].value
         if c < 0:
@@ -130,22 +142,14 @@ def _fmt_mul(e: Mul):
             num.append(repr(float(c)))
         args = args[1:]
     for f in args:
-        if isinstance(f, Pow):
-            n = _neg_int_exponent(f)
-            if n is not None:
-                if n == 1:
-                    den.append(_fmt(f.base, _P_ATOM))
-                else:
-                    den.append(f"{_fmt(f.base, _P_ATOM)}^{_fmt(Const(n), _P_ATOM)}")
-                continue
-        num.append(_fmt(f, _P_MUL if not den else _P_POW))
-    if not num:
-        num = ["1"]
-    s = "*".join(num)
-    if den:
-        if len(den) == 1:
-            s += f"/{den[0]}"
+        n = _divisor_power(f) if isinstance(f, Pow) else None
+        if n is not None:
+            den.append(_power(f.base, n))
         else:
-            s += "/(" + "*".join(den) + ")"
-    prec = _P_PREFIX if sign else _P_MUL
-    return sign + s, prec
+            num.append((f, _P_MUL if not den else _P_POW))
+    body = [sign, *_joined(num or ["1"], "*")]
+    if len(den) == 1:
+        body += ["/", den[0]]
+    elif den:
+        body += ["/(", *_joined(den, "*"), ")"]
+    return body, (_P_PREFIX if sign else _P_MUL)

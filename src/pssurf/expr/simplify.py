@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 
 from .nodes import (
-    Add, Const, Expr, Fun, Mul, Pow, ZERO, ONE,
+    Add, Const, Expr, Fun, Mul, Pow, ZERO, ONE, postorder,
 )
 
 _EXACT_FUN_AT = {
@@ -43,16 +43,18 @@ _EXACT_FUN_AT = {
 
 
 def simplify(e: Expr) -> Expr:
-    c = e._canon
-    if c is not None:
-        return c
-    c = _canon(e)
-    e._canon = c
-    c._canon = c
-    return c
+    if e._canon is None:
+        for node in postorder((e,), lambda n: n._canon is not None):
+            c = _canon(node)
+            node._canon = c
+            c._canon = c
+    return e._canon
 
 
 def _canon(e: Expr) -> Expr:
+    """One canonicalizing step: e from its children's canonical forms.
+    Within simplify's walk the children's are cached already, so the
+    simplify calls below only read them."""
     if not isinstance(e, (Fun, Pow, Mul, Add)):
         return e  # Const / Param / Var / Jet
 
@@ -135,37 +137,28 @@ def _factor_parts(f: Expr):
     return f, ONE
 
 
+def _flat(args, kind) -> list:
+    """Canonical arguments with each one of kind replaced by its own
+    arguments, which are never of kind."""
+    return [b for a in args for b in (a.args if isinstance(a, kind) else (a,))]
+
+
 def _canon_mul(args) -> Expr:
     # exact until a float factor joins: Fraction * float is a float
     coeff = Fraction(1)
-    bases: dict = {}   # base-expr -> exponent accumulator (list of exprs)
-    order: list = []
-
-    def push(f: Expr):
-        nonlocal coeff
-        if isinstance(f, Mul):
-            for g in f.args:
-                push(g)
-            return
+    bases: dict = {}   # base-expr -> its exponents, in first-seen order
+    for f in _flat(args, Mul):
         if isinstance(f, Const):
             coeff = coeff * f.value
-            return
-        base, expo = _factor_parts(f)
-        if base in bases:
-            bases[base].append(expo)
         else:
-            bases[base] = [expo]
-            order.append(base)
-
-    for a in args:
-        push(a)
+            base, expo = _factor_parts(f)
+            bases.setdefault(base, []).append(expo)
 
     if coeff == 0:
         return Const(0.0) if isinstance(coeff, float) else ZERO
 
     factors = []
-    for base in order:
-        exps = bases[base]
+    for base, exps in bases.items():
         if len(exps) == 1:
             total = exps[0]
         else:
@@ -221,20 +214,11 @@ def _rebuild_term(coeff, factors) -> Expr:
 def _canon_add(args) -> Expr:
     # a term's sorted factor nodes -> its coefficient, in first-seen order
     terms: dict = {}
-
-    def push(t: Expr):
-        if isinstance(t, Add):
-            for s in t.args:
-                push(s)
-            return
+    for t in _flat(args, Add):
         coeff, factors = _term_parts(t)
-        if coeff == 0:
-            return
-        c = terms.get(factors)
-        terms[factors] = coeff if c is None else c + coeff
-
-    for a in args:
-        push(a)
+        if coeff != 0:
+            c = terms.get(factors)
+            terms[factors] = coeff if c is None else c + coeff
 
     _apply_pair_rules(terms)
 

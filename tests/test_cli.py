@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pssurf import forms
 from pssurf.cli import (OPTIONS, build_parser, main, make_config, parse_grid,
                         read_config)
 from pssurf.catalog import ConstraintError
@@ -673,6 +674,19 @@ def test_bad_config_value_is_one_line(capsys, tmp_path, section, command, key,
     assert code == 2
     assert err.count("\n") == 1
     assert err.startswith(message)
+
+
+def test_points_that_do_not_fit_in_memory_are_named(capsys, monkeypatch):
+    def no_room(*args, **kwargs):
+        raise MemoryError
+    # stands in for numpy refusing arrays of 10^12 floats; nothing is
+    # allocated
+    monkeypatch.setattr(forms, "is_zero", no_room)
+    code, err = run_failing(capsys, "verify", "--family", "sg-basic",
+                            "--points", "1000000000000")
+    assert code == 2
+    assert err == ("constraint violation: points: 1000000000000 sample points"
+                   " per zero test do not fit in memory; lower --points\n")
 
 
 @pytest.mark.parametrize("command, flag, value", [

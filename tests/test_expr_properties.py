@@ -148,9 +148,11 @@ def test_printed_text_parses_back_to_the_canonical_form(e):
     assert simplify(parse(to_text(e))) == simplify(e)
 
 
-@pytest.mark.parametrize("text", ["(0^-1)^2", "x*(0^-1)^3/z0", "x*0^-1/z0"])
+@pytest.mark.parametrize("text", ["(0^-1)^2", "x*(0^-1)^3/z0", "x*0^-1/z0",
+                                  "z0^-2*(z0^z0)^-1", "(1/4)^-512"])
 def test_zero_base_round_trips(text):
-    # a zero base printed as a divisor, 1/0^2, re-parses as 1/(0^2) = 1/0
+    # a zero base printed as a divisor, 1/0^2, re-parses as 1/(0^2) = 1/0;
+    # so would (1/4)^512 fold, and 1/(z0^2*(z0^z0)) merge to 1/z0^(2 + z0)
     e = simplify(parse(text))
     assert simplify(parse(to_text(e))) == e
 
