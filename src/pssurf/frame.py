@@ -11,22 +11,29 @@ the connection forms are
 with w21 identified with the table's third form w3 and w31 = a*w1 + b*w2,
 w32 = b*w1 + c*w2.  The sign convention is the one that makes the
 sine-Gordon kink's compatibility residual converge to zero; a dedicated
-test asserts it.  States are stepped with a classical 4th-order rule and
-re-orthonormalized after each step; path independence is measured by
-running the sweep in both edge orders and differencing the results.
+test asserts it.  Path independence is measured by running the sweep in
+both edge orders and differencing the results.
 
-The two sweeps advance together in rounds; a round is one kernel call
-that steps a batch of nodes as one stack of 4x4 systems.  The "xt" sweep
-walks the seed's x line as a chain and then walks along t from every node
-of that line at once; "tx" is the transpose.  Both signs of both sweeps
-share each round, every walk ends at its first masked or visited node,
-and no two walks share a node.  What the line passes miss is attached
-breadth-first, one level of both sweeps per round, starting from the
-visited nodes that have a free neighbour.  Within a sweep the nodes of a
-level are ranked by (rank of the parent, move), and a node takes its
+Each edge steps the state Y = (X, e1, e2, e3) by an exact rigid motion:
+the exponential of the fourth-order Magnus generator
+(h/2)(M0 + M1) + (h^2/12)[M1, M0] of the connection blocks M0, M1 at its
+two ends (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 2000), in
+closed form.  The flow stays in the Euclidean group, so the frames stay
+orthonormal to rounding without re-orthonormalization.
+
+The two sweeps are planned together in rounds, as index work only.  The
+"xt" sweep walks the seed's x line as a chain and then walks along t from
+every node of that line at once; "tx" is the transpose.  Both signs of
+both sweeps share each round, every walk ends at its first masked or
+visited node, and no two walks share a node.  What the line passes miss is
+attached breadth-first, one level of both sweeps per round, starting from
+the visited nodes that have a free neighbour.  Within a sweep the nodes of
+a level are ranked by (rank of the parent, move), and a node takes its
 lowest-ranked neighbour in the level before as parent, so each node is
 stepped from the same neighbour a first-in first-out queue over the sorted
-visited nodes would pick.  A round's destinations are distinct and its
+visited nodes would pick.  Then the edges' maps are formed in chunks of
+consecutive rounds, and a round of a sweep is one gather, one batched
+product and one scatter.  A round's destinations are distinct and its
 sources were filled in earlier rounds, so no node's arithmetic depends on
 the batch it is stepped in.
 """
@@ -108,11 +115,11 @@ class _Coefficients:
 
     One tape evaluates the six f_ij and a, b, c over the grid; a value
     the tape names and neither the parameters nor the grid supply raises
-    ConstraintError.
+    ConstraintError.  mask is the admissibility mask of integrate_frame.
     """
 
     def __init__(self, tr: PssTriple, sff: SecondFundamentalForm,
-                 grid: SolutionGrid):
+                 grid: SolutionGrid, eps_deg=None):
         params = {**tr.params, **sff.params}
         exprs = [tr.f(i, j) for i, j in _F_KEYS] + list(sff.as_tuple())
         tape = Tape(tuple(map(simplify, exprs)))
@@ -129,135 +136,133 @@ class _Coefficients:
             *entries, a, b, c = (np.broadcast_to(np.asarray(v, dtype=float),
                                                  shape) for v in tape.run(env))
             self.f = f = dict(zip(_F_KEYS, entries))
-            self.d12 = _d12(f)
-            self.wx = _connection_rows(f, a, b, c, 1)
-            self.wt = _connection_rows(f, a, b, c, 2)
-        finite = np.isfinite(self.d12)
-        for w in self.wx + self.wt:
-            finite &= np.isfinite(w)
+            d12 = np.abs(f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2])
+            finite = np.isfinite(d12)
+            for col in (1, 2):
+                for w in _connection_rows(f[1, col], f[2, col], f[3, col],
+                                          a, b, c):
+                    finite &= np.isfinite(w)
         if sff.strip is not None:
             finite &= strip_contains(sff.strip, xx, tt, params)
         self.finite = finite
-        # flat views of wx and wt, gathered by flat node index
-        self.flat = tuple([w.reshape(-1) for w in rows]
-                          for rows in (self.wx, self.wt))
+        if eps_deg is None:
+            eps_deg = 0.1 * float(np.where(finite, d12, 0.0).max(initial=0.0))
+        self.mask = finite & (d12 > eps_deg)
+        # flat views of f11, f12, f21, f22, f31, f32, a, b and c: rows forms
+        # w31 and w32 where it needs them, one grid fewer than keeping them
+        # along both directions
+        self.flat = [g.reshape(-1) for g in (*entries, a, b, c)]
 
-    def matrix(self, direction, i, j):
-        """Connection blocks at the nodes (i, j); i and j may be index arrays."""
-        rows = self.wx if direction == "x" else self.wt
-        return _blocks(np.stack([w[i, j] for w in rows], -1))
-
-    def blocks(self, along_t, q):
-        """Connection blocks at the flat node indices q, shape (n, 4, 4):
-        along t where along_t is set and along x elsewhere."""
-        fx, ft = self.flat
-        C = np.where(along_t, np.array([w[q] for w in ft]),
-                     np.array([w[q] for w in fx]))
-        return _blocks(C.T)
+    def rows(self, along_t, q):
+        """The five coefficient rows of _connection_rows at the flat node
+        indices q: along t where along_t is set and along x elsewhere."""
+        g = [flat.take(q) for flat in self.flat]
+        return _connection_rows(*(np.where(along_t, g[k + 1], g[k])
+                                  for k in (0, 2, 4)), *g[6:])
 
 
-def _d12(f):
-    with np.errstate(all="ignore"):
-        return f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
+def _connection_rows(w1, w2, w21, a, b, c):
+    """(w1, w2, w21, w31, w32) along one coordinate, from its f1j, f2j and
+    f3j and the second fundamental form's a, b and c."""
+    return w1, w2, w21, a * w1 + b * w2, b * w1 + c * w2
 
 
-def _connection_rows(f, a, b, c, col):
-    """(w1, w2, w21, w31, w32) along one coordinate: col 1 is x, col 2 is t."""
-    w1, w2 = f[1, col], f[2, col]
-    return w1, w2, f[3, col], a * w1 + b * w2, b * w1 + c * w2
+_TINY = 1e-300
 
 
-def _signs():
-    """The flattened 4x4 connection block as a linear map of the five
-    coefficients: w1 and w2 feed X, and the frame rows form a rotation
-    generator."""
-    S = np.zeros((5, 4, 4))
-    for k, (r, c) in enumerate(((0, 1), (0, 2), (1, 2), (1, 3), (2, 3))):
-        S[k, r, c] = 1.0
-        if r:
-            S[k, c, r] = -1.0
-    return S.reshape(5, 16)
+def _edge_maps(c0, c1, h):
+    """The rigid motions G, shape (n, 4, 4), that carry the states Y of n
+    edges' sources to their destinations as G @ Y.
 
-
-_SIGNS = _signs()
-
-
-def _blocks(C):
-    """The 4x4 connection blocks of coefficient rows C, shape (..., 5)."""
-    return (C @ _SIGNS).reshape(C.shape[:-1] + (4, 4))
-
-
-def _rk4_edge(Y, M0, M1, h):
-    """One classical step of Y' = M(s) Y along an edge, midpoint averaged.
-
-    Y is a stack (n, 4, 3) of states, M0, M1 the matching (n, 4, 4) blocks
-    at the edge's two ends and h the signed steps, shape (n, 1, 1).
+    c0 and c1 hold the five coefficient rows of _connection_rows at the
+    edges' two ends, each of shape (n,), and h the signed steps.  G is the
+    exponential of the fourth-order Magnus generator (h/2)(M0 + M1) +
+    (h^2/12)[M1, M0], in closed form.  A block M = [[0, v], [0, [a]x]] has
+    v = (w1, w2, 0) and a = (-w32, w31, -w21), and so does the generator;
+    its exponential is [[1, v J], [0, R]], with R = exp([a]x) by Rodrigues'
+    formula and J = sum_k [a]x^k / (k + 1)! the rotation's left Jacobian.
     """
-    Mm = 0.5 * (M0 + M1)
-    k1 = M0 @ Y
-    k2 = Mm @ (Y + 0.5 * h * k1)
-    k3 = Mm @ (Y + 0.5 * h * k2)
-    k4 = M1 @ (Y + h * k3)
-    return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # v = (x, y, 0) and a = (p, q, r) at the two ends
+    (x0, y0, r0, q0, p0), (x1, y1, r1, q1, p1) = c0, c1
+    p0, r0, p1, r1 = -p0, -r0, -p1, -r1
+    g, k = 0.5 * h, h * h / 12.0
+    # the generator's a = g (a0 + a1) + k a1 x a0 and
+    # v = g (v0 + v1) + k (v1 x a0 - v0 x a1)
+    ax = g * (p0 + p1) + k * (q1 * r0 - r1 * q0)
+    ay = g * (q0 + q1) + k * (r1 * p0 - p1 * r0)
+    az = g * (r0 + r1) + k * (p1 * q0 - q1 * p0)
+    vx = g * (x0 + x1) + k * (y1 * r0 - y0 * r1)
+    vy = g * (y0 + y1) + k * (x0 * r1 - x1 * r0)
+    vz = k * (x1 * q0 - y1 * p0 - x0 * q1 + y0 * p1)
+    t2 = ax * ax + ay * ay + az * az
+    th = np.sqrt(t2)
+    # S = sin th / th, B = (1 - cos th) / th^2 and C = (th - sin th) / th^3:
+    # where they cancel, the error is rounding relative to the terms they
+    # multiply, which vanish with th
+    ct = np.cos(th)
+    S = np.sin(th) / np.maximum(th, _TINY)
+    t2 = np.maximum(t2, _TINY)
+    B, C = (1.0 - ct) / t2, (1.0 - S) / t2
+    G = np.empty((h.size, 4, 4))
+    G[:, :, 0] = (1.0, 0.0, 0.0, 0.0)
+    # v J = v + B w + C w x a with w = v x a
+    wx, wy, wz = vy * az - vz * ay, vz * ax - vx * az, vx * ay - vy * ax
+    G[:, 0, 1] = vx + B * wx + C * (wy * az - wz * ay)
+    G[:, 0, 2] = vy + B * wy + C * (wz * ax - wx * az)
+    G[:, 0, 3] = vz + B * wz + C * (wx * ay - wy * ax)
+    # R = cos th + S [a]x + B a a^T
+    Bx, By, Bz = B * ax, B * ay, B * az
+    G[:, 1, 1], G[:, 2, 2], G[:, 3, 3] = ct + Bx * ax, ct + By * ay, ct + Bz * az
+    for (i, j), bij, sk in (((1, 2), Bx * ay, S * az), ((1, 3), Bx * az, -S * ay),
+                            ((2, 3), By * az, S * ax)):
+        G[:, i, j], G[:, j, i] = bij - sk, bij + sk
+    return G
 
 
-# (a x b)[c] = a[_C1[c]] * b[_C2[c]] - a[_C2[c]] * b[_C1[c]]
-_C1, _C2 = [1, 2, 0], [2, 0, 1]
-
-
-def _renormalize(Y):
-    """Gram-Schmidt on the frame rows of a stack (n, 4, 3), in place; e3 is
-    rebuilt as e1 x e2.  Returns the stack and the largest drift in it."""
-    r1, r2, r3 = Y[:, 1], Y[:, 2], Y[:, 3]
-    R = Y[:, 1:3]
-    n12 = np.sqrt((R * R).sum(-1))[..., None]
-    e1 = r1 / n12[:, 0]
-    e2 = r2 - (r2 * e1).sum(-1, keepdims=True) * e1
-    e2 /= np.sqrt((e2 * e2).sum(-1, keepdims=True))
-    # e1 x r2/|r2| for the drift and e1 x e2 for the new e3, in one product
-    b = np.array([r2 / n12[:, 1], e2])
-    e3 = e1[:, _C1] * b[..., _C2] - e1[:, _C2] * b[..., _C1]
-    dev = np.concatenate([n12[..., 0] - 1.0, (r1 * r2).sum(-1, keepdims=True),
-                          r3 - e3[0]], -1)
-    drift = float(np.abs(dev).max())
-    Y[:, 1], Y[:, 2], Y[:, 3] = e1, e2, e3[1]
-    return Y, drift
+def _orthonormality_defect(Y):
+    """The largest entry of |E E^T - I| over the frames E of a stack
+    (n, 4, 3) of states."""
+    e = np.ascontiguousarray(Y.reshape(-1, 12)[:, 3:].T)
+    top = 0.0
+    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
+        dot = (e[3 * i:3 * i + 3] * e[3 * j:3 * j + 3]).sum(0)
+        top = max(top, float(np.abs(dot - (i == j)).max()))
+    return top
 
 
 # neighbour offsets in the order the breadth-first attach tries them: a
 # move is an index into this table
 _MOVES = np.array(((0, 1), (0, -1), (1, 0), (-1, 0)))
 _ALONG_T = _MOVES[:, 1] != 0
+# edges whose maps are formed together: half a megabyte of maps
+_CHUNK = 4096
 
 
 class _Sweeps:
-    """The "xt" and "tx" sweeps, stepped together in rounds.
+    """The "xt" and "tx" sweeps, planned together in rounds, then run.
 
     Sweep 0 ("xt") walks the seed's x line first and then along t from
-    every node of it; sweep 1 ("tx") is the transpose.  Each sweep keeps
-    its states in its own (nx, nt, 4, 3) array, since the returned field
-    holds views of one of them.  A node of sweep s is addressed by its
-    flat index q in the grid and p in the padded free array.  A round is
-    one call of step over a batch that lists sweep 0's nodes first.
+    every node of it; sweep 1 ("tx") is the transpose.  Planning is index
+    work only: a round is one call of step over a batch that lists sweep
+    0's nodes first, and it records the sources and moves.  A node of
+    sweep s is addressed by its flat index q in the grid and p in the
+    padded free array.  run then steps the states along the plan.
     """
 
-    def __init__(self, coeffs, grid, mask, seed_index, seed_state):
+    def __init__(self, mask, seed_index):
         nx, nt = mask.shape
-        self.coeffs = coeffs
         self.mask = mask
-        self.Y = tuple(np.full((nx, nt, 4, 3), np.nan) for _ in range(2))
+        self.seed_index = seed_index
         # admissible and not yet reached, per sweep, padded by one node on
         # every side
         self.free = np.zeros((2, nx + 2, nt + 2), dtype=bool)
         self.free[:, 1:-1, 1:-1] = mask
-        # per move: flat offsets in the grid and in free, and signed step
+        # per move: flat offsets in the grid and in free
         self.dq = _MOVES @ (nt, 1)
         self.dp = _MOVES @ (nt + 2, 1)
-        self.h = _MOVES[:, 0] * grid.hx + _MOVES[:, 1] * grid.ht
-        self.drift = 0.0
+        # per round: the number of sweep 0's nodes, the sources q and moves m
+        self.plan = []
         i, j = seed_index
-        for Y in self.Y:
-            Y[i, j] = seed_state.matrix()
         self.free[:, i + 1, j + 1] = False
 
     def index(self, s, i, j):
@@ -270,17 +275,12 @@ class _Sweeps:
         return self.mask & ~self.free[:, 1:-1, 1:-1]
 
     def step(self, s, q, p, m):
-        """Step the states at the nodes (q, p) of sweeps s by the moves m;
+        """Plan a round: the nodes (q, p) of sweeps s step by the moves m;
         returns the destinations' (q, p)."""
-        k = s.size - np.count_nonzero(s)
+        # compact: int32 holds any grid whose states fit in memory
+        self.plan.append((s.size - np.count_nonzero(s), q.astype(np.int32),
+                          m.astype(np.int8)))
         q2, p2 = q + self.dq[m], p + self.dp[m]
-        t = _ALONG_T[m]
-        M0, M1 = self.coeffs.blocks(t, q), self.coeffs.blocks(t, q2)
-        Y0, Y1 = (Y.reshape(-1, 4, 3) for Y in self.Y)
-        Y = np.concatenate([Y0[q[:k]], Y1[q[k:]]])
-        Y, drift = _renormalize(_rk4_edge(Y, M0, M1, self.h[m][:, None, None]))
-        self.drift = max(self.drift, drift)
-        Y0[q2[:k]], Y1[q2[k:]] = Y[:k], Y[k:]
         self.free.reshape(-1)[p2] = False
         return q2, p2
 
@@ -341,6 +341,68 @@ class _Sweeps:
             if s.size:
                 q, p = self.step(s, q[parent], p[parent], m)
 
+    def run(self, coeffs, grid, seed_state):
+        """Step both sweeps' states along the plan.
+
+        Returns their (nx, nt, 4, 3) arrays, NaN where a sweep did not
+        reach, and the largest orthonormality defect of a stepped frame.
+        Each sweep keeps its own array, since the returned field holds
+        views of one of them.
+        """
+        nx, nt = self.mask.shape
+        h = _MOVES @ (grid.hx, grid.ht)
+        Ys = tuple(np.full((nx, nt, 4, 3), np.nan) for _ in range(2))
+        defect = 0.0
+        for s, Y in enumerate(Ys):
+            Y[self.seed_index] = seed_state.matrix()
+            # sweep 0's nodes come first in each round
+            parts = ((q[:k], m[:k]) if s == 0 else (q[k:], m[k:])
+                     for k, q, m in self.plan)
+            defect = max(defect, _step_rounds(
+                Y.reshape(-1, 4, 3), [r for r in parts if r[0].size],
+                coeffs, self.dq, h))
+        return Ys, defect
+
+
+def _step_rounds(Y, rounds, coeffs, dq, h):
+    """Step the flat states Y (N, 4, 3) along rounds [(q, m), ...] of
+    sources and moves, in order; returns the largest orthonormality defect
+    of the frames stepped.
+
+    The maps are formed for chunks of consecutive rounds of about _CHUNK
+    edges; a round is then one gather, one batched product and one scatter.
+    """
+    if not rounds:
+        return 0.0
+    sizes = np.array([q.size for q, _ in rounds])
+    starts = np.cumsum(sizes) - sizes
+    chunks = np.split(np.arange(len(rounds)),
+                      np.flatnonzero(np.diff(starts // _CHUNK)) + 1)
+    defect = 0.0
+    for chunk in chunks:
+        q = np.concatenate([rounds[r][0] for r in chunk])
+        m = np.concatenate([rounds[r][1] for r in chunk])
+        t, d, n = _ALONG_T[m], q + dq[m], q.size
+        # both ends' coefficients in one gather per grid
+        c = coeffs.rows(np.concatenate([t, t]), np.concatenate([q, d]))
+        G = _edge_maps([w[:n] for w in c], [w[n:] for w in c], h[m])
+        ends = np.cumsum(sizes[chunk]).tolist()
+        for a, b in zip([0] + ends, ends):
+            Y[d[a:b]] = G[a:b] @ Y.take(q[a:b], axis=0)
+        defect = max(defect, _orthonormality_defect(Y.take(d, axis=0)))
+    return defect
+
+
+def _central_node(mask):
+    """The admissible node nearest the grid's centre."""
+    nx, nt = mask.shape
+    ii, jj = np.nonzero(mask)
+    dist = (ii - (nx - 1) / 2.0) ** 2 + (jj - (nt - 1) / 2.0) ** 2
+    # nonzero lists the nodes in (i, j) order, so the first nearest node
+    # breaks ties by (i, j)
+    k = int(np.argmin(dist))
+    return int(ii[k]), int(jj[k])
+
 
 def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
                     grid: SolutionGrid, seed: FrameState = None,
@@ -356,13 +418,8 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
     seed = seed or FrameState.identity()
     if seed.orthonormality_defect() > 1e-8:
         raise ValueError("seed frame must be orthonormal")
-    coeffs = _Coefficients(tr, sff, grid)
-
-    finite_d12 = np.where(coeffs.finite, np.abs(coeffs.d12), 0.0)
-    if eps_deg is None:
-        top = float(finite_d12.max()) if finite_d12.size else 0.0
-        eps_deg = 0.1 * top
-    mask = coeffs.finite & (np.abs(coeffs.d12) > eps_deg)
+    coeffs = _Coefficients(tr, sff, grid, eps_deg)
+    mask = coeffs.mask
 
     nx, nt = mask.shape
     if not mask.any():
@@ -375,13 +432,7 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
             f=coeffs.f)
 
     if seed_index is None:
-        ii, jj = np.nonzero(mask)
-        mid = np.array([(nx - 1) / 2.0, (nt - 1) / 2.0])
-        dist = (ii - mid[0]) ** 2 + (jj - mid[1]) ** 2
-        # nonzero lists the nodes in (i, j) order, so the first nearest
-        # node breaks ties by (i, j)
-        k = int(np.argmin(dist))
-        seed_index = (int(ii[k]), int(jj[k]))
+        seed_index = _central_node(mask)
     else:
         seed_index = (int(seed_index[0]), int(seed_index[1]))
         # a negative index would wrap around in mask but not in the sweeps
@@ -390,13 +441,12 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
         if not mask[seed_index]:
             raise ConstraintError("seed", "seed node is outside the mask")
 
-    sweeps = _Sweeps(coeffs, grid, mask, seed_index, seed)
+    sweeps = _Sweeps(mask, seed_index)
     sweeps.lines(seed_index)
     sweeps.attach()
-    Y1, Y2 = sweeps.Y
+    (Y1, Y2), drift = sweeps.run(coeffs, grid, seed)
     # the field keeps vis1: a view would keep the (2, nx, nt) pair alive
     vis1, vis2 = (v.copy() for v in sweeps.visited())
-    drift = sweeps.drift
     f = coeffs.f
     del coeffs, sweeps
     # in place and without copies of Y1: full-grid temporaries raise the
@@ -467,95 +517,113 @@ _SPLIT = (((0, 0), (1, 0), (1, 1)),
           ((0, 0), (1, 1), (0, 1)))
 
 
-def _fan(split):
-    """The triangles of ``split`` incident to a vertex, as the offsets
-    (q, r) of their other two corners from it, in the same orientation."""
-    return tuple(tuple((tri[(k + m) % 3][0] - tri[k][0],
-                        tri[(k + m) % 3][1] - tri[k][1]) for m in (1, 2))
-                 for k in range(3) for tri in split)
+def _triangles(valid):
+    """The mesh: both triangles of each quad with four valid corners, quads
+    in (i, j) order, as the flat node indices of their corners, shape
+    (3, triangles)."""
+    nt = valid.shape[1]
+    quad = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
+    qi, qj = np.nonzero(quad)
+    offsets = np.array([[di * nt + dj for di, dj in tri] for tri in _SPLIT])
+    return ((qi * nt + qj)[:, None, None] + offsets).transpose(2, 0, 1) \
+        .reshape(3, -1)
 
 
-_FAN = _fan(_SPLIT)
+def _coordinates(X):
+    """The positions X (nx, nt, 3) as a contiguous (3, nodes) array: node
+    gathers from it are several times faster than from the state arrays,
+    whose nodes are 96 bytes apart."""
+    return np.ascontiguousarray(X.reshape(-1, 3).T)
 
 
 def _angle_defect_curvature(X, valid):
     """Discrete K per interior vertex: angle defect over a third of the
-    incident triangle area, using the quad split along the (+1, +1) diagonal.
+    incident triangle area, on the mesh of _triangles.
 
-    The six triangles are gathered one at a time over all interior nodes; a
-    triangle with a zero-length edge contributes nothing.
+    Each triangle's three angles and its area are taken once and summed
+    into its corners; a degenerate triangle adds no area, and no angle at
+    a corner with a zero-length edge.
     """
     nx, nt, _ = X.shape
-    ii, jj = np.nonzero(_interior_full(valid))
-    p = X[ii, jj]
-    angle_sum = np.zeros(ii.size)
-    area_sum = np.zeros(ii.size)
-    for (qi, qj), (ri, rj) in _FAN:
-        v1 = X[ii + qi, jj + qj] - p
-        v2 = X[ii + ri, jj + rj] - p
-        n1 = np.linalg.norm(v1, axis=-1)
-        n2 = np.linalg.norm(v2, axis=-1)
-        ok = (n1 != 0) & (n2 != 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cosang = np.clip((v1 * v2).sum(-1) / (n1 * n2), -1.0, 1.0)
-        angle_sum += np.where(ok, np.arccos(cosang), 0.0)
-        area_sum += np.where(ok, 0.5 * np.linalg.norm(np.cross(v1, v2), axis=-1),
-                             0.0)
-    K = np.full((nx, nt), np.nan)
-    pos = area_sum > 0
-    K[ii[pos], jj[pos]] = (2.0 * math.pi - angle_sum[pos]) / (area_sum[pos] / 3.0)
-    return K
+    tri = _triangles(valid)
+    P = _coordinates(X)
+    angle = np.empty(tri.shape)
+    area2 = np.empty(tri.shape[1])
+    # in chunks of triangles, so that one chunk's corners and edges are
+    # alive at a time
+    for lo in range(0, tri.shape[1], 4 * _CHUNK):
+        span = slice(lo, lo + 4 * _CHUNK)
+        corner = [np.take(P, c, axis=1) for c in tri[:, span]]
+        # edge k runs from corner k to corner k + 1
+        edge = [corner[(k + 1) % 3] - corner[k] for k in range(3)]
+        a2 = np.sqrt((np.cross(edge[0], edge[1], axis=0) ** 2).sum(0))
+        area2[span] = a2
+        # the angle at corner k lies between edge k and edge k - 1 reversed;
+        # adding 0.0 turns a -0.0 cosine, which arctan2 reads as pi, into 0
+        for k in range(3):
+            np.arctan2(a2, 0.0 - (edge[k] * edge[k - 1]).sum(0),
+                       out=angle[k, span])
+    n = nx * nt
+    angle_sum = np.bincount(tri.reshape(-1), angle.reshape(-1), n)
+    area_sum = sum(np.bincount(c, area2, n) for c in tri) / 2.0
+    node = np.flatnonzero(_interior_full(valid).reshape(-1) & (area_sum > 0))
+    K = np.full(n, np.nan)
+    K[node] = (2.0 * math.pi - angle_sum[node]) / (area_sum[node] / 3.0)
+    return K.reshape(nx, nt)
+
+
+def _mean_max(v):
+    """Mean and max of an array; NaN for an empty one."""
+    return (float(v.mean()), float(v.max())) if v.size else (math.nan,) * 2
 
 
 def validate_surface(field: FrameField) -> SurfaceDiagnostics:
     """First-fundamental-form, curvature and normal checks on the field,
-    against the table entries it was integrated with."""
+    against the table entries it was integrated with.
+
+    The metric and normal checks use central differences at the valid
+    nodes whose four neighbours are valid.
+    """
     grid = field.grid
     f = field.f
-    X = field.X
     valid = field.valid
-
-    g_xx = f[1, 1] ** 2 + f[2, 1] ** 2
-    g_xt = f[1, 1] * f[1, 2] + f[2, 1] * f[2, 2]
-    g_tt = f[1, 2] ** 2 + f[2, 2] ** 2
+    nt = valid.shape[1]
+    K = _angle_defect_curvature(field.X, valid)
+    k_err = np.abs(K[np.isfinite(K)] + 1.0)
 
     inner = np.zeros_like(valid)
     inner[1:-1, 1:-1] = (valid[1:-1, 1:-1]
                          & valid[:-2, 1:-1] & valid[2:, 1:-1]
                          & valid[1:-1, :-2] & valid[1:-1, 2:])
-    metric_errs = []
-    normal_errs = []
-    if inner.any():
-        Xx = np.full_like(X, np.nan)
-        Xt = np.full_like(X, np.nan)
-        Xx[1:-1, :, :] = (X[2:, :, :] - X[:-2, :, :]) / (2.0 * grid.hx)
-        Xt[:, 1:-1, :] = (X[:, 2:, :] - X[:, :-2, :]) / (2.0 * grid.ht)
-        sel = inner
-        for fd, ref in (((Xx * Xx).sum(-1), g_xx),
-                        ((Xx * Xt).sum(-1), g_xt),
-                        ((Xt * Xt).sum(-1), g_tt)):
-            metric_errs.append(np.abs(fd[sel] - ref[sel]) / (1.0 + np.abs(ref[sel])))
-        # Xx x Xt = d12 * e3, so the unit cross carries the sign of d12
-        cross = np.cross(Xx[sel], Xt[sel]) * np.sign(_d12(f)[sel])[:, None]
-        norms = np.linalg.norm(cross, axis=-1, keepdims=True)
-        ok = norms[:, 0] > 0
-        unit = cross[ok] / norms[ok]
-        normal_errs = np.abs(unit - field.frames[sel][ok][:, 2, :]).max(axis=-1)
-    metric_all = np.concatenate(metric_errs) if metric_errs else np.array([np.nan])
-    normal_all = np.asarray(normal_errs) if len(normal_errs) else np.array([np.nan])
+    q = np.flatnonzero(inner)
+    P = _coordinates(field.X)
+    Xx = (np.take(P, q + nt, axis=1) - np.take(P, q - nt, axis=1)) / (2.0 * grid.hx)
+    Xt = (np.take(P, q + 1, axis=1) - np.take(P, q - 1, axis=1)) / (2.0 * grid.ht)
+    del P
+    f11, f12, f21, f22 = (f[k].reshape(-1)[q]
+                          for k in ((1, 1), (1, 2), (2, 1), (2, 2)))
+    metric = np.concatenate([
+        np.abs(fd - ref) / (1.0 + np.abs(ref)) for fd, ref in (
+            ((Xx * Xx).sum(0), f11 ** 2 + f21 ** 2),
+            ((Xx * Xt).sum(0), f11 * f12 + f21 * f22),
+            ((Xt * Xt).sum(0), f12 ** 2 + f22 ** 2))])
+    # Xx x Xt = d12 * e3, so the unit cross carries the sign of d12
+    cross = np.cross(Xx, Xt, axis=0) * np.sign(f11 * f22 - f21 * f12)
+    norms = np.sqrt((cross * cross).sum(0))
+    ok = norms > 0
+    e3 = field.frames.reshape(-1, 3, 3)[q[ok], 2]
+    normal = np.abs(cross[:, ok] / norms[ok] - e3.T).max(axis=0)
 
-    K = _angle_defect_curvature(X, valid)
-    k_vals = K[np.isfinite(K)]
-    k_err = np.abs(k_vals + 1.0) if k_vals.size else np.array([np.nan])
-
+    k_mean, k_max = _mean_max(k_err)
+    metric_mean, metric_max = _mean_max(metric)
     res = field.path_residual[np.isfinite(field.path_residual)]
     return SurfaceDiagnostics(
-        mean_abs_k_plus_1=float(np.nanmean(k_err)),
-        max_abs_k_plus_1=float(np.nanmax(k_err)),
-        metric_max_rel=float(np.nanmax(metric_all)),
-        metric_mean_rel=float(np.nanmean(metric_all)),
-        normal_max_err=float(np.nanmax(normal_all)),
-        path_residual_max=float(res.max()) if res.size else float("nan"),
+        mean_abs_k_plus_1=k_mean,
+        max_abs_k_plus_1=k_max,
+        metric_max_rel=metric_max,
+        metric_mean_rel=metric_mean,
+        normal_max_err=_mean_max(normal)[1],
+        path_residual_max=_mean_max(res)[1],
         drift_max=field.drift_max,
         mask_fraction=field.mask_fraction,
         n_valid=field.count_valid())
@@ -575,23 +643,20 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
     valid = field.valid
     index = np.cumsum(valid).reshape(valid.shape)  # 1-based on valid nodes
     verts = field.X[valid]
-    quad = valid[:-1, :-1] & valid[1:, :-1] & valid[1:, 1:] & valid[:-1, 1:]
-    qi, qj = np.nonzero(quad)
-    faces = np.stack([index[qi + di, qj + dj] for tri in _SPLIT for di, dj in tri],
-                     axis=1).reshape(-1, 3)
+    faces = index.reshape(-1)[_triangles(valid)]
 
     with open(path, "w") as fh:
         fh.write("# pseudo-spherical immersion mesh\n")
         if not len(verts):
             fh.write("# warning: empty field, no valid nodes\n")
-        fh.write(f"# vertices: {len(verts)} faces: {len(faces)}\n")
+        fh.write(f"# vertices: {len(verts)} faces: {faces.shape[1]}\n")
         _write_rows(fh, "v %.12g %.12g %.12g\n", verts.T)
-        _write_rows(fh, "f %d %d %d\n", faces.T)
+        _write_rows(fh, "f %d %d %d\n", faces)
 
     sidecar = path + ".diag.txt" if not path.endswith(".obj") \
         else path[:-4] + ".diag.txt"
     with open(sidecar, "w") as fh:
-        fh.write(f"mesh: {len(verts)} vertices, {len(faces)} triangles\n")
+        fh.write(f"mesh: {len(verts)} vertices, {faces.shape[1]} triangles\n")
         if diagnostics is not None:
             for line in diagnostics.lines():
                 fh.write(line + "\n")

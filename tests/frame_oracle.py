@@ -1,25 +1,49 @@
 """Per-node loop versions of the frame sweep, curvature and OBJ export.
 
 These are the original one-node-at-a-time implementations that
-``pssurf.frame`` replaced with array code.  They are kept here verbatim as
-reference oracles: the equivalence tests in ``test_frame_oracle.py`` run
-both and compare them at stated tolerances.
+``pssurf.frame`` replaced with array code.  They are kept here as reference
+oracles: the equivalence tests in ``test_frame_oracle.py`` run both and
+compare them at stated tolerances.  The sweep takes its edge step as an
+argument: ``magnus_step`` is the rule ``pssurf.frame`` applies, with the
+exponential taken by ``scipy.linalg.expm``, and ``rk4_step`` the classical
+step with Gram-Schmidt renormalization that it replaced.
 """
 
 import math
 from collections import deque
 
 import numpy as np
+from scipy.linalg import expm
 
 
 def admissible_mask(coeffs, eps_deg=None):
     """Finite nodes inside the strip with |d12| above eps_deg (default a
     tenth of the largest |d12|)."""
-    finite_d12 = np.where(coeffs.finite, np.abs(coeffs.d12), 0.0)
+    f = coeffs.f
+    with np.errstate(all="ignore"):
+        d12 = f[1, 1] * f[2, 2] - f[2, 1] * f[1, 2]
+    finite_d12 = np.where(coeffs.finite, np.abs(d12), 0.0)
     if eps_deg is None:
         top = float(finite_d12.max()) if finite_d12.size else 0.0
         eps_deg = 0.1 * top
-    return coeffs.finite & (np.abs(coeffs.d12) > eps_deg)
+    return coeffs.finite & (np.abs(d12) > eps_deg)
+
+
+def blocks(c):
+    """The 4x4 connection blocks of the coefficient rows c = (w1, w2, w21,
+    w31, w32), each of one shape: w1 and w2 feed X, and the frame rows form
+    a rotation generator."""
+    w1, w2, w21, w31, w32 = (np.asarray(w, dtype=float) for w in c)
+    z = np.zeros_like(w1)
+    rows = ((z, w1, w2, z), (z, z, w21, w31), (z, -w21, z, w32),
+            (z, -w31, -w32, z))
+    return np.stack([np.stack(r, -1) for r in rows], -2)
+
+
+def connection_block(coeffs, direction, i, j):
+    """The block at node (i, j) along "x" or "t"."""
+    q = i * coeffs.mask.shape[1] + j
+    return blocks(coeffs.rows(direction == "t", q))
 
 
 def _rk4_edge(Y, M0, M1, h):
@@ -30,6 +54,21 @@ def _rk4_edge(Y, M0, M1, h):
     k3 = Mm @ (Y + 0.5 * h * k2)
     k4 = M1 @ (Y + h * k3)
     return Y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def rk4_step(Y, M0, M1, h):
+    """The replaced rule: one classical step, then renormalization."""
+    return _renormalize(_rk4_edge(Y, M0, M1, h))[0]
+
+
+def magnus_step(Y, M0, M1, h):
+    """exp of the fourth-order Magnus generator of the edge, applied to Y."""
+    return expm(0.5 * h * (M0 + M1) + h * h / 12.0 * (M1 @ M0 - M0 @ M1)) @ Y
+
+
+def orthonormality_defect(Y):
+    """The largest entry of |E E^T - I| for the frame rows E of a state."""
+    return float(np.abs(Y[1:] @ Y[1:].T - np.eye(3)).max())
 
 
 def _renormalize(Y):
@@ -48,12 +87,14 @@ def _renormalize(Y):
     return out, drift
 
 
-def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
+def _sweep(coeffs, grid, mask, seed_index, seed_state, order, edge_step):
     """Fill the component of seed_index, stepping edges in the given order.
 
     order "xt" walks the seed row first and then columns; "tx" is the
     transpose.  Remaining reachable nodes are attached breadth-first, so an
-    irregular component is still covered.  Returns (Y, visited, drift).
+    irregular component is still covered.  edge_step(Y, M0, M1, h) steps a
+    state along one edge.  Returns (Y, visited, drift), where drift is the
+    largest orthonormality defect of a stepped frame.
     """
     nx, nt = mask.shape
     Y = np.full((nx, nt, 4, 3), np.nan)
@@ -68,15 +109,14 @@ def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
         (i1, j1), (i2, j2) = src, dst
         if i1 != i2:
             h = (i2 - i1) * grid.hx
-            M0 = coeffs.matrix("x", i1, j1)
-            M1 = coeffs.matrix("x", i2, j2)
+            M0 = connection_block(coeffs, "x", i1, j1)
+            M1 = connection_block(coeffs, "x", i2, j2)
         else:
             h = (j2 - j1) * grid.ht
-            M0 = coeffs.matrix("t", i1, j1)
-            M1 = coeffs.matrix("t", i2, j2)
-        nxt = _rk4_edge(Y[i1, j1], M0, M1, h)
-        nxt, d = _renormalize(nxt)
-        drift = max(drift, d)
+            M0 = connection_block(coeffs, "t", i1, j1)
+            M1 = connection_block(coeffs, "t", i2, j2)
+        nxt = edge_step(Y[i1, j1], M0, M1, h)
+        drift = max(drift, orthonormality_defect(nxt))
         Y[i2, j2] = nxt
         visited[i2, j2] = True
 
@@ -113,13 +153,16 @@ def _sweep(coeffs, grid, mask, seed_index, seed_state, order):
     return Y, visited, drift
 
 
-def sweep_pair(coeffs, grid, mask, seed_index, seed_state):
+def sweep_pair(coeffs, grid, mask, seed_index, seed_state,
+               edge_step=magnus_step):
     """Both sweep orders and the path residual, as integrate_frame forms them.
 
     Returns (X, frames, valid, path_residual, drift_max).
     """
-    Y1, vis1, drift1 = _sweep(coeffs, grid, mask, seed_index, seed_state, "xt")
-    Y2, vis2, drift2 = _sweep(coeffs, grid, mask, seed_index, seed_state, "tx")
+    Y1, vis1, drift1 = _sweep(coeffs, grid, mask, seed_index, seed_state, "xt",
+                              edge_step)
+    Y2, vis2, drift2 = _sweep(coeffs, grid, mask, seed_index, seed_state, "tx",
+                              edge_step)
     both = vis1 & vis2
     residual = np.full(mask.shape, np.nan)
     diff = np.abs(Y1 - Y2).max(axis=(2, 3))

@@ -371,6 +371,20 @@ def test_immerse_tight_tolerance_fails(capsys, tmp_path):
     assert "result: FAIL" in out
 
 
+def test_immerse_without_interior_nodes_reports_nan_quietly(tmp_path):
+    # a 2 x 2 grid has no node with four valid neighbours: the curvature,
+    # metric and normal lines read nan, and numpy prints no warning
+    proc = subprocess.run([sys.executable, "-m", "pssurf.cli", "immerse",
+                           "--family", "sg-basic", "--solution", "kink",
+                           "--a", "1", "--grid=-0.5:-0.48:-0.5:-0.48:0.02",
+                           "--out", str(tmp_path / "t.obj")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert "curvature |K+1|: mean nan max nan" in proc.stdout
+    assert "result: FAIL" in proc.stdout
+
+
 def test_immerse_unknown_solution(capsys, tmp_path):
     code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
                             "--solution", "wave?", "--grid", "-1:1:-1:1:0.1",

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 from scipy import ndimage
+from scipy.linalg import expm
 
 from pssurf import frame
 from pssurf.catalog import ConstraintError, FamilyId, build
@@ -15,6 +16,8 @@ from pssurf.frame import (FrameState, _Coefficients, export_mesh,
 from pssurf.sff import closed_form
 from pssurf.sff.core import DomainStrip, SecondFundamentalForm
 from pssurf.solutions import SolutionGrid, linear_solution, sg_kink
+
+import frame_oracle as oracle
 
 
 @pytest.fixture(scope="module")
@@ -67,7 +70,8 @@ def node_coefficients(tr, sff, z0, z1, w1):
 def node_blocks(tr, sff, z0, z1, w1):
     """The 4x4 connection blocks (Mx, Mt) at that node."""
     coeffs = node_coefficients(tr, sff, z0, z1, w1)
-    return coeffs.matrix("x", 0, 0), coeffs.matrix("t", 0, 0)
+    return (oracle.connection_block(coeffs, "x", 0, 0),
+            oracle.connection_block(coeffs, "t", 0, 0))
 
 
 def test_kink_center_coefficients(sg):
@@ -104,6 +108,47 @@ def test_rotation_coefficient_sign_convention(sg):
     assert Mx[1, 2] == pytest.approx(0.4 / 2.0)    # f31 = z1/2
     assert Mt[1, 2] == pytest.approx(-0.7 / 2.0)   # f32 = -w1/2
     assert Mx[2, 1] == pytest.approx(-0.4 / 2.0)
+
+
+def _magnus_generator(c0, c1, h):
+    """(h/2)(M0 + M1) + (h^2/12)[M1, M0] for coefficient rows (n, 5)."""
+    M0, M1 = oracle.blocks(c0.T), oracle.blocks(c1.T)
+    k = (h * h / 12.0)[:, None, None]
+    return 0.5 * h[:, None, None] * (M0 + M1) + k * (M1 @ M0 - M0 @ M1)
+
+
+def _edge_cases():
+    """Random coefficient rows and steps, with rotation angles from exactly
+    0 through tiny ones to about pi."""
+    rng = np.random.default_rng(3)
+    c0, c1 = rng.normal(size=(2, 64, 5))
+    h = rng.uniform(-1.0, 1.0, 64)
+    # no rotation: the frame rows' coefficients w21, w31 and w32 vanish
+    c0[:4, 2:] = c1[:4, 2:] = 0.0
+    # tiny rotations
+    h[4:8] = [1e-9, -1e-7, 1e-5, 1e-3]
+    # equal ends, whose generator is h M0, scaled to angles about pi
+    c1[8:14] = c0[8:14]
+    theta = np.linalg.norm(c0[8:14, 2:], axis=1)
+    h[8:14] = np.array([np.pi - 1e-6, np.pi, np.pi + 1e-6, -np.pi,
+                        np.pi - 1e-3, 3.0]) / theta
+    return c0, c1, h
+
+
+def test_edge_maps_match_expm():
+    c0, c1, h = _edge_cases()
+    G = frame._edge_maps(c0.T, c1.T, h)
+    want = np.array([expm(W) for W in _magnus_generator(c0, c1, h)])
+    assert np.abs(G - want).max() <= 1e-13
+
+
+def test_edge_map_rotations_orthogonal():
+    c0, c1, h = _edge_cases()
+    G = frame._edge_maps(c0.T, c1.T, h)
+    R = G[:, 1:, 1:]
+    assert np.abs(R @ R.transpose(0, 2, 1) - np.eye(3)).max() <= 1e-14
+    assert np.abs(np.linalg.det(R) - 1.0).max() <= 1e-14
+    assert np.array_equal(G[:, :, 0], np.tile([1.0, 0, 0, 0], (len(h), 1)))
 
 
 def test_degenerate_node_rejected(sg):
@@ -143,7 +188,8 @@ def test_drift_small_at_standard_step(sg, kink):
     tr, sff = sg
     grid = kink_grid(kink, -1.0, 1.0, 0.02)
     field = integrate_frame(tr, sff, grid)
-    assert field.drift_max < 1e-8
+    # the edge maps are rigid motions: the frames drift by rounding only
+    assert field.drift_max < 1e-13
 
 
 def test_path_residual_second_order(sg, kink):
@@ -232,22 +278,23 @@ def test_deterministic_output(sg, kink):
 
 
 def test_readme_kink_steps_both_sweeps_in_lockstep(sg, kink, monkeypatch):
-    # a round steps every direction of both sweeps in one kernel call:
-    # 149 line, 149 cross and 149 attach rounds on the README grid, where
-    # a call per sweep and direction would make 1,188
-    calls = []
-    step = frame._Sweeps.step
+    # a planned round holds every direction of both sweeps: 149 line, 149
+    # cross and 149 attach rounds on the README grid, where a round per
+    # sweep and direction would make 1,188
+    plans = []
+    run = frame._Sweeps.run
 
-    def counting(self, s, *rest):
-        calls.append(s.size)
-        return step(self, s, *rest)
+    def recording(self, *args):
+        plans.append(self.plan)
+        return run(self, *args)
 
-    monkeypatch.setattr(frame._Sweeps, "step", counting)
+    monkeypatch.setattr(frame._Sweeps, "run", recording)
     tr, sff = sg
     field = integrate_frame(tr, sff, kink_grid(kink, -3.0, 3.0, 0.02))
-    assert len(calls) <= 450
+    [plan] = plans
+    assert len(plan) <= 450
     # every node of each sweep but the seed is stepped exactly once
-    assert sum(calls) == 2 * (field.count_valid() - 1)
+    assert sum(q.size for _, q, _ in plan) == 2 * (field.count_valid() - 1)
 
 
 def _strip_family():
