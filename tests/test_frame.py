@@ -257,6 +257,17 @@ def test_zero_size_grid(sg):
     assert not field.mask.any()
 
 
+def test_single_node_component(sg, kink):
+    # the seed alone: nothing is planned, and the field holds the seed state
+    tr, sff = sg
+    field = integrate_frame(tr, sff, SolutionGrid.from_solution(
+        kink, 0.4, 0.4, 0.01, 0.01, 1, 1))
+    assert field.count_valid() == 1
+    assert np.array_equal(field.X[0, 0], np.zeros(3))
+    assert field.path_residual[0, 0] == 0.0 and field.drift_max == 0.0
+    assert np.isnan(validate_surface(field).mean_abs_k_plus_1)
+
+
 def test_fully_degenerate_grid_empty(sg):
     tr, sff = sg
     shape = (6, 6)
