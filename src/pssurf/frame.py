@@ -549,10 +549,10 @@ def _angle_defect_curvature(X, valid):
     P = _coordinates(X)
     angle = np.empty(tri.shape)
     area2 = np.empty(tri.shape[1])
-    # in chunks of triangles, so that one chunk's corners and edges are
-    # alive at a time
-    for lo in range(0, tri.shape[1], 4 * _CHUNK):
-        span = slice(lo, lo + 4 * _CHUNK)
+    # in chunks of 16,384 triangles, so that one chunk's corners and edges
+    # (about 2 MB) are alive at a time
+    for lo in range(0, tri.shape[1], 16384):
+        span = slice(lo, lo + 16384)
         corner = [np.take(P, c, axis=1) for c in tri[:, span]]
         # edge k runs from corner k to corner k + 1
         edge = [corner[(k + 1) % 3] - corner[k] for k in range(3)]
