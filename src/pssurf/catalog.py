@@ -5,6 +5,13 @@ named constants stay Param nodes, and user-pinned values travel alongside
 in the spec's triple (PssTriple.params), which binds them at evaluation
 time.
 
+Each family's parameters are declared once, in _FAMILIES: its builder,
+its numeric parameters with their default sampling ranges in draw order,
+whether it takes a sign, its text parameters, and the choices random
+draws pick from (pools of text values, and named branches such as the
+sign of hyp-i's alpha).  build splits the user's values by that entry
+before the builder runs, and sample_params is one loop over it.
+
 Each builder names its family's constraints by relation ("eta != 0",
 "alpha^2 < 1", ...), as expressions that must clear CONSTRAINT_MARGIN
 wherever the table is sampled.  A constraint on parameters alone is
@@ -17,6 +24,7 @@ values its zero tests can sample.
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -113,9 +121,14 @@ _ALIASES = {"lam": "lambda", "zeta": "xi", "s": "sign"}
 
 
 def _normalize(params):
-    out = {}
+    out, given = {}, {}
     for k, v in (params or {}).items():
-        out[_ALIASES.get(k, k)] = v
+        name = _ALIASES.get(k, k)
+        if name in out:
+            raise ConstraintError(
+                "parameter given twice",
+                f"{given[name]!r} and {k!r} both name {name!r}")
+        out[name], given[name] = v, k
     return out
 
 
@@ -129,21 +142,24 @@ def _sign_of(params, key="sign"):
 
 
 class _Params:
-    """Split user params into pinned values and sampling ranges."""
+    """Split user params into pinned values and sampling ranges, by the
+    family's entry in _FAMILIES; a signed family's sign is resolved here."""
 
-    def __init__(self, family: FamilyId, raw: dict, numeric: dict, other=()):
+    def __init__(self, family: FamilyId, raw: dict):
+        entry = _FAMILIES[family]
         self.family = family
         self.raw = raw
         self.pinned = {}
         self.ranges = {}
-        known = set(numeric) | set(other)
+        known = set(entry.numeric) | set(entry.text) | (
+            {"sign"} if entry.signed else set())
         for key in raw:
             if key not in known:
                 raise ConstraintError(
                     "unknown parameter",
                     f"{key!r} is not a parameter of {family.value} "
                     f"(accepts: {', '.join(sorted(known)) or 'none'})")
-        for name, default_range in numeric.items():
+        for name, default_range in entry.numeric.items():
             if name in raw and raw[name] is not None:
                 value = float(raw[name])
                 # before any relation, which would take the blame for it
@@ -152,13 +168,15 @@ class _Params:
                 self.pinned[name] = value
             elif default_range is not None:
                 self.ranges[name] = default_range
+        self.sign = _sign_of(raw) if entry.signed else None
 
 
-def _spec(family, ps, kind, F, rows, constraints, extra_params=None):
+def _spec(ps, kind, F, rows, constraints, text=None):
     """The family's spec, for the equation of the given kind with right-hand
     side F.  constraints maps relation names to expressions; the first, in
     declared order, whose names are all pinned and whose value does not
-    clear the margin raises ConstraintError."""
+    clear the margin raises ConstraintError.  text holds the resolved
+    text parameters (f11, fkind, ...)."""
     for relation, c in constraints.items():
         names = sorted(free_names(c))
         if not set(names) <= ps.pinned.keys():
@@ -178,26 +196,27 @@ def _spec(family, ps, kind, F, rows, constraints, extra_params=None):
         rows, ctx=EquationContext(kind, F), params=dict(ps.pinned),
         ranges=dict(ps.ranges),
         constraints=tuple(map(simplify, constraints.values())),
-        label=family.value)
-    return FamilySpec(id=family, params={**ps.pinned, **(extra_params or {})},
+        label=ps.family.value)
+    return FamilySpec(id=ps.family,
+                      params={**ps.pinned,
+                              **({} if ps.sign is None else {"sign": ps.sign}),
+                              **(text or {})},
                       triple=tr)
 
 
 # ---------------------------------------------------------------- families
 
-def _build_sg_basic(raw):
-    ps = _Params(FamilyId.SG_BASIC, raw, numeric={})
+def _build_sg_basic(ps):
     F = parse("sin(z0)")
     rows = (
         (parse("cos(z0/2)"), parse("cos(z0/2)")),
         (parse("sin(z0/2)"), parse("-sin(z0/2)")),
         (parse("z1/2"), parse("-w1/2")),
     )
-    return _spec(FamilyId.SG_BASIC, ps, "hyperbolic", F, rows, {})
+    return _spec(ps, "hyperbolic", F, rows, {})
 
 
-def _build_sg_eta(raw):
-    ps = _Params(FamilyId.SG_ETA, raw, numeric={"eta": (0.5, 2.0)})
+def _build_sg_eta(ps):
     eta = Param("eta")
     F = parse("sin(z0)")
     rows = (
@@ -205,8 +224,7 @@ def _build_sg_eta(raw):
         (eta, simplify(parse("cos(z0)") / eta)),
         (Z1, Const(0)),
     )
-    return _spec(FamilyId.SG_ETA, ps, "hyperbolic", F, rows,
-                 {"eta != 0": parse("eta^2")})
+    return _spec(ps, "hyperbolic", F, rows, {"eta != 0": parse("eta^2")})
 
 
 def _jets_within(e, allowed, what):
@@ -217,16 +235,10 @@ def _jets_within(e, allowed, what):
                 f"{what} may only contain {', '.join(sorted({'z%d' % a for a, _ in allowed}))}")
 
 
-def _build_evo_hlnonzero(raw):
-    ps = _Params(
-        FamilyId.EVO_HLNONZERO, raw,
-        numeric={"eta": (0.5, 2.0), "alpha": (-0.7, 0.7)},
-        other=("f11", "f22", "f31", "sign"),
-    )
-    s = _sign_of(raw)
-
-    f11 = simplify(parse(str(raw.get("f11", "z0"))))
-    f22 = simplify(parse(str(raw.get("f22", "z0"))))
+def _build_evo_hlnonzero(ps):
+    s = ps.sign
+    f11 = simplify(parse(str(ps.raw.get("f11", "z0"))))
+    f22 = simplify(parse(str(ps.raw.get("f22", "z0"))))
     _jets_within(f11, {(0, 0)}, "f11")
     _jets_within(f22, {(0, 0)}, "f22")
     f11_z0 = partial(f11, Z0)
@@ -261,11 +273,11 @@ def _build_evo_hlnonzero(raw):
         "f11_z0 != 0": simplify(f11_z0 * f11_z0),
         "f22_z0 != 0": simplify(f22_z0 * f22_z0),
     }
-    spec = _spec(FamilyId.EVO_HLNONZERO, ps, "evolution", F, rows, constraints,
-                 extra_params={"sign": s, "f11": to_text(f11), "f22": to_text(f22)})
+    spec = _spec(ps, "evolution", F, rows, constraints,
+                 {"f11": to_text(f11), "f22": to_text(f22)})
     # the supplied f31 is sampled under alpha^2 < 1, which _spec has checked
-    if "f31" in raw:
-        given = simplify(parse(str(raw["f31"])))
+    if "f31" in ps.raw:
+        given = simplify(parse(str(ps.raw["f31"])))
         gap = is_zero(simplify(given - f31), params=ps.pinned, ranges=ps.ranges,
                       constraints=(parse("1 - alpha^2"),))
         if not gap:
@@ -276,16 +288,10 @@ def _build_evo_hlnonzero(raw):
     return spec
 
 
-def _build_evo_hlzero(raw):
-    ps = _Params(
-        FamilyId.EVO_HLZERO, raw,
-        numeric={"eta": (0.5, 2.0), "lambda": (0.5, 1.5)},
-        other=("f11", "f12", "sign"),
-    )
-    s = _sign_of(raw)
-
-    f11 = simplify(parse(str(raw.get("f11", "exp(z0)"))))
-    f12 = simplify(parse(str(raw.get("f12", "exp(z0)*z1"))))
+def _build_evo_hlzero(ps):
+    s = ps.sign
+    f11 = simplify(parse(str(ps.raw.get("f11", "exp(z0)"))))
+    f12 = simplify(parse(str(ps.raw.get("f12", "exp(z0)*z1"))))
     _jets_within(f11, {(0, 0)}, "f11")
     _jets_within(f12, {(0, 0), (1, 0)}, "f12")
     f11_z0 = partial(f11, Z0)
@@ -309,13 +315,10 @@ def _build_evo_hlzero(raw):
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"),
                    "f11_z0 != 0": simplify(f11_z0 * f11_z0)}
-    spec = _spec(FamilyId.EVO_HLZERO, ps, "evolution", F, rows, constraints,
-                 extra_params={"sign": s, "f11": to_text(f11), "f12": to_text(f12)})
+    spec = _spec(ps, "evolution", F, rows, constraints,
+                 {"f11": to_text(f11), "f12": to_text(f12)})
     validate_evolution_constraints(spec)
     return spec
-
-
-_FKINDS = ("sin", "cos", "sinh", "cosh")
 
 
 def _fun(name, arg):
@@ -324,21 +327,23 @@ def _fun(name, arg):
     return simplify(nodes.Fun(name, arg))
 
 
-def _build_hyp_i(raw, qa: bool):
-    family = FamilyId.HYP_I_QA if qa else FamilyId.HYP_I_GENERAL
-    numeric = {"eta": (0.5, 2.0), "A": (1.3, 2.0), "Q": (-0.8, 0.8)}
-    if not qa:
-        numeric["B"] = (0.2, 0.9)
-    ps = _Params(family, raw, numeric=numeric, other=("fkind",))
+def _build_hyp_i(ps):
+    qa = ps.family is FamilyId.HYP_I_QA
+    # alpha > 0 takes the family's default ranges and fkinds; alpha < 0, the
+    # general family's other draw branch
+    trig = _FAMILIES[ps.family].pools["fkind"]
+    neg = _FAMILIES[FamilyId.HYP_I_GENERAL].branches["alpha < 0"][1]
+    hyperbolic = neg["fkind"]
 
     A = Param("A")
     B = Param("B") if not qa else Const(0)
     eta = Param("eta")
     Q = Param("Q")
 
-    fkind = raw.get("fkind")
-    if fkind is not None and fkind not in _FKINDS:
-        raise ConstraintError("fkind", f"must be one of {', '.join(_FKINDS)}")
+    fkind = ps.raw.get("fkind")
+    if fkind is not None and fkind not in trig + hyperbolic:
+        raise ConstraintError(
+            "fkind", f"must be one of {', '.join(trig + hyperbolic)}")
     a_v, b_v = ps.pinned.get("A"), (0.0 if qa else ps.pinned.get("B"))
     if qa:
         alpha_sign = 1
@@ -348,12 +353,11 @@ def _build_hyp_i(raw, qa: bool):
         alpha_sign = 1 if a_v ** 2 > b_v ** 2 else -1
     else:
         # symbolic A, B: ranges must commit to one sign of alpha
-        alpha_sign = -1 if fkind in ("sinh", "cosh") else 1
+        alpha_sign = -1 if fkind in hyperbolic else 1
         if alpha_sign < 0:
-            ps.ranges["A"] = (0.2, 0.9)
-            ps.ranges["B"] = (1.3, 2.0)
+            ps.ranges["A"], ps.ranges["B"] = neg["A"], neg["B"]
     if fkind is None:
-        fkind = "sin" if alpha_sign > 0 else "sinh"
+        fkind = (trig if alpha_sign > 0 else hyperbolic)[0]
 
     if qa:
         alpha = simplify(1 / (A * A))
@@ -385,16 +389,15 @@ def _build_hyp_i(raw, qa: bool):
     if not qa:
         constraints["A^2 - B^2 != 0"] = scale_sq
     constraints[f"{to_text(wden)} != 0"] = simplify(wden * wden)
-    spec = _spec(family, ps, "hyperbolic", F, rows, constraints,
-                 extra_params={"fkind": fkind})
+    spec = _spec(ps, "hyperbolic", F, rows, constraints, {"fkind": fkind})
     # checked after the constraints, so that A^2 = B^2 is named as such
-    if qa and fkind in ("sinh", "cosh"):
+    if qa and fkind in hyperbolic:
         raise ConstraintError(
             "alpha > 0", "alpha = 1/A^2 is positive; sinh/cosh need alpha < 0")
-    if alpha_sign > 0 and fkind in ("sinh", "cosh"):
+    if alpha_sign > 0 and fkind in hyperbolic:
         raise ConstraintError(
             "alpha < 0", f"A = {a_v}, B = {b_v} give alpha > 0; use sin/cos")
-    if alpha_sign < 0 and fkind in ("sin", "cos"):
+    if alpha_sign < 0 and fkind in trig:
         raise ConstraintError(
             "alpha > 0", f"A = {a_v}, B = {b_v} give alpha < 0; use sinh/cosh")
     spec.alpha = alpha_for_F
@@ -403,22 +406,8 @@ def _build_hyp_i(raw, qa: bool):
     return spec
 
 
-def _build_hyp_ii_gamma_ne1(raw):
-    ps = _Params(
-        FamilyId.HYP_II_GAMMA_NE1, raw,
-        numeric={
-            "eta": (0.5, 2.0),
-            "gamma": (1.3, 2.2),
-            "delta": (0.6, 1.4),
-            "nu": (0.5, 1.5),
-            "beta": (0.5, 1.5),
-            "B": (0.3, 1.0),
-            "A": None,
-        },
-        other=("sign",),
-    )
-    s = _sign_of(raw)
-
+def _build_hyp_ii_gamma_ne1(ps):
+    s = ps.sign
     eta = Param("eta")
     gamma = Param("gamma")
     delta = Param("delta")
@@ -448,8 +437,7 @@ def _build_hyp_ii_gamma_ne1(raw):
     if not a_pinned:
         constraints["A^2 = B^2 + (gamma - 1)/delta^2 > 0"] = simplify(
             B * B + (gamma - 1) / (delta * delta))
-    spec = _spec(FamilyId.HYP_II_GAMMA_NE1, ps, "hyperbolic", F, rows, constraints,
-                 extra_params={"sign": s})
+    spec = _spec(ps, "hyperbolic", F, rows, constraints)
     # after _spec, which has checked delta != 0
     if a_pinned:
         a_v, b_v = ps.pinned.get("A"), ps.pinned.get("B")
@@ -466,19 +454,8 @@ def _build_hyp_ii_gamma_ne1(raw):
     return spec
 
 
-def _build_hyp_ii_gamma1(raw):
-    ps = _Params(
-        FamilyId.HYP_II_GAMMA1, raw,
-        numeric={
-            "eta": (0.5, 2.0),
-            "delta": (0.6, 1.4),
-            "nu": (0.5, 1.5),
-            "A": (0.8, 1.6),
-        },
-        other=("sign",),
-    )
-    s = _sign_of(raw)
-
+def _build_hyp_ii_gamma1(ps):
+    s = ps.sign
     eta = Param("eta")
     delta = Param("delta")
     nu = Param("nu")
@@ -500,34 +477,19 @@ def _build_hyp_ii_gamma1(raw):
     constraints = {"eta != 0": parse("eta^2"), "delta != 0": parse("delta^2"),
                    "nu != 0": parse("nu^2"), "A != 0": parse("A^2"),
                    "sign*z1 > 0": simplify(Const(s) * Z1)}
-    return _spec(FamilyId.HYP_II_GAMMA1, ps, "hyperbolic", F, rows, constraints,
-                 extra_params={"sign": s})
+    return _spec(ps, "hyperbolic", F, rows, constraints)
 
 
-def _build_hyp_iii_zero(raw):
-    ps = _Params(FamilyId.HYP_III_ZERO, raw, numeric={"eta": (0.5, 2.0)})
+def _build_hyp_iii_zero(ps):
     eta = Param("eta")
     ez = _fun("exp", Z0)
     F = Const(0)
     rows = ((Z1, Const(0)), (eta, ez), (eta, ez))
-    return _spec(FamilyId.HYP_III_ZERO, ps, "hyperbolic", F, rows,
-                 {"eta != 0": parse("eta^2")})
+    return _spec(ps, "hyperbolic", F, rows, {"eta != 0": parse("eta^2")})
 
 
-def _build_hyp_iii_lambda(raw):
-    ps = _Params(
-        FamilyId.HYP_III_LAMBDA, raw,
-        numeric={
-            "eta": (0.5, 2.0),
-            "lambda": (0.5, 1.5),
-            "xi": (-0.5, 0.5),
-            "tau": (-1.0, 1.0),
-            "T": (0.5, 1.5),
-        },
-        other=("sign",),
-    )
-    s = _sign_of(raw)
-
+def _build_hyp_iii_lambda(ps):
+    s = ps.sign
     eta = Param("eta")
     lam = Param("lambda")
     xi = Param("xi")
@@ -544,19 +506,10 @@ def _build_hyp_iii_lambda(raw):
     rows = ((f11, f12), (eta, f22), (f31, f32))
     constraints = {"eta != 0": parse("eta^2"), "lambda != 0": parse("lambda^2"),
                    "T != 0": parse("T^2")}
-    return _spec(FamilyId.HYP_III_LAMBDA, ps, "hyperbolic", F, rows, constraints,
-                 extra_params={"sign": s})
+    return _spec(ps, "hyperbolic", F, rows, constraints)
 
 
-def _build_hyp_iii_xi_tau(raw):
-    ps = _Params(
-        FamilyId.HYP_III_XI_TAU, raw,
-        numeric={
-            "eta": (0.5, 2.0),
-            "xi": (0.3, 0.7),
-            "tau": (3.5, 5.0),
-        },
-    )
+def _build_hyp_iii_xi_tau(ps):
     xi_v = ps.pinned.get("xi")
 
     eta = Param("eta")
@@ -578,21 +531,74 @@ def _build_hyp_iii_xi_tau(raw):
     F = simplify(xi * Z1 + tau)
     inv_eta = simplify(1 / eta)
     rows = ((g, inv_eta), (eta, Const(0)), (g, inv_eta))
-    return _spec(FamilyId.HYP_III_XI_TAU, ps, "hyperbolic", F, rows, constraints)
+    return _spec(ps, "hyperbolic", F, rows, constraints)
 
 
-_BUILDERS = {
-    FamilyId.SG_BASIC: _build_sg_basic,
-    FamilyId.SG_ETA: _build_sg_eta,
-    FamilyId.EVO_HLNONZERO: _build_evo_hlnonzero,
-    FamilyId.EVO_HLZERO: _build_evo_hlzero,
-    FamilyId.HYP_I_GENERAL: lambda raw: _build_hyp_i(raw, qa=False),
-    FamilyId.HYP_I_QA: lambda raw: _build_hyp_i(raw, qa=True),
-    FamilyId.HYP_II_GAMMA_NE1: _build_hyp_ii_gamma_ne1,
-    FamilyId.HYP_II_GAMMA1: _build_hyp_ii_gamma1,
-    FamilyId.HYP_III_ZERO: _build_hyp_iii_zero,
-    FamilyId.HYP_III_LAMBDA: _build_hyp_iii_lambda,
-    FamilyId.HYP_III_XI_TAU: _build_hyp_iii_xi_tau,
+class _Family(NamedTuple):
+    """One family's parameters, as plain data.
+
+    numeric maps each numeric parameter, in draw order, to its default
+    sampling range (None for a value the builder derives); text names the
+    parameters given as text.  pools and branches are draw choices only:
+    pools maps a text parameter to the values sample_params picks from,
+    and branches maps a branch name to (threshold, overrides), the first
+    branch whose threshold exceeds one uniform draw replacing ranges and
+    pools by its overrides (a number pins the parameter).
+    """
+
+    build: Callable
+    numeric: dict
+    signed: bool = False
+    text: tuple = ()
+    pools: dict = {}
+    branches: dict = {}
+
+
+_EVO_F11_POOL = ("z0", "exp(z0)", "2*z0 + 1", "z0 + z0^3/3")
+
+_FAMILIES = {
+    FamilyId.SG_BASIC: _Family(_build_sg_basic, {}),
+    FamilyId.SG_ETA: _Family(_build_sg_eta, {"eta": (0.5, 2.0)}),
+    FamilyId.EVO_HLNONZERO: _Family(
+        _build_evo_hlnonzero, {"eta": (0.5, 2.0), "alpha": (-0.7, 0.7)},
+        signed=True, text=("f11", "f22", "f31"),
+        pools={"f11": _EVO_F11_POOL, "f22": ("z0", "exp(z0)", "z0/2 + 2")}),
+    FamilyId.EVO_HLZERO: _Family(
+        _build_evo_hlzero, {"eta": (0.5, 2.0), "lambda": (0.5, 1.5)},
+        signed=True, text=("f11", "f12"),
+        pools={"f11": _EVO_F11_POOL,
+               "f12": ("exp(z0)*z1", "z0*z1 + 2*z1", "z1 + z1*exp(z0)")}),
+    FamilyId.HYP_I_GENERAL: _Family(
+        _build_hyp_i,
+        {"eta": (0.5, 2.0), "A": (1.3, 2.0), "B": (0.2, 0.9), "Q": (-0.8, 0.8)},
+        text=("fkind",), pools={"fkind": ("sin", "cos")},
+        branches={"alpha > 0": (0.5, {}),
+                  "alpha < 0": (1.0, {"A": (0.2, 0.9), "B": (1.3, 2.0),
+                                      "fkind": ("sinh", "cosh")})}),
+    FamilyId.HYP_I_QA: _Family(
+        _build_hyp_i, {"eta": (0.5, 2.0), "A": (0.8, 2.0), "Q": (-0.8, 0.8)},
+        text=("fkind",), pools={"fkind": ("sin", "cos")}),
+    FamilyId.HYP_II_GAMMA_NE1: _Family(
+        _build_hyp_ii_gamma_ne1,
+        {"eta": (0.5, 2.0), "gamma": (1.3, 2.2), "delta": (0.6, 1.4),
+         "nu": (0.5, 1.5), "beta": (0.5, 1.5), "B": (0.3, 1.0), "A": None},
+        signed=True),
+    FamilyId.HYP_II_GAMMA1: _Family(
+        _build_hyp_ii_gamma1,
+        {"eta": (0.5, 2.0), "delta": (0.6, 1.4), "nu": (0.5, 1.5),
+         "A": (0.8, 1.6)},
+        signed=True),
+    FamilyId.HYP_III_ZERO: _Family(_build_hyp_iii_zero, {"eta": (0.5, 2.0)}),
+    FamilyId.HYP_III_LAMBDA: _Family(
+        _build_hyp_iii_lambda,
+        {"eta": (0.5, 2.0), "lambda": (0.5, 1.5), "xi": (-0.5, 0.5),
+         "tau": (-1.0, 1.0), "T": (0.5, 1.5)},
+        signed=True),
+    FamilyId.HYP_III_XI_TAU: _Family(
+        _build_hyp_iii_xi_tau,
+        {"eta": (0.5, 2.0), "xi": (0.3, 0.7), "tau": (3.5, 5.0)},
+        branches={"xi = 0": (0.25, {"xi": 0.0, "tau": (0.5, 1.5)}),
+                  "xi != 0": (1.0, {})}),
 }
 
 
@@ -600,7 +606,7 @@ def build(family, params=None) -> FamilySpec:
     """Construct the coefficient table of one family, validating parameters."""
     if not isinstance(family, FamilyId):
         family = FamilyId.from_name(str(family))
-    return _BUILDERS[family](_normalize(params))
+    return _FAMILIES[family].build(_Params(family, _normalize(params)))
 
 
 def hlpm(f11: Expr, f31: Expr) -> HLPMQuantities:
@@ -672,66 +678,31 @@ def validate_evolution_constraints(spec: FamilySpec):
 
 # ------------------------------------------------------------ random draws
 
-_EVO_F11_POOL = ("z0", "exp(z0)", "2*z0 + 1", "z0 + z0^3/3")
-_EVO_F22_POOL = ("z0", "exp(z0)", "z0/2 + 2")
-_EVO_F12_POOL = ("exp(z0)*z1", "z0*z1 + 2*z1", "z1 + z1*exp(z0)")
-
-
 def sample_params(family, rng=None, seed=None) -> dict:
-    """One admissible random parameter draw for the family."""
+    """One random parameter draw for the family, from its _FAMILIES entry.
+
+    The draws come in a fixed order: the sign (for every family, so that
+    each family consumes the generator alike), the branch, the numeric
+    parameters in declared order, then the pool picks.
+    """
     if not isinstance(family, FamilyId):
         family = FamilyId.from_name(str(family))
     if rng is None:
         rng = np.random.default_rng(seed)
-
-    def u(lo, hi):
-        return float(rng.uniform(lo, hi))
-
+    entry = _FAMILIES[family]
     sign = 1 if rng.random() < 0.5 else -1
-    if family is FamilyId.SG_BASIC:
-        return {}
-    if family is FamilyId.SG_ETA:
-        return {"eta": u(0.5, 2.0)}
-    if family is FamilyId.EVO_HLNONZERO:
-        return {
-            "eta": u(0.5, 2.0),
-            "alpha": u(-0.7, 0.7),
-            "sign": sign,
-            "f11": str(rng.choice(_EVO_F11_POOL)),
-            "f22": str(rng.choice(_EVO_F22_POOL)),
-        }
-    if family is FamilyId.EVO_HLZERO:
-        return {
-            "eta": u(0.5, 2.0),
-            "lambda": u(0.5, 1.5),
-            "sign": sign,
-            "f11": str(rng.choice(_EVO_F11_POOL)),
-            "f12": str(rng.choice(_EVO_F12_POOL)),
-        }
-    if family is FamilyId.HYP_I_GENERAL:
-        if rng.random() < 0.5:
-            return {"eta": u(0.5, 2.0), "A": u(1.3, 2.0), "B": u(0.2, 0.9),
-                    "Q": u(-0.8, 0.8), "fkind": str(rng.choice(("sin", "cos")))}
-        return {"eta": u(0.5, 2.0), "A": u(0.2, 0.9), "B": u(1.3, 2.0),
-                "Q": u(-0.8, 0.8), "fkind": str(rng.choice(("sinh", "cosh")))}
-    if family is FamilyId.HYP_I_QA:
-        return {"eta": u(0.5, 2.0), "A": u(0.8, 2.0), "Q": u(-0.8, 0.8),
-                "fkind": str(rng.choice(("sin", "cos")))}
-    if family is FamilyId.HYP_II_GAMMA_NE1:
-        return {"eta": u(0.5, 2.0), "gamma": u(1.3, 2.2), "delta": u(0.6, 1.4),
-                "nu": u(0.5, 1.5), "beta": u(0.5, 1.5), "B": u(0.3, 1.0),
-                "sign": sign}
-    if family is FamilyId.HYP_II_GAMMA1:
-        return {"eta": u(0.5, 2.0), "delta": u(0.6, 1.4), "nu": u(0.5, 1.5),
-                "A": u(0.8, 1.6), "sign": sign}
-    if family is FamilyId.HYP_III_ZERO:
-        return {"eta": u(0.5, 2.0)}
-    if family is FamilyId.HYP_III_LAMBDA:
-        return {"eta": u(0.5, 2.0), "lambda": u(0.5, 1.5), "xi": u(-0.5, 0.5),
-                "tau": u(-1.0, 1.0), "T": u(0.5, 1.5), "sign": sign}
-    if family is FamilyId.HYP_III_XI_TAU:
-        if rng.random() < 0.25:
-            return {"eta": u(0.5, 2.0), "xi": 0.0, "tau": u(0.5, 1.5)}
-        return {"eta": u(0.5, 2.0), "xi": u(0.3, 0.7), "tau": u(3.5, 5.0)}
-    raise ValueError(family)
-
+    choices = {**entry.numeric, **entry.pools}
+    if entry.branches:
+        r = rng.random()
+        choices.update(next(over for threshold, over in entry.branches.values()
+                            if r < threshold))
+    out = {}
+    for name in entry.numeric:
+        c = choices[name]
+        if c is not None:
+            out[name] = float(rng.uniform(*c)) if isinstance(c, tuple) else c
+    if entry.signed:
+        out["sign"] = sign
+    for name in entry.pools:
+        out[name] = str(rng.choice(choices[name]))
+    return out

@@ -170,6 +170,17 @@ def _vanishes(v):
     return v.status in ("proven", "numeric")
 
 
+def _certified(tr, branch, e, note, v=None):
+    """The trace step recording e as certified nonzero, where "{}" in note
+    stands for the certificate.  v is e's verdict when already taken; an e
+    that vanishes takes the table outside the classified cases."""
+    v = tr.check_zero(e) if v is None else v
+    if _vanishes(v):
+        raise ValueError("table shape outside the classified cases")
+    return TraceStep(branch, e, note.format(
+        f"certified nonzero (max rel {v.max_rel:.2e})"))
+
+
 def _is_const(e):
     return not jets_of(e) and {"x", "t"}.isdisjoint(free_names(e))
 
@@ -275,10 +286,9 @@ def _hyperbolic_analysis(tr, strip_consts):
                 "consistency relation holds but the pinned candidate"
                 " fails the compatibility pair"))
         else:
-            steps.append(TraceStep(
-                "zero-jet", rf,
-                "consistency relation for the jet-dependent branch;"
-                f" certified nonzero (max rel {v_rf.max_rel:.2e})"))
+            steps.append(_certified(
+                tr, "zero-jet", rf,
+                "consistency relation for the jet-dependent branch; {}", v_rf))
 
     # Branch B: the factor is nonzero, so a, b, c are independent of the jets
     # and the pair reduces to a system in x and t alone.  The reduction needs
@@ -339,11 +349,8 @@ def _exponential_shape(tr, steps, ratio):
     v32 = tr.check_zero(f32)
     if _vanishes(v32):
         # with f32 = 0 the reduced relation reads d23 = 0
-        v23 = tr.check_zero(d23)
-        steps.append(TraceStep(
-            "universal", d23,
-            "forced to vanish when f32 = 0; certified nonzero"
-            f" (max rel {v23.max_rel:.2e})"))
+        steps.append(_certified(
+            tr, "universal", d23, "forced to vanish when f32 = 0; {}"))
         return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
     a_cand = simplify(-2 * d23 * f22 / (d12 * f32))
@@ -361,38 +368,29 @@ def _exponential_shape(tr, steps, ratio):
             "universal", simplify(partial(a_cand, Z0)),
             "pinned a is constant, so D_t a = 0 and the pair degenerates"
             " to a linear system in (d13, d23)"))
-        m = simplify(d13 * d13 + d23 * d23)
-        v_m = tr.check_zero(m)
-        steps.append(TraceStep(
-            "universal", m,
-            f"certified nonzero (max rel {v_m.max_rel:.2e}); the system"
-            " forces b = 0 and a = c"))
-        g = simplify(a_cand * a_cand + Const(1))
-        v_g = tr.check_zero(g)
-        steps.append(TraceStep(
-            "universal", g,
+        steps.append(_certified(
+            tr, "universal", simplify(d13 * d13 + d23 * d23),
+            "{}; the system forces b = 0 and a = c"))
+        steps.append(_certified(
+            tr, "universal", simplify(a_cand * a_cand + Const(1)),
             "coefficients independent of the jets: Gauss after b = 0 and"
-            f" a = c; certified nonzero (max rel {v_g.max_rel:.2e})"))
+            " a = c; {}"))
         return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
     # jet-dependent pinned a: eliminating D_t a leaves one relation on the
     # table, which clearing denominators turns into a polynomial in z1
     rel = simplify(F * (partial(d23, Z1) * d12 - partial(d12, Z1) * d23)
                    + f22 * (d13 * d13 + d23 * d23))
-    v_rel = tr.check_zero(rel)
-    steps.append(TraceStep(
-        "universal", rel,
-        "relation forced by D_t a of the pinned coefficient; certified"
-        f" nonzero (max rel {v_rel.max_rel:.2e})"))
+    steps.append(_certified(
+        tr, "universal", rel,
+        "relation forced by D_t a of the pinned coefficient; {}"))
 
     poly = _cleared_polynomial(tr, ratio)
     if poly is not None:
-        v_poly = tr.check_zero(poly)
-        steps.append(TraceStep(
-            "universal", poly,
+        steps.append(_certified(
+            tr, "universal", poly,
             "same relation after clearing the exponential factor and"
-            f" denominators; certified nonzero (max rel {v_poly.max_rel:.2e}),"
-            " so no admissible parameters satisfy it"))
+            " denominators; {}, so no admissible parameters satisfy it"))
     return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))
 
 
@@ -420,14 +418,9 @@ def _evolution_analysis(tr, strip_consts):
 
     # Branch A: vanishing factor pins b and c by a; the z2 coefficient of the
     # pair then forces f11_z0 * F_z2 = 0, against the table constraints.
-    blocker = simplify(partial(f11, Z0) * partial(F, Z2))
-    v_b = tr.check_zero(blocker)
-    if _vanishes(v_b):
-        raise ValueError("table shape outside the classified cases")
-    steps.append(TraceStep(
-        "zero-jet", blocker,
-        "finite-jet branch needs this product to vanish; certified nonzero"
-        f" (max rel {v_b.max_rel:.2e})"))
+    steps.append(_certified(
+        tr, "zero-jet", simplify(partial(f11, Z0) * partial(F, Z2)),
+        "finite-jet branch needs this product to vanish; {}"))
 
     # Branch B: jet-free coefficients.
     q = hlpm(f11, tr.f(3, 1))
@@ -447,14 +440,11 @@ def _evolution_analysis(tr, strip_consts):
                 return verdict
         raise ValueError("table shape outside the classified cases")
 
-    f11_z0 = partial(f11, Z0)
-    v_f = tr.check_zero(f11_z0)
-    steps.append(TraceStep(
-        "universal", q.L,
-        "pairing of the frame columns; certified nonzero"
-        f" (max rel {v_l.max_rel:.2e}), so the jet-free system is rigid"))
-    steps.append(TraceStep(
-        "universal", f11_z0,
-        "f11_z0 is forced to vanish by the rigid system; certified nonzero"
-        f" (max rel {v_f.max_rel:.2e})"))
+    steps.append(_certified(
+        tr, "universal", q.L,
+        "pairing of the frame columns; {}, so the jet-free system is rigid",
+        v_l))
+    steps.append(_certified(
+        tr, "universal", partial(f11, Z0),
+        "f11_z0 is forced to vanish by the rigid system; {}"))
     return ObstructionVerdict(Outcome.INCONSISTENT, tuple(steps))

@@ -1,9 +1,12 @@
+import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pssurf.catalog import (
+    _FAMILIES,
     ConstraintError,
     FamilyId,
     build,
@@ -11,9 +14,11 @@ from pssurf.catalog import (
     sample_params,
     validate_evolution_constraints,
 )
-from pssurf.cli import main
+from pssurf.cli import _FAMILY_PARAMS, OPTIONS, main
 from pssurf.expr import is_zero, parse, partial, simplify, to_text, z
 from pssurf.forms import verify_family
+
+GOLDEN_DRAWS = Path(__file__).with_name("golden_draws.json")
 
 
 def test_family_id_names():
@@ -184,7 +189,34 @@ def test_parameter_aliases():
     assert spec.params["xi"] == 0.25
 
 
-def test_sample_params_deterministic():
-    for family in FamilyId:
-        assert sample_params(family, seed=42) == sample_params(family, seed=42)
+@pytest.mark.parametrize("alias,name,value", [
+    ("zeta", "xi", 0.3), ("lam", "lambda", 1.2), ("s", "sign", -1),
+])
+def test_alias_collision_names_both_keys(alias, name, value):
+    params = {"eta": 1.0, "lambda": 1.0, "T": 1.0, "tau": 0.0, "xi": 0.1}
+    params.pop(name, None)
+    params.update({name: value, alias: value})
+    with pytest.raises(ConstraintError, match="given twice") as info:
+        build("hyp-iii-lambda", params)
+    assert repr(alias) in str(info.value) and repr(name) in str(info.value)
+
+
+def test_sample_params_draw_stream_is_frozen():
+    # classify-catalog's inputs are ten batches of every family from one
+    # generator; an edit of the family table must not move them unnoticed
+    want = json.loads(GOLDEN_DRAWS.read_text())
+    rng = np.random.default_rng([7, 0])
+    got = [[f.value, sample_params(f, rng=rng)] for _ in range(10)
+           for f in FamilyId]
+    assert [(f, list(p.items())) for f, p in got] == \
+        [(f, list(p.items())) for f, p in want]
+    assert sample_params("hyp-i", seed=42) == sample_params("hyp-i", seed=42)
+
+
+def test_cli_flags_cover_the_family_parameters():
+    # cli keeps its own list of family flags; it must stay in step with the
+    # table, without flags for the input-only aliases lam and s
+    declared = {name for entry in _FAMILIES.values() for name in entry.numeric}
+    assert declared | {"sign"} <= OPTIONS.keys()
+    assert set(_FAMILY_PARAMS) - {"zeta"} <= declared | {"sign"}
 

@@ -132,6 +132,15 @@ def test_verify_accepts_every_family_spelling(capsys, name):
     assert out.startswith("family: sg-basic\n")
 
 
+def test_alias_collision_exits_2(capsys):
+    code, err = run_failing(capsys, "obstruct", "--family", "hyp-iii-lambda",
+                            "--zeta", "0.3", "--xi", "0.1")
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("constraint violation: parameter given twice")
+    assert "'xi'" in err and "'zeta'" in err
+
+
 def test_verify_zero_eta_rejected(capsys):
     code, err = run_failing(capsys, "verify", "--family", "sg-eta",
                             "--eta", "0")

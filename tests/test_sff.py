@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from pssurf.catalog import ConstraintError, build
-from pssurf.expr import (Const, is_zero, jets_of, parse, partial, simplify,
-                         to_text, z)
+from pssurf.expr import (Const, ZeroVerdict, is_zero, jets_of, parse, partial,
+                         simplify, to_text, z)
 from pssurf.sff import (
     DomainStrip,
     NoImmersion,
@@ -288,6 +288,33 @@ def test_rigid_evolution_trace_ends_at_forced_z0_derivative():
     f11 = spec.triple.f(1, 1)
     want = simplify(partial(f11, z(0)))
     assert to_text(v.trace[-1].constraint) == to_text(want)
+
+
+@pytest.mark.parametrize("fam,params,note", [
+    ("evo-hlnonzero", {"f11": "exp(z0)"}, "f11_z0 is forced to vanish"),
+    ("hyp-ii", {}, "relation forced by D_t a"),
+    ("hyp-ii", {}, "same relation after clearing"),
+    ("hyp-iii-zero", {}, "the system forces b = 0"),
+    ("hyp-iii-zero", {}, "Gauss after b = 0"),
+])
+def test_certified_nonzero_steps_are_checked(fam, params, note, monkeypatch):
+    # a trace step that claims "certified nonzero" for a value that vanishes
+    # leaves the classified cases, and must not end in a verdict
+    step = next(s for s in finite_jet_obstruction(build(fam, params)).trace
+                if note in s.note)
+    assert "certified nonzero" in step.note
+    target = simplify(step.constraint)
+    spec = build(fam, params)
+    real = spec.triple.check_zero
+
+    def check_zero(e, **kw):
+        if simplify(e) is target:
+            return ZeroVerdict("proven", 0.0, None, 0)
+        return real(e, **kw)
+
+    monkeypatch.setattr(spec.triple, "check_zero", check_zero)
+    with pytest.raises(ValueError, match="outside the classified cases"):
+        finite_jet_obstruction(spec)
 
 
 def test_verdict_lines_render():
