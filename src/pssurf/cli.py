@@ -231,7 +231,9 @@ def cmd_obstruct(cfg) -> int:
     return 0
 
 
-def _load_solution_grid(cfg):
+def _load_solution_grid(cfg, params):
+    """The grid --solution names; params are the built family's, under
+    their canonical names (an alias such as --zeta is mapped there)."""
     src = cfg.solution or ""
     stored = src.endswith(".csv") or src.endswith(".bin")
     if not (stored or cfg.grid):
@@ -253,9 +255,9 @@ def _load_solution_grid(cfg):
     if src == "kink":
         sol = sg_kink(1.0 if cfg.a is None else cfg.a)
     else:
-        sol = linear_solution(cfg.params.get("lambda", 0.0),
-                              cfg.params.get("xi", 0.0),
-                              cfg.params.get("tau", 0.0),
+        sol = linear_solution(params.get("lambda", 0.0),
+                              params.get("xi", 0.0),
+                              params.get("tau", 0.0),
                               p=1.0 if cfg.p is None else cfg.p,
                               C=1.0 if cfg.C is None else cfg.C)
     return SolutionGrid.from_solution(sol, x0, t0, hx, ht, nx, nt)
@@ -269,7 +271,7 @@ def cmd_immerse(cfg) -> int:
         sff = closed_form(spec, imm_params)
     except NoImmersion as exc:
         raise ConstraintError("immersion", f"no closed-form immersion: {exc}")
-    grid = _load_solution_grid(cfg)
+    grid = _load_solution_grid(cfg, spec.params)
     field_ = integrate_frame(spec.triple, sff, grid, eps_deg=cfg.eps_deg)
     lines = [f"family: {spec.id.value}", _param_header(cfg),
              f"grid: {grid.nx} x {grid.nt} nodes, hx={grid.hx:g} ht={grid.ht:g}"]

@@ -5,11 +5,14 @@ closed forms in x and t, together with the equation they are declared to
 solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
 from data on the characteristics x = x0 and t = t0, one anti-diagonal of
 cells at a time.  A SolutionGrid holds u and its derivatives on grid
-nodes, stored as CSV or binary; text rows are written in blocks.
+nodes, stored as CSV or binary; text rows are written in blocks, and
+both halves of the CSV rows are written and read at once by two processes.
 """
 
 from __future__ import annotations
 
+import io
+import itertools
 import math
 import os
 import warnings
@@ -213,30 +216,74 @@ class SolutionGrid:
                 f"nx={self.nx} nt={self.nt}")
 
     def to_csv(self, path):
+        """Write the header line, the field names, then one row of %.17g
+        values per node, x index major.
+
+        Two processes share the rows: a forked child formats rows n//2:
+        into one string while this process writes rows :n//2, then the
+        child's text is copied into the file.  The bytes are those of one
+        serial pass; if the child fails, this process writes its half.
+        %-formatting holds the GIL, so a second thread gains nothing; the
+        second process took a third off march-stored's CSV time on two
+        cores (BENCH_22.json).  OBJ export in pssurf.frame stays in one
+        process: its writes are too small to pay for the fork.
+        """
         names = list(self.values)
+        row_format = ",".join(["%.17g"] * len(names)) + "\n"
+        columns = [self.values[n].reshape(-1) for n in names]
+        half = len(columns[0]) // 2
+        second = [c[half:] for c in columns]
         with open(path, "w") as fh:
             fh.write(self._header() + "\n")
             fh.write(",".join(names) + "\n")
-            _write_rows(fh, ",".join(["%.17g"] * len(names)) + "\n",
-                        [self.values[n].reshape(-1) for n in names])
+            with _SecondHalf(lambda: _rows_text(row_format, second)) as child:
+                _write_rows(fh, row_format, [c[:half] for c in columns])
+                fh.flush()
+                copied = 0
+                while chunk := child.pipe.read(_CHUNK):
+                    copied += fh.buffer.write(chunk)
+                if not child.done():
+                    if copied:
+                        fh.buffer.seek(-copied, os.SEEK_CUR)
+                        fh.buffer.truncate()
+                    _write_rows(fh, row_format, second)
 
     @classmethod
     def from_csv(cls, path):
+        """Read what to_csv wrote.
+
+        Two processes share the rows: the data bytes are cut at the first
+        line start after their midpoint, and a forked child parses the
+        second part into shared memory while this process parses the
+        first.  Where the parts could read otherwise than one pass (a byte
+        outside ASCII, or a CR) or do not add up (the child failed, or a
+        part does not parse or has the wrong shape), the file is parsed
+        again in one pass, which raises the error it gives.  np.loadtxt
+        holds the GIL, so the second part needs a process, not a thread.
+        """
+        try:
+            grid = _read_csv_split(cls, path)
+        except (OSError, ValueError, OverflowError):
+            grid = None
+        return grid if grid is not None else cls._read_csv_serial(path)
+
+    @classmethod
+    def _read_csv_serial(cls, path):
         with open(path) as fh:
             grid = cls(**_parse_header(fh.readline()))
             names = _field_names(fh.readline().strip())
-            with warnings.catch_warnings():
-                # no data rows is reported below, as a shape mismatch
-                warnings.simplefilter("ignore", UserWarning)
-                flat = np.loadtxt(fh, delimiter=",", ndmin=2)
+            flat = _loadtxt(fh)
         if flat.shape != (grid.nx * grid.nt, len(names)):
             raise ValueError(
                 f"CSV grid data does not match the header: {flat.shape[0]} "
                 f"rows of {flat.shape[1]} values, expected {grid.nx * grid.nt}"
                 f" rows of {len(names)}")
-        for k, name in enumerate(names):
-            grid.values[name] = flat[:, k].reshape(grid.nx, grid.nt)
+        grid._set_columns(names, flat)
         return grid
+
+    def _set_columns(self, names, flat):
+        for k, name in enumerate(names):
+            self.values[name] = flat[:, k].reshape(self.nx, self.nt)
 
     def to_binary(self, path):
         """Header line in ASCII, then the named grids as little-endian float64."""
@@ -301,6 +348,7 @@ def _field_names(text):
 
 
 _BLOCK = 1024  # rows per formatting call
+_CHUNK = 1 << 20  # bytes per pipe copy and per pread of a CSV part
 
 
 def _write_rows(fh, row_format, columns):
@@ -310,6 +358,138 @@ def _write_rows(fh, row_format, columns):
     for k in range(0, len(columns[0]), _BLOCK):
         block = np.column_stack([c[k:k + _BLOCK] for c in columns])
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
+
+
+def _rows_text(row_format, columns):
+    """What _write_rows writes, as one ASCII byte string."""
+    out = io.StringIO()
+    _write_rows(out, row_format, columns)
+    return out.getvalue().encode("ascii")
+
+
+def _loadtxt(lines):
+    with warnings.catch_warnings():
+        # no data rows is reported by the caller, as a shape mismatch
+        warnings.simplefilter("ignore", UserWarning)
+        return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _ascii(data):
+    """data as text, where a text-mode read would see the same lines: ASCII
+    with no CR, which universal newlines would make a line end."""
+    if b"\r" in data:
+        raise ValueError("CSV text outside what a split read takes")
+    return data.decode("ascii")
+
+
+def _table(lines, width):
+    """The rows of the CSV lines as a float64 array of width columns (or
+    none, when there are no rows)."""
+    table = _loadtxt(lines)
+    if len(table) and table.shape[1] != width:
+        raise ValueError("CSV rows of the wrong width")
+    return table
+
+
+def _lines(fd, offset, size):
+    """The lines in size bytes of file descriptor fd from offset on, read
+    by os.pread _CHUNK bytes at a time, so two processes can share fd."""
+    def pieces(offset, end):
+        tail = b""
+        while offset < end:
+            data = os.pread(fd, min(end - offset, _CHUNK), offset)
+            if not data:
+                raise ValueError("CSV file shrank while read")
+            offset += len(data)
+            data = tail + data
+            cut = data.rfind(b"\n") + 1 if offset < end else len(data)
+            tail = data[cut:]
+            yield _ascii(data[:cut])
+    return itertools.chain.from_iterable(
+        map(io.StringIO, pieces(offset, offset + size)))
+
+
+def _read_csv_split(cls, path):
+    """from_csv's grid, parsed by two processes, or None (or a raised
+    error) where the parts are not known to give what one pass gives."""
+    import mmap  # here, so importing pssurf does not load it
+
+    with open(path, "rb") as fh:
+        grid = cls(**_parse_header(_ascii(fh.readline())))
+        names = _field_names(_ascii(fh.readline()).strip())
+        rows, width = grid.nx * grid.nt, len(names)
+        start, end = fh.tell(), os.fstat(fh.fileno()).st_size
+        if 2 * rows * width - 1 > end - start:
+            return None  # too few bytes for the values the header promises
+        fh.seek((start + end) // 2)
+        fh.readline()
+        split = fh.tell()
+        fd = fh.fileno()
+        # shared with the child, which fills the last rows
+        flat = np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(
+            rows, width)
+
+        def second():
+            theirs = _table(_lines(fd, split, end - split), width)
+            if len(theirs) > rows:
+                raise ValueError("more CSV rows than the header's")
+            flat[rows - len(theirs):] = theirs
+            return b"%d" % len(theirs)
+
+        with _SecondHalf(second) as child:
+            mine = _table(_lines(fd, start, split - start), width)
+            count = child.pipe.read()
+            if not child.done() or len(mine) + int(count) != rows:
+                return None
+        flat[:len(mine)] = mine
+    grid._set_columns(names, flat)
+    return grid
+
+
+class _SecondHalf:
+    """One forked child that does the second half of a job while this
+    process does the first.
+
+    The child runs work(), sends the bytes it returns through a pipe and
+    ends with os._exit, so it never returns into the caller's frames nor
+    runs its exit handlers.  In a with block the parent does its half,
+    reads `pipe` to its end, then calls done().  Leaving the block closes
+    the pipe first, so a child blocked on a full pipe gets EPIPE and exits,
+    then reaps the child.  If the fork fails, the pipe is empty and done()
+    is False, as for a failed child, and the caller does the half itself.
+    """
+
+    def __init__(self, work):
+        read, write = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            self.pid = None
+        if self.pid == 0:
+            code = 1
+            try:
+                os.close(read)
+                with open(write, "wb") as out:
+                    out.write(work())
+                code = 0
+            finally:
+                os._exit(code)
+        os.close(write)
+        self.pipe = open(read, "rb")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.done()
+
+    def done(self):
+        """Close the pipe and reap the child; True if it exited with 0."""
+        self.pipe.close()
+        if self.pid is None:
+            return False
+        pid, self.pid = self.pid, None
+        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 # ------------------------------------------------------------ Goursat solver

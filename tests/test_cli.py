@@ -498,6 +498,24 @@ def test_immerse_rejects_malformed_stored_grid(capsys, tmp_path, kind,
     assert captured.out == ""
 
 
+@pytest.mark.parametrize("row", ["1,2,3,4,5,x", "1,2,3,4,5"])
+def test_immerse_rejects_a_malformed_csv_row(capfd, tmp_path, row):
+    # the row lies in the part a forked child parses; whatever the child
+    # does, the error is the one-pass parser's, on one line, at fd level
+    src = _stored_kink(tmp_path, "csv")
+    lines = src.read_text().splitlines(keepends=True)
+    lines[-50] = row + "\n"
+    src.write_text("".join(lines))
+    with pytest.raises(ValueError) as serial:
+        SolutionGrid._read_csv_serial(src)
+    code = main(["immerse", "--family", "sg-basic", "--solution", str(src),
+                 "--out", str(tmp_path / "k.obj")])
+    captured = capfd.readouterr()
+    assert code == 2
+    assert captured.err == f"error: {serial.value}\n"
+    assert captured.out == ""
+
+
 # ------------------------------------------------------------ surface
 
 
@@ -803,6 +821,25 @@ def test_linear_solution_reads_p_and_c(capsys, tmp_path):
     assert report("--p", "1", "--C", "1") == default
     assert report("--p", "0.5") != default
     assert report("--C", "2") != default
+
+
+def test_linear_solution_reads_aliased_parameters(capsys, tmp_path):
+    # the grid solves the equation the form was built for, whichever name
+    # gave a parameter; only the echo of the parameters as given differs
+    def report(*flags):
+        code, out = run(capsys, "immerse", "--family", "hyp-iii-lambda",
+                        "--eta", "1", "--tau", "0.2", "--T", "1", *flags,
+                        "--solution", "linear", "--p", "1",
+                        "--grid=-0.1:0.1:-0.1:0.1:0.05",
+                        "--out", str(tmp_path / "l.obj"))
+        assert code in (0, 1)
+        return [line for line in out.splitlines()
+                if not line.startswith("parameters:")]
+    cfg = tmp_path / "lam.cfg"
+    cfg.write_text("[params]\nlam = 1\n")
+    expected = report("--lambda", "1", "--xi", "0.1")
+    assert report("--lambda", "1", "--zeta", "0.1") == expected
+    assert report("--config", str(cfg), "--xi", "0.1") == expected
 
 
 def test_missing_config_file(capsys):

@@ -8,6 +8,7 @@ doubling DAG has 2^40 paths but a few nodes per level; each pass must
 visit its nodes once, not once per path.
 """
 
+import gc
 import math
 import sys
 import time
@@ -62,8 +63,13 @@ def _mixed_value(p):
 def chain(request):
     assert sys.getrecursionlimit() < DEPTH
     if request.param == "sin":
-        return _sin_chain(), _sin_value
-    return _mixed_chain(), _mixed_value
+        built = _sin_chain(), _sin_value
+    else:
+        built = _mixed_chain(), _mixed_value
+    # the interned chain lives as long as the process; keep the module's
+    # later full collections from walking its 100,000 levels again
+    gc.freeze()
+    return built
 
 
 def test_deep_chain_simplifies_and_sorts(chain):

@@ -1,9 +1,13 @@
+import errno
 import io
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
 
+from pssurf import solutions
 from pssurf.catalog import ConstraintError, build
 from pssurf.expr import Const, parse
 from pssurf.solutions import (
@@ -433,3 +437,188 @@ def test_stored_grid_rejects_header_out_of_range(tmp_path, kind, field, bad):
     path.write_bytes(raw.replace(field, bad, 1))
     with pytest.raises(ValueError, match="grid header needs finite x0, t0"):
         _read(path)
+
+
+# ------------------------------------------------------------ split CSV
+
+
+@pytest.fixture
+def no_leaks():
+    """The test leaves no child process and no open file descriptor."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds
+
+
+def _random_grid(nx, nt):
+    rng = np.random.default_rng([nx, nt])
+    values = {n: rng.normal(size=(nx, nt)) * 10.0 ** rng.integers(-300, 300)
+              for n in ("u", "u_x", "u_t", "u_xx", "u_xt", "u_tt")}
+    for name, special in zip(values, (0.0, -0.0, np.inf, -np.inf, np.nan,
+                                      5e-324)):
+        values[name].flat[-1] = special
+    return SolutionGrid(x0=-1.0, t0=0.5, hx=0.1, ht=0.3, nx=nx, nt=nt,
+                        values=values)
+
+
+def _one_pass_text(g):
+    ref = io.StringIO()
+    ref.write(g._header() + "\n" + ",".join(g.values) + "\n")
+    flat = np.column_stack([a.reshape(-1) for a in g.values.values()])
+    np.savetxt(ref, flat, delimiter=",", fmt="%.17g")
+    return ref.getvalue()
+
+
+def _assert_same_grid(back, g):
+    head = ("x0", "t0", "hx", "ht", "nx", "nt")
+    assert [getattr(back, k) for k in head] == [getattr(g, k) for k in head]
+    assert list(back.values) == list(g.values)
+    for name, arr in g.values.items():
+        assert back[name].shape == arr.shape
+        assert back[name].tobytes() == arr.tobytes()
+
+
+def _one_pass_only(*args):
+    raise AssertionError("the one-pass reader ran")
+
+
+# 1, 2, 3 and 21 rows, and 4,545 rows: several _BLOCKs on each side
+@pytest.mark.parametrize("nx, nt", [(1, 1), (2, 1), (1, 3), (7, 3), (45, 101)])
+def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, no_leaks,
+                                        nx, nt):
+    g = _random_grid(nx, nt)
+    path = tmp_path / "grid.csv"
+    g.to_csv(path)
+    assert path.read_text() == _one_pass_text(g)
+    # a well-formed file is read by the split, not the one-pass fallback
+    monkeypatch.setattr(SolutionGrid, "_read_csv_serial", _one_pass_only)
+    _assert_same_grid(SolutionGrid.from_csv(path), g)
+
+
+def _corrupt_row(path, k, row):
+    lines = path.read_text().splitlines(keepends=True)
+    lines[k] = row + "\n"
+    path.write_text("".join(lines))
+
+
+@pytest.mark.parametrize("row, where", [
+    ("1,2,3,4,5,x", "at row {0}, column 6."),   # numpy counts from 0 here
+    ("1,2,3,4,5", "at row {1};"),               # and from 1 here
+])
+@pytest.mark.parametrize("k", [4445, 98])   # a data row in each half
+def test_csv_split_raises_the_one_pass_error(tmp_path, no_leaks, row, where,
+                                             k):
+    path = tmp_path / "grid.csv"
+    _random_grid(45, 101).to_csv(path)
+    _corrupt_row(path, k + 2, row)
+    with pytest.raises(ValueError) as serial:
+        SolutionGrid._read_csv_serial(path)
+    with pytest.raises(ValueError) as split:
+        SolutionGrid.from_csv(path)
+    assert str(split.value) == str(serial.value)
+    # rows are counted over the whole file, not from the split
+    assert where.format(k, k + 1) in str(serial.value)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda raw: raw.replace(b"\n", b"\r\n"),             # CRLF rows
+    lambda raw: raw[:-200] + raw[-200:].replace(b"\n", b"\r", 1),
+    lambda raw: raw.replace(b"nt=101", b"nt=101 note=\xc3\xa9", 1),
+])
+def test_csv_split_leaves_other_text_to_one_pass(tmp_path, no_leaks, edit):
+    # universal newlines and a non-ASCII header: the one-pass reader reads
+    # them, so from_csv gives what it gives
+    g = _random_grid(45, 101)
+    path = tmp_path / "grid.csv"
+    g.to_csv(path)
+    path.write_bytes(edit(path.read_bytes()))
+    _assert_same_grid(SolutionGrid.from_csv(path),
+                      SolutionGrid._read_csv_serial(path))
+
+
+def test_csv_split_does_not_hide_a_row_behind_a_cr(tmp_path, no_leaks):
+    # one pass ends the line at the CR, so the row after " #" is data; a
+    # part that kept the CR inside its line would read that row as comment
+    path = tmp_path / "grid.csv"
+    _random_grid(45, 101).to_csv(path)
+    raw = path.read_bytes()
+    cut = raw.index(b"\n", len(raw) - 200)
+    path.write_bytes(raw[:cut] + b" #\r1,2,3,4,5,6" + raw[cut:])
+    with pytest.raises(ValueError, match="4546 rows of 6 values, expected "
+                                         "4545 rows of 6"):
+        SolutionGrid.from_csv(path)
+
+
+def test_csv_split_checks_each_part_s_width(tmp_path, no_leaks):
+    # from the split on, every row is one value padded to its old length,
+    # so each part is a regular table but the two are not one table
+    path = tmp_path / "grid.csv"
+    _random_grid(45, 101).to_csv(path)
+    raw = path.read_bytes()
+    start = raw.index(b"\n", raw.index(b"\n") + 1) + 1
+    split = raw.index(b"\n", (start + len(raw)) // 2) + 1
+    tail = [b"1".ljust(len(line) - 1) + b"\n"
+            for line in raw[split:].splitlines(keepends=True)]
+    path.write_bytes(raw[:split] + b"".join(tail))
+    with pytest.raises(ValueError) as serial:
+        SolutionGrid._read_csv_serial(path)
+    with pytest.raises(ValueError) as split:
+        SolutionGrid.from_csv(path)
+    assert str(split.value) == str(serial.value)
+    assert "changed from 6 to 1" in str(serial.value)
+
+
+def _fail_in(fn, child, error):
+    """fn, raising error in the forked child (child=True) or the parent."""
+    parent = os.getpid()
+
+    def wrapped(*args):
+        if (os.getpid() != parent) == child:
+            raise error
+        return fn(*args)
+    return wrapped
+
+
+def test_csv_split_falls_back_when_the_child_fails(tmp_path, monkeypatch,
+                                                   no_leaks):
+    g = _random_grid(45, 101)
+    path = tmp_path / "grid.csv"
+    for name in ("_rows_text", "_table"):
+        monkeypatch.setattr(solutions, name, _fail_in(
+            getattr(solutions, name), True, MemoryError("child out of memory")))
+    g.to_csv(path)
+    assert path.read_text() == _one_pass_text(g)
+    _assert_same_grid(SolutionGrid.from_csv(path), g)
+
+
+def test_csv_split_falls_back_when_fork_fails(tmp_path, monkeypatch,
+                                              no_leaks):
+    def no_fork():
+        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+    monkeypatch.setattr(os, "fork", no_fork)
+    g = _random_grid(45, 101)
+    path = tmp_path / "grid.csv"
+    g.to_csv(path)
+    assert path.read_text() == _one_pass_text(g)
+    _assert_same_grid(SolutionGrid.from_csv(path), g)
+
+
+def test_csv_writer_child_stops_when_the_parent_fails(tmp_path, monkeypatch,
+                                                      no_leaks):
+    # the parent fails before it drains the pipe; closing it makes the
+    # child, blocked on the full pipe, exit, so the reaping wait returns
+    monkeypatch.setattr(solutions, "_write_rows", _fail_in(
+        solutions._write_rows, False, OSError(errno.ENOSPC, "disk full")))
+
+    def stuck(signum, frame):
+        raise TimeoutError("the writer's child was not reaped")
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(20)
+    try:
+        with pytest.raises(OSError, match="disk full"):
+            _random_grid(45, 101).to_csv(tmp_path / "grid.csv")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
