@@ -6,7 +6,8 @@ solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
 from data on the characteristics x = x0 and t = t0, one anti-diagonal of
 cells at a time.  A SolutionGrid holds u and its derivatives on grid
 nodes, stored as CSV or binary; text rows are written in blocks, and
-both halves of the CSV rows are written and read at once by two processes.
+the two halves of a large grid's CSV rows are written and read at once
+by two processes where a second CPU is there to run them.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import itertools
 import math
 import os
+import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -219,24 +221,29 @@ class SolutionGrid:
         """Write the header line, the field names, then one row of %.17g
         values per node, x index major.
 
-        Two processes share the rows: a forked child formats rows n//2:
-        into one string while this process writes rows :n//2, then the
-        child's text is copied into the file.  The bytes are those of one
-        serial pass; if the child fails, this process writes its half.
-        %-formatting holds the GIL, so a second thread gains nothing; the
-        second process took a third off march-stored's CSV time on two
-        cores (BENCH_22.json).  OBJ export in pssurf.frame stays in one
-        process: its writes are too small to pay for the fork.
+        On a grid of _SPLIT_ROWS rows or more, where this process may run
+        on a second CPU (see _two_processes), two processes share the
+        rows: a forked child formats rows n//2: while this process writes
+        rows :n//2, then the child's text is copied into the file.  The
+        bytes are those of one serial pass; if the child fails, this
+        process writes its half.  %-formatting holds the GIL, so a second
+        thread gains nothing; the second process took over a third off
+        march-stored's CSV time on two cores (BENCH_22.json).  Smaller
+        grids, and OBJ export in pssurf.frame, stay in one process: their
+        writes are too small to pay for the fork.
         """
         names = list(self.values)
         row_format = ",".join(["%.17g"] * len(names)) + "\n"
         columns = [self.values[n].reshape(-1) for n in names]
-        half = len(columns[0]) // 2
-        second = [c[half:] for c in columns]
         with open(path, "w") as fh:
             fh.write(self._header() + "\n")
             fh.write(",".join(names) + "\n")
-            with _SecondHalf(lambda: _rows_text(row_format, second)) as child:
+            if not _two_processes(len(columns[0])):
+                _write_rows(fh, row_format, columns)
+                return
+            half = len(columns[0]) // 2
+            second = [c[half:] for c in columns]
+            with _SecondHalf(lambda: _rows_bytes(row_format, second)) as child:
                 _write_rows(fh, row_format, [c[:half] for c in columns])
                 fh.flush()
                 copied = 0
@@ -252,10 +259,12 @@ class SolutionGrid:
     def from_csv(cls, path):
         """Read what to_csv wrote.
 
-        Two processes share the rows: the data bytes are cut at the first
-        line start after their midpoint, and a forked child parses the
-        second part into shared memory while this process parses the
-        first.  Where the parts could read otherwise than one pass (a byte
+        Where to_csv would split the header's rows (_two_processes), two
+        processes share them: the data bytes are cut at the first line
+        start after their midpoint, and a forked child parses the second
+        part and sends its float64 rows through a pipe, straight into this
+        process's result array, while this process parses the first.
+        Where the parts could read otherwise than one pass (a byte
         outside ASCII, or a CR) or do not add up (the child failed, or a
         part does not parse or has the wrong shape), the file is parsed
         again in one pass, which raises the error it gives.  np.loadtxt
@@ -348,7 +357,10 @@ def _field_names(text):
 
 
 _BLOCK = 1024  # rows per formatting call
-_CHUNK = 1 << 20  # bytes per pipe copy and per pread of a CSV part
+_CHUNK = 1 << 18  # bytes per pipe copy and per pread of a CSV part
+# fewest CSV rows that two processes share: below it the fork costs more
+# than the second CPU saves (measured in BENCH_22.json)
+_SPLIT_ROWS = 50_000
 
 
 def _write_rows(fh, row_format, columns):
@@ -360,11 +372,12 @@ def _write_rows(fh, row_format, columns):
         fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
 
 
-def _rows_text(row_format, columns):
-    """What _write_rows writes, as one ASCII byte string."""
-    out = io.StringIO()
+def _rows_bytes(row_format, columns):
+    """What _write_rows writes, as ASCII bytes: each block is encoded as it
+    is written, so the text is held once."""
+    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
     _write_rows(out, row_format, columns)
-    return out.getvalue().encode("ascii")
+    return out.detach().getbuffer()
 
 
 def _loadtxt(lines):
@@ -391,33 +404,32 @@ def _table(lines, width):
     return table
 
 
-def _lines(fd, offset, size):
-    """The lines in size bytes of file descriptor fd from offset on, read
-    by os.pread _CHUNK bytes at a time, so two processes can share fd."""
-    def pieces(offset, end):
-        tail = b""
-        while offset < end:
-            data = os.pread(fd, min(end - offset, _CHUNK), offset)
-            if not data:
-                raise ValueError("CSV file shrank while read")
-            offset += len(data)
-            data = tail + data
-            cut = data.rfind(b"\n") + 1 if offset < end else len(data)
-            tail = data[cut:]
-            yield _ascii(data[:cut])
-    return itertools.chain.from_iterable(
-        map(io.StringIO, pieces(offset, offset + size)))
+def _pieces(fd, offset, size):
+    """The text in size bytes of file descriptor fd from offset on, as
+    pieces of whole lines read by os.pread _CHUNK bytes at a time, so two
+    processes can share fd."""
+    end, tail = offset + size, b""
+    while offset < end:
+        data = os.pread(fd, min(end - offset, _CHUNK), offset)
+        if not data:
+            raise ValueError("CSV file shrank while read")
+        offset += len(data)
+        data = tail + data
+        cut = data.rfind(b"\n") + 1 if offset < end else len(data)
+        tail = data[cut:]
+        yield _ascii(data[:cut])
 
 
 def _read_csv_split(cls, path):
     """from_csv's grid, parsed by two processes, or None (or a raised
-    error) where the parts are not known to give what one pass gives."""
-    import mmap  # here, so importing pssurf does not load it
-
+    error) where they should not share it or the parts are not known to
+    give what one pass gives."""
     with open(path, "rb") as fh:
         grid = cls(**_parse_header(_ascii(fh.readline())))
         names = _field_names(_ascii(fh.readline()).strip())
         rows, width = grid.nx * grid.nt, len(names)
+        if not _two_processes(rows):
+            return None
         start, end = fh.tell(), os.fstat(fh.fileno()).st_size
         if 2 * rows * width - 1 > end - start:
             return None  # too few bytes for the values the header promises
@@ -425,45 +437,69 @@ def _read_csv_split(cls, path):
         fh.readline()
         split = fh.tell()
         fd = fh.fileno()
-        # shared with the child, which fills the last rows
-        flat = np.frombuffer(mmap.mmap(-1, 8 * rows * width)).reshape(
-            rows, width)
 
         def second():
-            theirs = _table(_lines(fd, split, end - split), width)
-            if len(theirs) > rows:
-                raise ValueError("more CSV rows than the header's")
-            flat[rows - len(theirs):] = theirs
-            return b"%d" % len(theirs)
+            return _table(itertools.chain.from_iterable(
+                map(io.StringIO, _pieces(fd, split, end - split))), width)
 
         with _SecondHalf(second) as child:
-            mine = _table(_lines(fd, start, split - start), width)
-            count = child.pipe.read()
-            if not child.done() or len(mine) + int(count) != rows:
+            # this process parses its part piece by piece into the result,
+            # so it never holds its part's rows twice
+            flat = np.empty((rows, width))
+            mine = 0
+            for piece in _pieces(fd, start, split - start):
+                table = _table(io.StringIO(piece), width)
+                if mine + len(table) > rows:
+                    return None
+                flat[mine:mine + len(table)] = table
+                mine += len(table)
+            theirs = flat[mine:]
+            if (child.pipe.readinto(theirs) != theirs.nbytes
+                    or child.pipe.read(1) or not child.done()):
                 return None
-        flat[:len(mine)] = mine
     grid._set_columns(names, flat)
     return grid
+
+
+def _two_processes(rows):
+    """Whether a forked child should take half of rows CSV rows: there are
+    _SPLIT_ROWS or more, this process may run on a second CPU, the system
+    has fork and pread, and no other Python thread runs, one that could
+    hold a lock the child's copy of the process would wait on for ever."""
+    if (rows < _SPLIT_ROWS or not hasattr(os, "fork")
+            or not hasattr(os, "pread") or threading.active_count() > 1):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call outside Linux
+        return (os.cpu_count() or 1) > 1
 
 
 class _SecondHalf:
     """One forked child that does the second half of a job while this
     process does the first.
 
-    The child runs work(), sends the bytes it returns through a pipe and
-    ends with os._exit, so it never returns into the caller's frames nor
-    runs its exit handlers.  In a with block the parent does its half,
-    reads `pipe` to its end, then calls done().  Leaving the block closes
-    the pipe first, so a child blocked on a full pipe gets EPIPE and exits,
-    then reaps the child.  If the fork fails, the pipe is empty and done()
-    is False, as for a failed child, and the caller does the half itself.
+    The child runs work(), sends the bytes-like object it returns through
+    a pipe and ends with os._exit, so it never returns into the caller's
+    frames nor runs its exit handlers.  In a with block the parent does
+    its half, reads `pipe` to its end, then calls done().  Leaving the
+    block closes the pipe first, so a child blocked on a full pipe gets
+    EPIPE and exits, then reaps the child.  If the fork fails, the pipe is
+    empty and done() is False, as for a failed child, and the caller does
+    the half itself.  Callers ask _two_processes first.
     """
 
     def __init__(self, work):
         read, write = os.pipe()
         try:
-            self.pid = os.fork()
-        except OSError:
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of a fork with other OS threads.  The
+                # only ones left by _two_processes are BLAS's idle pool, and
+                # the child formats or parses text and calls no BLAS.
+                warnings.filterwarnings("ignore", "This process .* is "
+                                        "multi-threaded", DeprecationWarning)
+                self.pid = os.fork()
+        except (OSError, RuntimeError):  # RuntimeError: in a subinterpreter
             self.pid = None
         if self.pid == 0:
             code = 1

@@ -3,6 +3,8 @@ import io
 import math
 import os
 import signal
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -452,6 +454,23 @@ def no_leaks():
     assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
+@pytest.fixture
+def forks(monkeypatch, no_leaks):
+    """Let two processes share any grid's rows, on any host, and count the
+    forks."""
+    calls = []
+    fork = os.fork
+
+    def counted():
+        calls.append(os.getpid())
+        return fork()
+    monkeypatch.setattr(solutions, "_SPLIT_ROWS", 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(os, "fork", counted)
+    return calls
+
+
 def _random_grid(nx, nt):
     rng = np.random.default_rng([nx, nt])
     values = {n: rng.normal(size=(nx, nt)) * 10.0 ** rng.integers(-300, 300)
@@ -486,8 +505,7 @@ def _one_pass_only(*args):
 
 # 1, 2, 3 and 21 rows, and 4,545 rows: several _BLOCKs on each side
 @pytest.mark.parametrize("nx, nt", [(1, 1), (2, 1), (1, 3), (7, 3), (45, 101)])
-def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, no_leaks,
-                                        nx, nt):
+def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, forks, nx, nt):
     g = _random_grid(nx, nt)
     path = tmp_path / "grid.csv"
     g.to_csv(path)
@@ -495,6 +513,7 @@ def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, no_leaks,
     # a well-formed file is read by the split, not the one-pass fallback
     monkeypatch.setattr(SolutionGrid, "_read_csv_serial", _one_pass_only)
     _assert_same_grid(SolutionGrid.from_csv(path), g)
+    assert len(forks) == 2
 
 
 def _corrupt_row(path, k, row):
@@ -508,7 +527,7 @@ def _corrupt_row(path, k, row):
     ("1,2,3,4,5", "at row {1};"),               # and from 1 here
 ])
 @pytest.mark.parametrize("k", [4445, 98])   # a data row in each half
-def test_csv_split_raises_the_one_pass_error(tmp_path, no_leaks, row, where,
+def test_csv_split_raises_the_one_pass_error(tmp_path, forks, row, where,
                                              k):
     path = tmp_path / "grid.csv"
     _random_grid(45, 101).to_csv(path)
@@ -527,7 +546,7 @@ def test_csv_split_raises_the_one_pass_error(tmp_path, no_leaks, row, where,
     lambda raw: raw[:-200] + raw[-200:].replace(b"\n", b"\r", 1),
     lambda raw: raw.replace(b"nt=101", b"nt=101 note=\xc3\xa9", 1),
 ])
-def test_csv_split_leaves_other_text_to_one_pass(tmp_path, no_leaks, edit):
+def test_csv_split_leaves_other_text_to_one_pass(tmp_path, forks, edit):
     # universal newlines and a non-ASCII header: the one-pass reader reads
     # them, so from_csv gives what it gives
     g = _random_grid(45, 101)
@@ -538,7 +557,7 @@ def test_csv_split_leaves_other_text_to_one_pass(tmp_path, no_leaks, edit):
                       SolutionGrid._read_csv_serial(path))
 
 
-def test_csv_split_does_not_hide_a_row_behind_a_cr(tmp_path, no_leaks):
+def test_csv_split_does_not_hide_a_row_behind_a_cr(tmp_path, forks):
     # one pass ends the line at the CR, so the row after " #" is data; a
     # part that kept the CR inside its line would read that row as comment
     path = tmp_path / "grid.csv"
@@ -551,7 +570,7 @@ def test_csv_split_does_not_hide_a_row_behind_a_cr(tmp_path, no_leaks):
         SolutionGrid.from_csv(path)
 
 
-def test_csv_split_checks_each_part_s_width(tmp_path, no_leaks):
+def test_csv_split_checks_each_part_s_width(tmp_path, forks):
     # from the split on, every row is one value padded to its old length,
     # so each part is a regular table but the two are not one table
     path = tmp_path / "grid.csv"
@@ -582,10 +601,10 @@ def _fail_in(fn, child, error):
 
 
 def test_csv_split_falls_back_when_the_child_fails(tmp_path, monkeypatch,
-                                                   no_leaks):
+                                                   forks):
     g = _random_grid(45, 101)
     path = tmp_path / "grid.csv"
-    for name in ("_rows_text", "_table"):
+    for name in ("_rows_bytes", "_table"):
         monkeypatch.setattr(solutions, name, _fail_in(
             getattr(solutions, name), True, MemoryError("child out of memory")))
     g.to_csv(path)
@@ -593,10 +612,14 @@ def test_csv_split_falls_back_when_the_child_fails(tmp_path, monkeypatch,
     _assert_same_grid(SolutionGrid.from_csv(path), g)
 
 
-def test_csv_split_falls_back_when_fork_fails(tmp_path, monkeypatch,
-                                              no_leaks):
+@pytest.mark.parametrize("error", [
+    OSError(errno.EAGAIN, "Resource temporarily unavailable"),
+    RuntimeError("fork not supported for subinterpreters"),
+])
+def test_csv_split_falls_back_when_fork_fails(tmp_path, monkeypatch, forks,
+                                              error):
     def no_fork():
-        raise OSError(errno.EAGAIN, "Resource temporarily unavailable")
+        raise error
     monkeypatch.setattr(os, "fork", no_fork)
     g = _random_grid(45, 101)
     path = tmp_path / "grid.csv"
@@ -606,7 +629,7 @@ def test_csv_split_falls_back_when_fork_fails(tmp_path, monkeypatch,
 
 
 def test_csv_writer_child_stops_when_the_parent_fails(tmp_path, monkeypatch,
-                                                      no_leaks):
+                                                      forks):
     # the parent fails before it drains the pipe; closing it makes the
     # child, blocked on the full pipe, exit, so the reaping wait returns
     monkeypatch.setattr(solutions, "_write_rows", _fail_in(
@@ -622,3 +645,87 @@ def test_csv_writer_child_stops_when_the_parent_fails(tmp_path, monkeypatch,
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def test_csv_split_result_is_private(tmp_path, forks):
+    # a later fork's child that changes the values in place leaves this
+    # process's grid as it was
+    g = _random_grid(45, 101)
+    path = tmp_path / "grid.csv"
+    g.to_csv(path)
+    back = SolutionGrid.from_csv(path)
+    pid = os.fork()
+    if pid == 0:
+        try:
+            for values in back.values.values():
+                values[...] = 0.0
+        finally:
+            os._exit(0)
+    os.waitpid(pid, 0)
+    _assert_same_grid(back, g)
+
+
+def test_csv_split_silences_the_fork_thread_warning(tmp_path, monkeypatch,
+                                                    forks):
+    # Python 3.12+ warns of a fork in a process with OS threads, as numpy's
+    # BLAS pool makes it
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn("This process (pid=1) is multi-threaded, use of fork() "
+                      "may lead to deadlocks in the child.",
+                      DeprecationWarning, stacklevel=2)
+        return fork()
+    monkeypatch.setattr(os, "fork", warning_fork)
+    g = _random_grid(45, 101)
+    path = tmp_path / "grid.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        g.to_csv(path)
+        back = SolutionGrid.from_csv(path)
+    assert path.read_text() == _one_pass_text(g)
+    _assert_same_grid(back, g)
+
+
+def _refuse_fork():
+    raise AssertionError("forked")
+
+
+@pytest.mark.parametrize("case", ["few rows", "one CPU", "no fork",
+                                  "another thread"])
+def test_csv_stays_in_one_process(tmp_path, monkeypatch, no_leaks, case):
+    # where the split would not pay, could not run, or could leave the
+    # child waiting on a lock another thread holds, one process does all
+    cpus = {0} if case == "one CPU" else {0, 1}
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
+                        raising=False)
+    if case != "few rows":
+        monkeypatch.setattr(solutions, "_SPLIT_ROWS", 1)
+    if case == "no fork":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", _refuse_fork)
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    if case == "another thread":
+        other.start()
+    try:
+        g = _random_grid(45, 101)   # 4,545 rows, below _SPLIT_ROWS
+        path = tmp_path / "grid.csv"
+        g.to_csv(path)
+        assert path.read_text() == _one_pass_text(g)
+        _assert_same_grid(SolutionGrid.from_csv(path), g)
+    finally:
+        stop.set()
+        if case == "another thread":
+            other.join(timeout=10)
+            assert not other.is_alive()
+
+
+def test_csv_split_needs_rows_enough_and_a_second_cpu(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    assert solutions._two_processes(solutions._SPLIT_ROWS)
+    assert not solutions._two_processes(solutions._SPLIT_ROWS - 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert not solutions._two_processes(solutions._SPLIT_ROWS)
