@@ -35,6 +35,7 @@ from .expr import (
     EvalError,
     Param,
     evaluate,
+    free_leaves,
     free_names,
     is_zero,
     jets_of,
@@ -45,6 +46,7 @@ from .expr import (
     to_text,
     z,
 )
+from .expr.nodes import postorder
 from .expr.numeric import CONSTRAINT_MARGIN, clears_margin
 from .forms import PssTriple
 
@@ -175,8 +177,21 @@ def _spec(ps, kind, F, rows, constraints, text=None):
     """The family's spec, for the equation of the given kind with right-hand
     side F.  constraints maps relation names to expressions; the first, in
     declared order, whose names are all pinned and whose value does not
-    clear the margin raises ConstraintError.  text holds the resolved
-    text parameters (f11, fkind, ...)."""
+    clear the margin raises ConstraintError, as does an entry of rows or F
+    that names a parameter the family does not declare.  text holds the
+    resolved text parameters (f11, fkind, ...)."""
+    declared = _FAMILIES[ps.family].numeric
+    entries = {f"f{i}{j}": e for i, row in enumerate(rows, 1)
+               for j, e in enumerate(row, 1)}
+    entries["F"] = F
+    # one walk of the table; an entry's nodes come before the next entry's
+    for leaf in postorder(entries.values()):
+        if isinstance(leaf, Param) and leaf.name not in declared:
+            entry = next(k for k, e in entries.items() if leaf in free_leaves(e))
+            raise ConstraintError(
+                "unknown parameter",
+                f"{entry} names {leaf.name!r}, which is not a parameter of "
+                f"{ps.family.value} (accepts: {', '.join(declared) or 'none'})")
     for relation, c in constraints.items():
         names = sorted(free_names(c))
         if not set(names) <= ps.pinned.keys():
@@ -192,7 +207,7 @@ def _spec(ps, kind, F, rows, constraints, text=None):
                 ", ".join(f"{n} = {ps.pinned[n]}" for n in names)
                 or f"value {value:g} does not clear the margin "
                    f"{CONSTRAINT_MARGIN:g}")
-    tr = PssTriple.from_matrix(
+    tr = PssTriple(
         rows, ctx=EquationContext(kind, F), params=dict(ps.pinned),
         ranges=dict(ps.ranges),
         constraints=tuple(map(simplify, constraints.values())),
@@ -336,7 +351,7 @@ def _build_hyp_i(ps):
     hyperbolic = neg["fkind"]
 
     A = Param("A")
-    B = Param("B") if not qa else Const(0)
+    B = Const(0) if qa else Param("B")   # hyp-i-qa is hyp-i at B = 0
     eta = Param("eta")
     Q = Param("Q")
 
@@ -344,7 +359,7 @@ def _build_hyp_i(ps):
     if fkind is not None and fkind not in trig + hyperbolic:
         raise ConstraintError(
             "fkind", f"must be one of {', '.join(trig + hyperbolic)}")
-    a_v, b_v = ps.pinned.get("A"), (0.0 if qa else ps.pinned.get("B"))
+    a_v, b_v = ps.pinned.get("A"), ps.pinned.get("B")
     if qa:
         alpha_sign = 1
     elif a_v is not None and b_v is not None:
@@ -359,12 +374,8 @@ def _build_hyp_i(ps):
     if fkind is None:
         fkind = (trig if alpha_sign > 0 else hyperbolic)[0]
 
-    if qa:
-        alpha = simplify(1 / (A * A))
-        scale_sq = simplify(A * A)
-    else:
-        alpha = simplify(1 / (A * A - B * B))
-        scale_sq = simplify(A * A - B * B) if alpha_sign > 0 else simplify(B * B - A * A)
+    alpha = simplify(1 / (A * A - B * B))
+    scale_sq = simplify(A * A - B * B) if alpha_sign > 0 else simplify(B * B - A * A)
     # written over the branch's positive radicand so F'' + alpha*F cancels
     # structurally, not just numerically
     alpha_for_F = simplify(Const(alpha_sign) / scale_sq)
@@ -373,15 +384,10 @@ def _build_hyp_i(ps):
     Fp = partial(F, Z0)
     wden = simplify(Q * Q * alpha + eta * eta)
 
-    if qa:
-        f11 = simplify(alpha * A * Q)
-        f31 = simplify(-alpha * A * Z1)
-        f32 = Const(0)
-    else:
-        f11 = simplify(-alpha * (B * Z1 - A * Q))
-        f31 = simplify(-alpha * (A * Z1 - B * Q))
-        f32 = simplify(B * alpha * (Q * Fp - eta * F) / wden)
+    f11 = simplify(-alpha * (B * Z1 - A * Q))
+    f31 = simplify(-alpha * (A * Z1 - B * Q))
     f12 = simplify(A * alpha * (Q * Fp - eta * F) / wden)
+    f32 = simplify(B * alpha * (Q * Fp - eta * F) / wden)
     f22 = simplify((eta * Fp + alpha * Q * F) / wden)
 
     rows = ((f11, f12), (eta, f22), (f31, f32))

@@ -1,6 +1,7 @@
 """Triples of 1-forms and the pseudo-spherical structure equations.
 
-A surface candidate is a triple of 1-forms omega^i = f_i1 dx + f_i2 dt.
+A surface candidate is a triple of 1-forms omega^i = f_i1 dx + f_i2 dt,
+held as its 3x2 table of coefficients f_ij (PssTriple.rows).
 The triple describes a metric of constant curvature -1 exactly when the
 three structure residuals vanish, which for the families treated here
 happens precisely on solutions of the underlying PDE.
@@ -32,30 +33,18 @@ _ZERO_DEFAULTS = {nm: p.default
                   if p.default is not p.empty}
 
 
-@dataclass(frozen=True)
-class OneForm:
-    """Coefficients of dx and dt."""
-
-    fx: Expr
-    ft: Expr
-
-    def __post_init__(self):
-        object.__setattr__(self, "fx", simplify(as_expr(self.fx)))
-        object.__setattr__(self, "ft", simplify(as_expr(self.ft)))
-
-
 @dataclass
 class PssTriple:
     """omega^1, omega^2, omega^3 plus everything needed to test them.
 
-    params pins named parameters to concrete values; ranges gives sampling
-    intervals for the rest; constraints are expressions that must stay
-    positive (with margin) at every sample point, e.g. squared denominators.
+    rows = ((f11, f12), (f21, f22), (f31, f32)) holds their dx and dt
+    coefficients, made canonical once.  params pins named parameters to
+    concrete values; ranges gives sampling intervals for the rest;
+    constraints are expressions that must stay positive (with margin) at
+    every sample point, e.g. squared denominators.
     """
 
-    omega1: OneForm
-    omega2: OneForm
-    omega3: OneForm
+    rows: tuple
     ctx: object = None
     params: dict = field(default_factory=dict)
     ranges: dict = field(default_factory=dict)
@@ -65,16 +54,13 @@ class PssTriple:
     _verdicts: dict = field(default_factory=dict, init=False, repr=False,
                             compare=False)
 
+    def __post_init__(self):
+        self.rows = tuple(tuple(simplify(as_expr(e)) for e in row)
+                          for row in self.rows)
+
     def f(self, i: int, j: int) -> Expr:
         """Coefficient f_ij, i in 1..3 rows, j in {1: dx, 2: dt}."""
-        form = (self.omega1, self.omega2, self.omega3)[i - 1]
-        return form.fx if j == 1 else form.ft
-
-    @classmethod
-    def from_matrix(cls, rows, **kw):
-        """rows = ((f11, f12), (f21, f22), (f31, f32))."""
-        (f11, f12), (f21, f22), (f31, f32) = rows
-        return cls(OneForm(f11, f12), OneForm(f21, f22), OneForm(f31, f32), **kw)
+        return self.rows[i - 1][j - 1]
 
     def zero_kwargs(self) -> dict:
         return {

@@ -14,8 +14,8 @@ sine-Gordon kink's compatibility residual converge to zero; a dedicated
 test asserts it.  Path independence is measured by running the sweep in
 both edge orders and differencing the results.
 
-Each edge steps the state Y = (X, e1, e2, e3) by an exact rigid motion:
-the exponential of the fourth-order Magnus generator
+Each edge steps the state Y, a 4x3 array of rows X, e1, e2 and e3, by an
+exact rigid motion: the exponential of the fourth-order Magnus generator
 (h/2)(M0 + M1) + (h^2/12)[M1, M0] of the connection blocks M0, M1 at its
 two ends (Iserles, Munthe-Kaas, Norsett & Zanna, Acta Numerica 2000), in
 closed form.  The flow stays in the Euclidean group, so the frames stay
@@ -53,7 +53,6 @@ from .sff.core import SecondFundamentalForm, strip_contains
 from .solutions import SolutionGrid, _write_rows
 
 __all__ = [
-    "FrameState",
     "FrameField",
     "SurfaceDiagnostics",
     "integrate_frame",
@@ -64,28 +63,6 @@ __all__ = [
 _JET_FIELDS = {"z0": "u", "z1": "u_x", "z2": "u_xx",
                "w1": "u_t", "w2": "u_tt"}
 _F_KEYS = tuple((i, j) for i in (1, 2, 3) for j in (1, 2))
-
-
-@dataclass(frozen=True)
-class FrameState:
-    """Position and orthonormal frame at one node."""
-
-    X: np.ndarray
-    e1: np.ndarray
-    e2: np.ndarray
-    e3: np.ndarray
-
-    @classmethod
-    def identity(cls):
-        return cls(X=np.zeros(3), e1=np.array([1.0, 0, 0]),
-                   e2=np.array([0, 1.0, 0]), e3=np.array([0, 0, 1.0]))
-
-    def matrix(self):
-        return np.vstack([self.X, self.e1, self.e2, self.e3])
-
-    def orthonormality_defect(self):
-        E = np.vstack([self.e1, self.e2, self.e3])
-        return float(np.abs(E @ E.T - np.eye(3)).max())
 
 
 @dataclass
@@ -341,8 +318,8 @@ class _Sweeps:
             if s.size:
                 q, p = self.step(s, q[parent], p[parent], m)
 
-    def run(self, coeffs, grid, seed_state):
-        """Step both sweeps' states along the plan.
+    def run(self, coeffs, grid, seed):
+        """Step both sweeps' states along the plan from the seed's state.
 
         Returns their (nx, nt, 4, 3) arrays, NaN where a sweep did not
         reach, and the largest orthonormality defect of a stepped frame.
@@ -354,7 +331,7 @@ class _Sweeps:
         Ys = tuple(np.full((nx, nt, 4, 3), np.nan) for _ in range(2))
         defect = 0.0
         for s, Y in enumerate(Ys):
-            Y[self.seed_index] = seed_state.matrix()
+            Y[self.seed_index] = seed
             # sweep 0's nodes come first in each round
             parts = ((q[:k], m[:k]) if s == 0 else (q[k:], m[k:])
                      for k, q, m in self.plan)
@@ -405,18 +382,20 @@ def _central_node(mask):
 
 
 def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
-                    grid: SolutionGrid, seed: FrameState = None,
+                    grid: SolutionGrid, seed=None,
                     seed_index=None, eps_deg=None) -> FrameField:
     """Integrate the frame over the admissible part of the grid.
 
     The admissibility mask keeps nodes with |d12| above eps_deg (default
     0.1 * max|d12| over the grid) that also lie inside the form's strip;
-    only the connected component of the seed node is filled.  The seed
-    frame must be orthonormal.  The path-independence residual per node is
-    the difference between the two sweep orders.
+    only the connected component of the seed node is filled.  seed is its
+    state, rows X, e1, e2, e3 (default: the identity frame at the origin),
+    whose frame must be orthonormal.  The path-independence residual per
+    node is the difference between the two sweep orders.
     """
-    seed = seed or FrameState.identity()
-    if seed.orthonormality_defect() > 1e-8:
+    seed = np.asarray(np.eye(4, 3, -1) if seed is None else seed, dtype=float)
+    if (seed.shape != (4, 3) or not np.isfinite(seed).all()
+            or _orthonormality_defect(seed) > 1e-8):
         raise ValueError("seed frame must be orthonormal")
     coeffs = _Coefficients(tr, sff, grid, eps_deg)
     mask = coeffs.mask

@@ -166,16 +166,12 @@ def closed_form(family, params=None) -> SecondFundamentalForm:
 # ------------------------------------------------------------ shared helpers
 
 
-def _vanishes(v):
-    return v.status in ("proven", "numeric")
-
-
 def _certified(tr, branch, e, note, v=None):
     """The trace step recording e as certified nonzero, where "{}" in note
     stands for the certificate.  v is e's verdict when already taken; an e
     that vanishes takes the table outside the classified cases."""
     v = tr.check_zero(e) if v is None else v
-    if _vanishes(v):
+    if v:
         raise ValueError("table shape outside the classified cases")
     return TraceStep(branch, e, note.format(
         f"certified nonzero (max rel {v.max_rel:.2e})"))
@@ -248,7 +244,7 @@ def _hyperbolic_analysis(tr, strip_consts):
     # Branch A: the factor of the top-jet linear system vanishes, so b and c
     # are pinned by a.  The x-jet extraction then decides the branch.
     f11_z1 = partial(f11, Z1)
-    if _vanishes(tr.check_zero(f11_z1)):
+    if tr.check_zero(f11_z1):
         # a from the delta identity f21*d13 - f11*d23 = f31*d12
         a = simplify(-2 * f21 * d23 / (f31 * d12))
         cand = _pinned_candidate(tr, a, f31 * f31 * d12 * d12)
@@ -264,7 +260,7 @@ def _hyperbolic_analysis(tr, strip_consts):
             "zero-jet", f11_z1,
             "f11 free of z1, but the pinned candidate fails the"
             " compatibility pair"))
-    elif _vanishes(tr.check_zero(f22)):
+    elif tr.check_zero(f22):
         steps.append(TraceStep(
             "zero-jet", f22,
             "f22 vanishes: the extraction forces a = 0, incompatible"
@@ -274,7 +270,7 @@ def _hyperbolic_analysis(tr, strip_consts):
         # equal (f11^2 + f21^2)*f32
         rf = simplify(F * f21 * f11_z1 - (f11 * f11 + f21 * f21) * f32)
         v_rf = tr.check_zero(rf)
-        if _vanishes(v_rf):
+        if v_rf:
             a = simplify(2 * f21 * f22 / d12)
             cand = _pinned_candidate(tr, a, d12 * d12)
             verdict = _closing_verdict(
@@ -295,7 +291,7 @@ def _hyperbolic_analysis(tr, strip_consts):
     # the metric entries to have no mixed z1, z0 jets.
     for g in (f11, f12, f21, f22):
         m = simplify(partial(partial(g, Z1), Z0))
-        if not _vanishes(tr.check_zero(m)):
+        if not tr.check_zero(m):
             raise ValueError("table shape outside the classified cases")
 
     if _is_const(f22):
@@ -312,7 +308,7 @@ def _hyperbolic_analysis(tr, strip_consts):
     else:
         ratio = simplify(f12 / f22)
         r_z0 = simplify(partial(ratio, Z0))
-        if _vanishes(tr.check_zero(r_z0)):
+        if tr.check_zero(r_z0):
             return _exponential_shape(tr, steps, ratio)
 
     # mixed z1, z0 derivatives of the deltas make the reduced pair
@@ -320,8 +316,8 @@ def _hyperbolic_analysis(tr, strip_consts):
     m13 = simplify(partial(partial(d13, Z1), Z0))
     m23 = simplify(partial(partial(d23, Z1), Z0))
     v13, v23 = tr.check_zero(m13), tr.check_zero(m23)
-    if not (_vanishes(v13) and _vanishes(v23)):
-        witness = m13 if not _vanishes(v13) else m23
+    if not (v13 and v23):
+        witness = m13 if not v13 else m23
         steps.append(TraceStep(
             "universal", witness,
             "mixed z1, z0 derivative of the compatibility pair; jet-free"
@@ -347,7 +343,7 @@ def _exponential_shape(tr, steps, ratio):
         " of the jet-free pair requires"))
 
     v32 = tr.check_zero(f32)
-    if _vanishes(v32):
+    if v32:
         # with f32 = 0 the reduced relation reads d23 = 0
         steps.append(_certified(
             tr, "universal", d23, "forced to vanish when f32 = 0; {}"))
@@ -361,8 +357,8 @@ def _exponential_shape(tr, steps, ratio):
 
     # constancy is decided by derivative certificates, not by expression shape
     a_const = ({"x", "t"}.isdisjoint(free_names(a_cand))
-               and _vanishes(tr.check_zero(simplify(partial(a_cand, Z0))))
-               and _vanishes(tr.check_zero(simplify(partial(a_cand, Z1)))))
+               and bool(tr.check_zero(simplify(partial(a_cand, Z0))))
+               and bool(tr.check_zero(simplify(partial(a_cand, Z1)))))
     if a_const:
         steps.append(TraceStep(
             "universal", simplify(partial(a_cand, Z0)),
@@ -425,7 +421,7 @@ def _evolution_analysis(tr, strip_consts):
     # Branch B: jet-free coefficients.
     q = hlpm(f11, tr.f(3, 1))
     v_l = tr.check_zero(q.L)
-    if _vanishes(v_l):
+    if v_l:
         # proportional frame columns: the reduced system integrates to
         # exponentials with x-coefficient f21 and t-coefficient f22
         if not _is_const(f22):

@@ -16,6 +16,7 @@ import io
 import itertools
 import math
 import os
+import re
 import threading
 import warnings
 from dataclasses import dataclass, field
@@ -281,7 +282,10 @@ class SolutionGrid:
         with open(path) as fh:
             grid = cls(**_parse_header(fh.readline()))
             names = _field_names(fh.readline().strip())
-            flat = _loadtxt(fh)
+            try:
+                flat = _loadtxt(fh)
+            except ValueError as exc:
+                raise _at_file_line(exc, path) from None
         if flat.shape != (grid.nx * grid.nt, len(names)):
             raise ValueError(
                 f"CSV grid data does not match the header: {flat.shape[0]} "
@@ -385,6 +389,30 @@ def _loadtxt(lines):
         # no data rows is reported by the caller, as a shape mismatch
         warnings.simplefilter("ignore", UserWarning)
         return np.loadtxt(lines, delimiter=",", ndmin=2)
+
+
+def _at_file_line(exc, path):
+    """exc, an error of _loadtxt over the lines of path after its two
+    header lines, with the row it names given by its line in the file.
+
+    numpy names a row by its index among the data rows, the lines not
+    empty once a "#" comment is cut off: from 0 in a value error and from
+    1 in a width error.  The width error's advice to pass usecols, which
+    from_csv does not take, is dropped.
+    """
+    msg = str(exc)
+    at = re.search(r" at row (\d+)", msg)
+    if at is None:
+        return exc
+    k = int(at.group(1)) - msg.startswith("the number of columns changed")
+    with open(path) as fh:
+        rows = (n for n, line in enumerate(fh, 1)
+                if n > 2 and line.split("#", 1)[0].rstrip("\n"))
+        line = next(itertools.islice(rows, k, None), None)
+    if line is None:
+        return exc
+    return ValueError(f"{msg[:at.start()]} at line {line}"
+                      + msg[at.end():].split(";", 1)[0])
 
 
 def _ascii(data):

@@ -88,7 +88,8 @@ def _renormalize(Y):
 
 
 def _sweep(coeffs, grid, mask, seed_index, seed_state, order, edge_step):
-    """Fill the component of seed_index, stepping edges in the given order.
+    """Fill the component of seed_index from the 4x3 state seed_state (rows
+    X, e1, e2, e3), stepping edges in the given order.
 
     order "xt" walks the seed row first and then columns; "tx" is the
     transpose.  Remaining reachable nodes are attached breadth-first, so an
@@ -100,7 +101,7 @@ def _sweep(coeffs, grid, mask, seed_index, seed_state, order, edge_step):
     Y = np.full((nx, nt, 4, 3), np.nan)
     visited = np.zeros_like(mask, dtype=bool)
     i0, j0 = seed_index
-    Y[i0, j0] = seed_state.matrix()
+    Y[i0, j0] = seed_state
     visited[i0, j0] = True
     drift = 0.0
 

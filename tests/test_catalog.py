@@ -15,7 +15,8 @@ from pssurf.catalog import (
     validate_evolution_constraints,
 )
 from pssurf.cli import _FAMILY_PARAMS, OPTIONS, main
-from pssurf.expr import is_zero, parse, partial, simplify, to_text, z
+from pssurf.expr import (Const, Param, is_zero, parse, partial, simplify,
+                         substitute, to_text, z)
 from pssurf.forms import verify_family
 
 GOLDEN_DRAWS = Path(__file__).with_name("golden_draws.json")
@@ -78,6 +79,18 @@ def test_hyp_i_qa_shape():
     assert verify_family(spec.triple).ok
 
 
+@pytest.mark.parametrize("fkind", ["sin", "cos"])
+def test_hyp_i_qa_is_hyp_i_at_b_zero(fkind):
+    # one formula set: each entry and F is the very node of hyp-i at B = 0
+    general = build("hyp-i", {"fkind": fkind})
+    qa = build("hyp-i-qa", {"fkind": fkind})
+    at_zero = {Param("B"): Const(0)}
+    pairs = [(general.triple.f(i, j), qa.triple.f(i, j))
+             for i in (1, 2, 3) for j in (1, 2)]
+    for g, q in pairs + [(general.ctx.rhs, qa.ctx.rhs)]:
+        assert simplify(substitute(g, at_zero)) is q, to_text(q)
+
+
 def test_evolution_defaults_reduce_to_known_equation():
     spec = build("evo-hlnonzero",
                  {"alpha": 0.0, "eta": 1.0, "f11": "z0", "f22": "z0", "sign": 1})
@@ -137,6 +150,14 @@ def test_validate_rejects_non_evolution():
     ("hyp-iii-lambda", {"lambda": 0.0}, "lambda != 0"),
     ("sg-eta", {"eta": 0.0}, "eta != 0"),
     ("sg-eta", {"bogus": 1.0}, "unknown parameter"),
+    # table text names only the family's own parameters: gamma_im is the
+    # immersion constant, and B and alpha belong to other families
+    ("evo-hlzero", {"f11": "exp(gamma_im*z0)", "f12": "exp(gamma_im*z0)*z1"},
+     "unknown parameter: f11 names 'gamma_im', which is not a parameter of "
+     "evo-hlzero"),
+    ("evo-hlzero", {"f11": "exp(B*z0)"}, "f11 names 'B'"),
+    ("evo-hlzero", {"f12": "exp(z0)*z1 + alpha*z1"}, "f12 names 'alpha'"),
+    ("evo-hlnonzero", {"f22": "z0 + A"}, "f12 names 'A'"),
     # a non-finite value is named before any relation is checked
     ("sg-eta", {"eta": float("inf")}, "eta finite: eta = inf"),
     ("hyp-ii", {"gamma": 2.0, "nu": float("nan")}, "nu finite"),

@@ -578,6 +578,26 @@ def test_malformed_table_entry_is_one_line(capsys, tmp_path, f11):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["verify", "immerse"])
+@pytest.mark.parametrize("table", [
+    "f11 = exp(gamma_im*z0)\nf12 = exp(gamma_im*z0)*z1\n",
+    "f11 = exp(B*z0)\n"])
+def test_table_text_names_only_family_parameters(capsys, tmp_path, command,
+                                                  table):
+    # verify would sample the stray name freely and immerse would bind it
+    # to something else, or to nothing
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[params]\n" + table)
+    argv = [command, "--family", "evo-hlzero", "--config", str(cfg)]
+    if command == "immerse":
+        argv += ["--grid=-0.1:0.1:-0.1:0.1:0.05", "--out",
+                 str(tmp_path / "s.obj")]
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith("constraint violation: unknown parameter: f11 names")
+
+
 def test_non_finite_table_entry_is_not_blamed_on_constraints(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("[params]\nf11 = z0 + 1e400\n")

@@ -1,5 +1,5 @@
 from pssurf.expr import EquationContext, is_zero, parse, simplify, to_text
-from pssurf.forms import OneForm, PssTriple, delta, structure_residuals, verify_family
+from pssurf.forms import PssTriple, delta, structure_residuals, verify_family
 
 SIN_GORDON = EquationContext("hyperbolic", parse("sin(z0)"))
 
@@ -7,9 +7,9 @@ SIN_GORDON = EquationContext("hyperbolic", parse("sin(z0)"))
 def basic_sg():
     # omega1 = cos(u/2)(dx+dt), omega2 = sin(u/2)(dx-dt), omega3 = (ux/2)dx - (ut/2)dt
     return PssTriple(
-        OneForm(parse("cos(z0/2)"), parse("cos(z0/2)")),
-        OneForm(parse("sin(z0/2)"), parse("-sin(z0/2)")),
-        OneForm(parse("z1/2"), parse("-w1/2")),
+        ((parse("cos(z0/2)"), parse("cos(z0/2)")),
+         (parse("sin(z0/2)"), parse("-sin(z0/2)")),
+         (parse("z1/2"), parse("-w1/2"))),
         ctx=SIN_GORDON,
         label="sg-basic",
     )
@@ -18,9 +18,9 @@ def basic_sg():
 def eta_sg(eta_value=None):
     params = {} if eta_value is None else {"eta": eta_value}
     return PssTriple(
-        OneForm(0, parse("sin(z0)/eta")),
-        OneForm(parse("eta"), parse("cos(z0)/eta")),
-        OneForm(parse("z1"), 0),
+        ((0, parse("sin(z0)/eta")),
+         (parse("eta"), parse("cos(z0)/eta")),
+         (parse("z1"), 0)),
         ctx=SIN_GORDON,
         params=params,
         ranges={"eta": (0.5, 2.0)},
@@ -69,9 +69,8 @@ def test_verify_family_eta():
 def test_verify_flags_broken_triple():
     tr = eta_sg()
     broken = PssTriple(
-        tr.omega1,
-        tr.omega2,
-        OneForm(simplify(parse("2") * tr.omega3.fx), tr.omega3.ft),
+        (tr.rows[0], tr.rows[1],
+         (simplify(parse("2") * tr.f(3, 1)), tr.f(3, 2))),
         ctx=tr.ctx,
         ranges=tr.ranges,
         label="broken",
@@ -82,8 +81,9 @@ def test_verify_flags_broken_triple():
 
 def test_degenerate_triple_rejected():
     tr = eta_sg()
-    flat = PssTriple(tr.omega1, tr.omega2, OneForm(0, 0), ctx=tr.ctx, ranges=tr.ranges)
+    flat = PssTriple((tr.rows[0], tr.rows[1], (0, 0)), ctx=tr.ctx, ranges=tr.ranges)
     report = verify_family(flat)
     assert not report.nondegenerate
-    collapsed = PssTriple(tr.omega1, tr.omega1, tr.omega3, ctx=tr.ctx, ranges=tr.ranges)
+    collapsed = PssTriple((tr.rows[0], tr.rows[0], tr.rows[2]), ctx=tr.ctx,
+                          ranges=tr.ranges)
     assert not verify_family(collapsed).nondegenerate

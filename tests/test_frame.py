@@ -2,6 +2,7 @@
 
 import math
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from scipy.linalg import expm
 from pssurf import frame
 from pssurf.catalog import ConstraintError, FamilyId, build
 from pssurf.expr import Const, compile_expr, parse, simplify
-from pssurf.frame import (FrameState, _Coefficients, export_mesh,
+from pssurf.frame import (_Coefficients, export_mesh,
                           integrate_frame, validate_surface)
 from pssurf.sff import closed_form
 from pssurf.sff.core import DomainStrip, SecondFundamentalForm
@@ -39,19 +40,14 @@ def kink_grid(kink, x0, x1, h):
 # --------------------------------------------------------------- states
 
 
-def test_identity_state_orthonormal():
-    s = FrameState.identity()
-    assert s.orthonormality_defect() < 1e-15
-    assert np.allclose(np.cross(s.e1, s.e2), s.e3)
-
-
 def test_non_orthonormal_seed_rejected(sg, kink):
     tr, sff = sg
     grid = kink_grid(kink, -0.5, 0.5, 0.25)
-    bad = FrameState(X=np.zeros(3), e1=np.array([1.0, 0, 0]),
-                     e2=np.array([0.5, 1.0, 0]), e3=np.array([0, 0, 1.0]))
-    with pytest.raises(ValueError, match="orthonormal"):
-        integrate_frame(tr, sff, grid, seed=bad)
+    # rows X, e1, e2, e3
+    bad = np.array([[0, 0, 0], [1.0, 0, 0], [0.5, 1.0, 0], [0, 0, 1.0]])
+    for seed in (bad, np.eye(3), np.full((4, 3), np.nan)):
+        with pytest.raises(ValueError, match="orthonormal"):
+            integrate_frame(tr, sff, grid, seed=seed)
 
 
 # --------------------------------------- node coefficients and convention
@@ -211,8 +207,7 @@ def test_seed_rotation_equivariance(sg, kink):
                   [-math.sin(th), math.cos(th), 0.0],
                   [0.0, 0.0, 1.0]])
     shift = np.array([2.0, -1.0, 0.5])
-    seed = FrameState(X=shift, e1=R[0], e2=R[1], e3=R[2])
-    moved = integrate_frame(tr, sff, grid, seed=seed)
+    moved = integrate_frame(tr, sff, grid, seed=np.vstack([shift, R]))
     v = base.valid
     assert np.array_equal(v, moved.valid)
     assert np.allclose(moved.X[v], base.X[v] @ R + shift, atol=1e-12)
@@ -380,8 +375,8 @@ def test_flipped_rotation_sign_detected(sg, kink):
     rows = [[tr.f(1, 1), tr.f(1, 2)],
             [tr.f(2, 1), tr.f(2, 2)],
             [simplify(parse("-(z1/2)")), simplify(parse("w1/2"))]]
-    flipped = PssTriple.from_matrix(rows, ctx=tr.ctx, params=tr.params,
-                                    ranges=tr.ranges, label="flipped")
+    flipped = PssTriple(rows, ctx=tr.ctx, params=tr.params,
+                        ranges=tr.ranges, label="flipped")
     grid = kink_grid(kink, -1.0, 1.0, 0.05)
     base = integrate_frame(tr, sff, grid)
     wrong = integrate_frame(flipped, sff, grid)
@@ -414,7 +409,7 @@ def test_export_counts(sg, kink, tmp_path):
     field = full_small_field(sg, kink)
     assert field.count_valid() == 100
     path = export_mesh(field, tmp_path / "patch.obj")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     assert sum(1 for l in lines if l.startswith("v ")) == 100
     assert sum(1 for l in lines if l.startswith("f ")) == 162
     assert os.path.exists(str(tmp_path / "patch.diag.txt"))
@@ -426,7 +421,7 @@ def test_export_masked_faces_reference_valid_only(sg, kink, tmp_path):
     field = integrate_frame(tr, sff, grid)
     assert 0 < field.count_valid() < 100
     path = export_mesh(field, tmp_path / "masked.obj")
-    lines = open(path).read().splitlines()
+    lines = Path(path).read_text().splitlines()
     nv = sum(1 for l in lines if l.startswith("v "))
     assert nv == field.count_valid()
     for l in lines:
@@ -443,7 +438,7 @@ def test_export_empty_field(sg, tmp_path):
                         values=vals)
     field = integrate_frame(tr, sff, grid)
     path = export_mesh(field, tmp_path / "empty.obj")
-    text = open(path).read()
+    text = Path(path).read_text()
     assert "warning: empty field" in text
     assert "\nv " not in text and "\nf " not in text
 
@@ -453,13 +448,13 @@ def test_export_deterministic(sg, kink, tmp_path):
     diag = None
     p1 = export_mesh(field, tmp_path / "a.obj", diag)
     p2 = export_mesh(field, tmp_path / "b.obj", diag)
-    assert open(p1).read() == open(p2).read()
+    assert Path(p1).read_text() == Path(p2).read_text()
 
 
 def test_sidecar_carries_diagnostics(sg, kink, tmp_path):
     field = full_small_field(sg, kink)
     diag = validate_surface(field)
     export_mesh(field, tmp_path / "d.obj", diag)
-    text = open(tmp_path / "d.diag.txt").read()
+    text = (tmp_path / "d.diag.txt").read_text()
     assert "curvature" in text and "metric" in text
     assert "path-independence" in text and "mask fraction" in text

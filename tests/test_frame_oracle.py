@@ -22,7 +22,7 @@ import pytest
 from pssurf import frame
 from pssurf.catalog import FamilyId, build
 from pssurf.expr import Const
-from pssurf.frame import FrameState, export_mesh, integrate_frame
+from pssurf.frame import export_mesh, integrate_frame
 from pssurf.sff import closed_form
 from pssurf.sff.core import DomainStrip, SecondFundamentalForm
 from pssurf.solutions import SolutionGrid, sg_kink
@@ -34,6 +34,8 @@ RK4_TOL = 2e-5
 K_REL_TOL = 1e-8
 VERTEX_TOL = 1e-11
 _NAMES = ("u", "u_x", "u_t", "u_xx", "u_xt", "u_tt")
+# integrate_frame's default seed state, rows X, e1, e2, e3
+IDENTITY = np.vstack([np.zeros(3), np.eye(3)])
 
 
 @pytest.fixture(scope="module")
@@ -108,7 +110,7 @@ def _oracle_field(tr, sff, grid, field, edge_step=oracle.magnus_step):
             valid=np.zeros(shape, dtype=bool),
             path_residual=np.full(shape, np.nan), drift_max=0.0)
     X, frames, valid, residual, drift = oracle.sweep_pair(
-        coeffs, grid, mask, field.seed_index, FrameState.identity(), edge_step)
+        coeffs, grid, mask, field.seed_index, IDENTITY, edge_step)
     return SimpleNamespace(mask=mask, X=X, frames=frames, valid=valid,
                            path_residual=residual, drift_max=drift)
 

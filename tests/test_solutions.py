@@ -279,7 +279,7 @@ def test_grid_binary_header_is_text_and_little_endian(tmp_path):
     g = SolutionGrid.from_values(np.zeros((2, 3)), 0.0, 0.0, 1.0, 1.0)
     path = tmp_path / "grid.bin"
     g.to_binary(path)
-    head = open(path, "rb").readline().decode("ascii")
+    head = path.read_bytes().split(b"\n")[0].decode("ascii")
     for key in ("x0=", "t0=", "hx=", "ht=", "nx=2", "nt=3", "dtype=<f8"):
         assert key in head
 
@@ -288,8 +288,7 @@ def test_grid_binary_rejects_short_payload(tmp_path):
     g = SolutionGrid.from_values(np.ones((3, 3)), 0.0, 0.0, 1.0, 1.0)
     path = tmp_path / "grid.bin"
     g.to_binary(path)
-    raw = open(path, "rb").read()
-    open(path, "wb").write(raw[:-16])
+    path.write_bytes(path.read_bytes()[:-16])
     with pytest.raises(ValueError, match="payload"):
         SolutionGrid.from_binary(path)
 
@@ -522,12 +521,15 @@ def _corrupt_row(path, k, row):
     path.write_text("".join(lines))
 
 
-@pytest.mark.parametrize("row, where", [
-    ("1,2,3,4,5,x", "at row {0}, column 6."),   # numpy counts from 0 here
-    ("1,2,3,4,5", "at row {1};"),               # and from 1 here
+# numpy counts the bad row among the data rows, from 0 for a value and
+# from 1 for a width; both messages name the file's line
+@pytest.mark.parametrize("row, message", [
+    ("1,2,3,4,5,x", "could not convert string 'x' to float64 at line {}, "
+                    "column 6."),
+    ("1,2,3,4,5", "the number of columns changed from 6 to 5 at line {}"),
 ])
 @pytest.mark.parametrize("k", [4445, 98])   # a data row in each half
-def test_csv_split_raises_the_one_pass_error(tmp_path, forks, row, where,
+def test_csv_split_raises_the_one_pass_error(tmp_path, forks, row, message,
                                              k):
     path = tmp_path / "grid.csv"
     _random_grid(45, 101).to_csv(path)
@@ -537,8 +539,27 @@ def test_csv_split_raises_the_one_pass_error(tmp_path, forks, row, where,
     with pytest.raises(ValueError) as split:
         SolutionGrid.from_csv(path)
     assert str(split.value) == str(serial.value)
-    # rows are counted over the whole file, not from the split
-    assert where.format(k, k + 1) in str(serial.value)
+    # lines are counted over the whole file, not from the split
+    assert str(serial.value) == message.format(k + 3)
+
+
+@pytest.mark.parametrize("row, message", [
+    ("1,2,3,4,5,x", "could not convert string 'x' to float64 at line 106, "
+                    "column 6."),
+    ("1,2,3,4,5", "the number of columns changed from 6 to 5 at line 106"),
+])
+def test_csv_error_counts_skipped_lines(tmp_path, row, message):
+    # numpy counts neither an empty nor a comment line as a row, but does
+    # count a row with a comment after it
+    path = tmp_path / "grid.csv"
+    _random_grid(41, 41).to_csv(path)
+    lines = path.read_text().splitlines(keepends=True)
+    lines[102] = row + "\n"
+    lines[50:50] = ["\n", "# a note\n", "1,2,3,4,5,6 # a row\n"]
+    path.write_text("".join(lines))
+    with pytest.raises(ValueError) as info:
+        SolutionGrid.from_csv(path)
+    assert str(info.value) == message
 
 
 @pytest.mark.parametrize("edit", [
