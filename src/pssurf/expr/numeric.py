@@ -222,6 +222,11 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
     constraints  expressions that must clear CONSTRAINT_MARGIN at
                  accepted points (see clears_margin)
                  (domain guards such as arguments of log and sqrt)
+
+    Points are drawn in rounds until n are accepted.  Sampling ends early
+    at a round that admits no point; the verdict then rests on the points
+    gathered so far (``ZeroVerdict.points``), which must number at least
+    max(8, n // 4), or EvalError is raised.
     """
     canon = simplify(e)
     if isinstance(canon, Const):
@@ -270,7 +275,9 @@ def is_zero(e: Expr, params: dict | None = None, ranges: dict | None = None,
         rejected += m - int(admitted.sum())
         non_finite += int((admitted & ~ok).sum())
         if not ok.any():
-            continue
+            # the next round would reuse this round's seed, since rel_acc
+            # has not grown, and so draw and reject the same points again
+            break
         rel = np.abs(total[ok]) / scale[ok]
         rel_acc.append(rel)
         kept = {nm: env[nm][ok] for nm in sample_names}

@@ -198,13 +198,13 @@ def _edge_maps(c0, c1, h):
 
 def _orthonormality_defect(Y):
     """The largest entry of |E E^T - I| over the frames E of a stack
-    (n, 4, 3) of states."""
+    (n, 4, 3) of states; NaN if any frame has a NaN entry."""
     e = np.ascontiguousarray(Y.reshape(-1, 12)[:, 3:].T)
-    top = 0.0
-    for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2)):
-        dot = (e[3 * i:3 * i + 3] * e[3 * j:3 * j + 3]).sum(0)
-        top = max(top, float(np.abs(dot - (i == j)).max()))
-    return top
+    tops = [np.abs((e[3 * i:3 * i + 3] * e[3 * j:3 * j + 3]).sum(0)
+                   - (i == j)).max()
+            for i, j in ((0, 0), (1, 1), (2, 2), (0, 1), (0, 2), (1, 2))]
+    # numpy's max, unlike Python's, keeps a NaN
+    return float(np.max(tops))
 
 
 # neighbour offsets in the order the breadth-first attach tries them: a
@@ -329,16 +329,16 @@ class _Sweeps:
         nx, nt = self.mask.shape
         h = _MOVES @ (grid.hx, grid.ht)
         Ys = tuple(np.full((nx, nt, 4, 3), np.nan) for _ in range(2))
-        defect = 0.0
+        defects = []
         for s, Y in enumerate(Ys):
             Y[self.seed_index] = seed
             # sweep 0's nodes come first in each round
             parts = ((q[:k], m[:k]) if s == 0 else (q[k:], m[k:])
                      for k, q, m in self.plan)
-            defect = max(defect, _step_rounds(
+            defects.append(_step_rounds(
                 Y.reshape(-1, 4, 3), [r for r in parts if r[0].size],
                 coeffs, self.dq, h))
-        return Ys, defect
+        return Ys, float(np.max(defects))
 
 
 def _step_rounds(Y, rounds, coeffs, dq, h):
@@ -355,7 +355,7 @@ def _step_rounds(Y, rounds, coeffs, dq, h):
     starts = np.cumsum(sizes) - sizes
     chunks = np.split(np.arange(len(rounds)),
                       np.flatnonzero(np.diff(starts // _CHUNK)) + 1)
-    defect = 0.0
+    defects = []
     for chunk in chunks:
         q = np.concatenate([rounds[r][0] for r in chunk])
         m = np.concatenate([rounds[r][1] for r in chunk])
@@ -366,8 +366,8 @@ def _step_rounds(Y, rounds, coeffs, dq, h):
         ends = np.cumsum(sizes[chunk]).tolist()
         for a, b in zip([0] + ends, ends):
             Y[d[a:b]] = G[a:b] @ Y.take(q[a:b], axis=0)
-        defect = max(defect, _orthonormality_defect(Y.take(d, axis=0)))
-    return defect
+        defects.append(_orthonormality_defect(Y.take(d, axis=0)))
+    return float(np.max(defects))
 
 
 def _central_node(mask):
@@ -395,7 +395,7 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
     """
     seed = np.asarray(np.eye(4, 3, -1) if seed is None else seed, dtype=float)
     if (seed.shape != (4, 3) or not np.isfinite(seed).all()
-            or _orthonormality_defect(seed) > 1e-8):
+            or not _orthonormality_defect(seed) <= 1e-8):
         raise ValueError("seed frame must be orthonormal")
     coeffs = _Coefficients(tr, sff, grid, eps_deg)
     mask = coeffs.mask

@@ -8,7 +8,9 @@ from pssurf.expr import (
     Add, Const, EvalError, Mul, Param, Pow, Var, compile_expr, evaluate, exp,
     is_zero, parse, simplify, total_x, walk, z,
 )
-from pssurf.expr.numeric import Tape
+from pssurf.expr.numeric import _MAX_ROUNDS, Tape
+
+from numeric_oracle import loop_is_zero
 
 
 def test_evaluate_basics():
@@ -109,8 +111,39 @@ def test_witness_reproduces_max_rel_across_sampling_rounds(monkeypatch):
 
 
 def test_unsatisfiable_domain_reports():
-    with pytest.raises(EvalError):
+    # the first round's 64 points are all rejected, and sampling ends there
+    with pytest.raises(EvalError, match="0 points accepted, 64 rejected by"
+                       " the constraints and 0 where"):
         is_zero(parse("z0"), constraints=(parse("z0 - 10"),))
+
+
+@pytest.mark.parametrize("text, constraint, seed, outcome", [
+    ("sin(2*z0) - 2*sin(z0)*cos(z0)", "z0 - 1.5", 3, "numeric"),
+    ("z0*z1 - 1", "z0 - 1.5", 3, "nonzero"),
+    ("z0*z1 - 1", "z0 - 1.8", 5, "EvalError"),
+])
+def test_sampling_ends_at_a_round_that_admits_no_point(monkeypatch, text,
+                                                        constraint, seed,
+                                                        outcome):
+    # the constraint admits an eighth (a twentieth) of a round, so a later
+    # round here admits no point; the next would redraw its seed
+    e, c = parse(text), parse(constraint)
+
+    def outcome_of(zero_test):
+        try:
+            return repr(zero_test(e, constraints=(c,), seed=seed))
+        except EvalError:
+            return "EvalError"
+
+    want = outcome_of(loop_is_zero)
+    seeds = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng",
+                        lambda s: seeds.append(s) or default_rng(s))
+    got = outcome_of(is_zero)
+    assert got == want and outcome in got
+    assert 2 < len(seeds) < _MAX_ROUNDS
+    assert len(set(seeds)) == len(seeds)
 
 
 def test_nowhere_finite_names_the_pinned_values():

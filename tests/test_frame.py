@@ -50,6 +50,15 @@ def test_non_orthonormal_seed_rejected(sg, kink):
             integrate_frame(tr, sff, grid, seed=seed)
 
 
+def test_orthonormality_defect_keeps_nan():
+    # rows X, e1, e2, e3 of the identity frame at the origin
+    stack = np.repeat(np.eye(4, 3, -1)[None], 5, axis=0)
+    assert frame._orthonormality_defect(stack) == 0.0
+    stack[2, 1:] = np.nan
+    assert math.isnan(frame._orthonormality_defect(stack))
+    assert math.isnan(frame._orthonormality_defect(np.full((5, 4, 3), np.nan)))
+
+
 # --------------------------------------- node coefficients and convention
 
 
