@@ -40,6 +40,7 @@ the batch it is stepped in.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -50,7 +51,7 @@ from .expr.numeric import Tape
 from .forms import PssTriple
 from .catalog import ConstraintError
 from .sff.core import SecondFundamentalForm, strip_contains
-from .solutions import SolutionGrid, _write_rows
+from .solutions import SolutionGrid
 
 __all__ = [
     "FrameField",
@@ -381,6 +382,28 @@ def _central_node(mask):
     return int(ii[k]), int(jj[k])
 
 
+def _path_residual(Y1, Y2, both):
+    """The largest entry of |Y1 - Y2| per node where both is set, NaN
+    elsewhere: shape both.shape.
+
+    Only the nodes both sweeps reached are gathered, in chunks of 2,048,
+    so that the temporaries stay small; the largest of the 12 entries is
+    taken by halving, since a max over the short trailing axis is slower.
+    """
+    residual = np.full(both.size, np.nan)
+    Y1, Y2 = Y1.reshape(-1, 12), Y2.reshape(-1, 12)
+    nodes = np.flatnonzero(both)
+    for lo in range(0, nodes.size, 2048):
+        q = nodes[lo:lo + 2048]
+        d = Y1.take(q, axis=0)
+        d -= Y2.take(q, axis=0)
+        np.abs(d, out=d)
+        d = np.maximum(d[:, :6], d[:, 6:])
+        d = np.maximum(d[:, :3], d[:, 3:])
+        residual[q] = np.maximum(np.maximum(d[:, 0], d[:, 1]), d[:, 2])
+    return residual.reshape(both.shape)
+
+
 def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
                     grid: SolutionGrid, seed=None,
                     seed_index=None, eps_deg=None) -> FrameField:
@@ -428,16 +451,7 @@ def integrate_frame(tr: PssTriple, sff: SecondFundamentalForm,
     vis1, vis2 = (v.copy() for v in sweeps.visited())
     f = coeffs.f
     del coeffs, sweeps
-    # in place and without copies of Y1: full-grid temporaries raise the
-    # memory peak of every run
-    diff = np.subtract(Y1, Y2, out=Y2).reshape(nx, nt, 12)
-    np.abs(diff, out=diff)
-    # the largest of the 12 entries one entry at a time: a max over the
-    # short trailing axis is about four times slower on the NaN-padded grid
-    top = diff[..., 0].copy()
-    for k in range(1, 12):
-        np.maximum(top, diff[..., k], out=top)
-    residual = np.where(vis1 & vis2, top, np.nan)
+    residual = _path_residual(Y1, Y2, vis1 & vis2)
 
     return FrameField(
         X=Y1[:, :, 0, :],
@@ -609,14 +623,209 @@ def validate_surface(field: FrameField) -> SurfaceDiagnostics:
 
 
 # ------------------------------------------------------------ export
+#
+# The OBJ text is built a block of rows at a time.  A row is a fixed number
+# of words whose bytes spell the line with NUL pads between its pieces; one
+# bytes.translate per block drops the pads.  The pieces are 4-digit words
+# looked up in tables.
+#
+# A vertex coordinate x is spelled as '%.12g' % x spells it.  Where the
+# decimal exponent E = floor(log10|x|) lies in -4..11, %g spells x in fixed
+# point from n = |x| * 10**(11 - E) rounded to an integer: its 12 digits,
+# with the point after the first E + 1 and trailing zeros cut.  The power
+# of ten is exact and the product's rounding error is at most 2**-14, so
+# a product further than 2**-10 from a tie rounds as % rounds the exact
+# value.  % itself spells the rest, one value at a time: zeros, nan and
+# infinities, values it spells with an exponent, products within 2**-10
+# of a tie, and values whose n lies outside (1e11, 1e12).  The last are
+# values whose E was misjudged, whose rounding carries into the next power
+# of ten, or whose n is 1e11 itself.
+
+# rows per block: a block's float temporaries stay below malloc's 128 KB
+# mmap threshold, so they come from the heap and fault in no fresh pages
+_OBJ_ROWS = 4096
+# 10**0 to 10**15, all exact in float64
+_POW10 = 10.0 ** np.arange(16)
+# the first word of a coordinate: "v " before x and " " before y and z
+_COORD_LEAD = np.array([ord("v") | ord(" ") << 8, ord(" "), ord(" ")], np.uint32)
+# offsets of the 10,000-word tables in _digit_words(): the words "0000" to
+# "9999" spelled in full, with trailing zeros NUL, with leading zeros NUL,
+# and with leading zeros NUL but "0" for 0.  _MINUS added to _LEADING or
+# _ZERO gives the word with "-" for its first byte, and _POINT added to
+# _SPELLED or _TRAILING the word with "." for its first byte where that
+# byte is "0"; both hold only for words below 1000.
+_SPELLED, _TRAILING, _LEADING, _ZERO = 0, 10_000, 20_000, 30_000
+_MINUS, _POINT = 20_000, 60_000
+
+
+@functools.cache
+def _digit_words():
+    """The word tables of _SPELLED, _TRAILING, _LEADING, _ZERO, _MINUS and
+    _POINT, one after another as little-endian uint32, so that a word's
+    bytes read in order.  Built on first use."""
+    k = np.arange(10_000)
+    digits = k[:, None] // np.array([1000, 100, 10, 1]) % 10
+    zero = digits == 0
+    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
+    leading = np.logical_and.accumulate(zero, axis=1)
+    spelled = 48 + digits
+    tables = np.stack([np.where(pad, 0, spelled) for pad in
+                       (False, trailing, leading, leading)])
+    tables[3, 0, 3] = ord("0")
+    signed = tables[2:4].copy()
+    signed[:, :, 0] = ord("-")
+    pointed = tables[0:2].copy()
+    pointed[:, :, 0] = np.where(pointed[:, :, 0] == ord("0"), ord("."),
+                                pointed[:, :, 0])
+    tables = np.concatenate([tables, signed, pointed]).astype(np.uint8)
+    tables = tables.view("<u4").reshape(-1)
+    # every caller shares the one cached array
+    tables.flags.writeable = False
+    return tables
+
+
+def _split_words(x, count):
+    """The integers x < 10**(4 count), as integers or floats, as count
+    arrays of 4-digit words, most significant first."""
+    x = x.astype(np.int64)
+    words = []
+    for _ in range(count - 1):
+        # numpy divides by a constant several times faster than it takes
+        # % or divmod
+        high = x // 10_000
+        words.append(x - high * 10_000)
+        x = high
+    words.append(x)
+    return words[::-1]
+
+
+def _whole_words(x, count, negative=None):
+    """The integers x < 10**(4 count), as integers or floats, spelled in count
+    words, right-aligned: leading zeros NUL but "0" for 0, and "-" for the
+    first byte where negative is set, which needs x < 10**(4 count - 1).
+    Returns the words, most significant first."""
+    words = _digit_words()
+    out = []
+    for j, w in enumerate(_split_words(x, count)):
+        table = _ZERO if j == count - 1 else _LEADING
+        if j == 0:
+            index = w + table
+            if negative is not None:
+                index += _MINUS * negative
+            seen = w != 0
+        else:
+            index = w + table * ~seen
+            seen |= w != 0
+        out.append(words.take(index))
+    return out
+
+
+def _vertex_rows(v):
+    """The lines 'v %.12g %.12g %.12g\n' of the rows of v (b, 3), as a
+    (b, words) uint32 array whose bytes spell them with NUL pads.
+
+    A coordinate is its _COORD_LEAD word, then its sign and integer part
+    right-aligned in as many words as the block needs, then "." and its
+    fraction digits left-aligned, trailing zeros NUL; a value that %
+    spells fills the words after _COORD_LEAD instead.
+    """
+    words = _digit_words()
+    a = np.abs(v)
+    with np.errstate(all="ignore"):
+        e = np.floor(np.log10(a))
+        fixed = (e >= -4) & (e <= 11)
+        # 11 - E, the digits after the point
+        k = np.where(fixed, 11.0 - e, 0.0).astype(np.intp)
+        scale = _POW10[k]
+        y = a * scale
+        n = np.rint(y)
+        fixed &= (n > 1e11) & (n < 1e12) & (np.abs(y - n) < 0.5 - 2.0 ** -10)
+    # a value that % spells is overwritten below; until then its n is 0,
+    # which spells as 0 with any k
+    n = np.where(fixed, n, 0.0)
+    k_min = int(k.min(where=fixed, initial=11))
+    k_max = int(k.max(where=fixed, initial=0))
+    # room for E + 1 digits and a sign, and for "." and k digits
+    int_words = (16 - k_min) // 4
+    frac_words = (k_max + 4) // 4
+    by_percent = not fixed.all()
+    if by_percent:
+        # a % spelling takes up to 19 bytes
+        frac_words = max(frac_words, 5 - int_words)
+    width = 1 + int_words + frac_words
+    rows = np.empty((len(v), 3 * width + 1), np.uint32)
+    rows[:, -1] = ord("\n")
+    coord = rows[:, :-1].reshape(len(v), 3, width)
+    coord[..., 0] = _COORD_LEAD
+    # n = whole * 10**k + fraction
+    whole = np.floor(n / scale)
+    for j, w in enumerate(_whole_words(whole, int_words, np.signbit(v)), 1):
+        coord[..., j] = w
+    # the fraction as 4 frac_words - 1 digits after a "0" that turns into
+    # the point, unless no digit follows it
+    fraction = (n - whole * scale) * _POW10[4 * frac_words - 1 - k]
+    split = _split_words(fraction, frac_words)
+    for j in range(frac_words - 1, -1, -1):
+        w = split[j]
+        table = _TRAILING if j == frac_words - 1 else _TRAILING * ~after
+        coord[..., 1 + int_words + j] = words.take(
+            w + table + (_POINT if j == 0 else 0))
+        after = w != 0 if j == frac_words - 1 else after | (w != 0)
+    if by_percent:
+        rest = ~fixed
+        text = b"".join((b"%.12g" % x).ljust(4 * (width - 1), b"\0")
+                        for x in v[rest].tolist())
+        coord[..., 1:][rest] = np.frombuffer(text, np.uint32).reshape(
+            -1, width - 1)
+    return rows
+
+
+def _index_columns(count):
+    """The numbers 0..count spelled as "f %d", " %d" and " %d\n" with NUL
+    pads, the three columns of a face line: shape (3, count + 1, words)
+    uint64.  The digits are right-aligned one byte before the end of the
+    words, which leaves room for "f " before them and "\n" after."""
+    digits = len(str(count))
+    size = 8 * ((digits + 10) // 8)
+    spelled = np.stack(_whole_words(np.arange(count + 1), (digits + 3) // 4),
+                       axis=1).view(np.uint8)
+    columns = np.zeros((3, count + 1, size), np.uint8)
+    columns[:, :, size - 1 - digits:-1] = spelled[:, -digits:]
+    columns[:, :, 0] = ord(" ")
+    columns[0, :, 1] = ord(" ")
+    columns[0, :, 0] = ord("f")
+    columns[2, :, -1] = ord("\n")
+    return columns.view("<u8")
+
+
+def _write_vertices(fh, verts):
+    """Write 'v %.12g %.12g %.12g' lines for the rows of verts (n, 3)."""
+    for k in range(0, len(verts), _OBJ_ROWS):
+        rows = _vertex_rows(verts[k:k + _OBJ_ROWS])
+        fh.write(rows.tobytes().translate(None, b"\0"))
+
+
+def _write_faces(fh, faces):
+    """Write 'f %d %d %d' lines for the columns of faces (3, n)."""
+    columns = _index_columns(int(faces.max(initial=0)))
+    words = columns.shape[2]
+    for k in range(0, faces.shape[1], _OBJ_ROWS):
+        block = faces[:, k:k + _OBJ_ROWS]
+        rows = np.empty((block.shape[1], 3, words), np.uint64)
+        for j in range(3):
+            rows[:, j] = columns[j].take(block[j], axis=0)
+        fh.write(rows.tobytes().translate(None, b"\0"))
 
 
 def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None):
     """Write the valid sub-grid as an OBJ mesh plus a sidecar report.
 
     Quads with four valid corners are split into two triangles along the
-    (+1, +1) diagonal.  Output is deterministic for a fixed field.  The
-    sidecar lands next to the mesh with extension .diag.txt.
+    (+1, +1) diagonal.  Vertex lines spell X with '%.12g' and face lines
+    the 1-based indices with '%d', byte for byte, but are built from digit
+    tables a block of rows at a time (_vertex_rows, _index_columns).
+    Output is deterministic for a fixed field.  The sidecar lands next to
+    the mesh with extension .diag.txt.
     """
     path = str(path)
     valid = field.valid
@@ -624,13 +833,13 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
     verts = field.X[valid]
     faces = index.reshape(-1)[_triangles(valid)]
 
-    with open(path, "w") as fh:
-        fh.write("# pseudo-spherical immersion mesh\n")
+    with open(path, "wb") as fh:
+        fh.write(b"# pseudo-spherical immersion mesh\n")
         if not len(verts):
-            fh.write("# warning: empty field, no valid nodes\n")
-        fh.write(f"# vertices: {len(verts)} faces: {faces.shape[1]}\n")
-        _write_rows(fh, "v %.12g %.12g %.12g\n", verts.T)
-        _write_rows(fh, "f %d %d %d\n", faces)
+            fh.write(b"# warning: empty field, no valid nodes\n")
+        fh.write(b"# vertices: %d faces: %d\n" % (len(verts), faces.shape[1]))
+        _write_vertices(fh, verts)
+        _write_faces(fh, faces)
 
     sidecar = path + ".diag.txt" if not path.endswith(".obj") \
         else path[:-4] + ".diag.txt"

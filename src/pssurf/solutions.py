@@ -230,8 +230,10 @@ class SolutionGrid:
         process writes its half.  %-formatting holds the GIL, so a second
         thread gains nothing; the second process took over a third off
         march-stored's CSV time on two cores (BENCH_22.json).  Smaller
-        grids, and OBJ export in pssurf.frame, stay in one process: their
-        writes are too small to pay for the fork.
+        grids stay in one process: their writes are too small to pay for
+        the fork.  The values go through %: %.17g needs integers of up to
+        17 digits, beyond float64's exact 2**53, which the digit tables of
+        OBJ export (pssurf.frame) do not reach.
         """
         names = list(self.values)
         row_format = ",".join(["%.17g"] * len(names)) + "\n"
@@ -363,7 +365,8 @@ def _field_names(text):
 _BLOCK = 1024  # rows per formatting call
 _CHUNK = 1 << 18  # bytes per pipe copy and per pread of a CSV part
 # fewest CSV rows that two processes share: below it the fork costs more
-# than the second CPU saves (measured in BENCH_22.json)
+# than the second CPU saves (measured in BENCH_22.json); OBJ export builds
+# its text from digit tables in one process
 _SPLIT_ROWS = 50_000
 
 

@@ -207,6 +207,29 @@ def test_path_residual_second_order(sg, kink):
     assert 1.7 <= rate <= 2.3
 
 
+def test_path_residual_matches_full_grid_difference():
+    # the residual gathered over the nodes both sweeps reached equals, bit
+    # for bit, the largest entry of |Y1 - Y2| over the whole grid there;
+    # a NaN entry at a node both reached stays NaN; 4,900 nodes take more
+    # than one chunk
+    rng = np.random.default_rng(5)
+    Y1, Y2 = rng.normal(size=(2, 70, 70, 4, 3)) * 10.0 ** rng.integers(
+        -16, 2, (2, 70, 70, 4, 3))
+    vis1, vis2 = rng.random((2, 70, 70)) < 0.8
+    Y1[~vis1], Y2[~vis2] = np.nan, np.nan
+    Y1[3, 4] = Y2[3, 4] = rng.normal(size=(4, 3))
+    Y2[3, 4, 2, 1] = np.nan
+    vis1[3, 4] = vis2[3, 4] = True
+    Y1[5, 6] = Y2[5, 6] = rng.normal(size=(4, 3))
+    vis1[5, 6] = vis2[5, 6] = True
+    both = vis1 & vis2
+    want = np.where(both, np.abs(Y1 - Y2).reshape(70, 70, 12).max(axis=2),
+                    np.nan)
+    got = frame._path_residual(Y1, Y2, both)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.isnan(got[3, 4]) and got[5, 6] == 0.0
+
+
 def test_seed_rotation_equivariance(sg, kink):
     tr, sff = sg
     grid = kink_grid(kink, -1.0, 1.0, 0.1)

@@ -3,7 +3,8 @@
 Tolerances: mask and valid equal; X and frames within 1e-12; the path
 residual with the same NaN pattern and within 1e-12; K with the same NaN
 mask and within 1e-8 relative (the angle defect cancels heavily); OBJ
-header and face lines equal, vertex coordinates within 1e-11.  The loop
+header and face lines equal, vertex coordinates within 1e-11, and the OBJ
+bytes of one field through both writers equal.  The loop
 sweeps step each edge by the same Magnus rule, exponentiated by
 scipy.linalg.expm.
 
@@ -210,6 +211,30 @@ def test_export_matches_loop_oracle(sg, loop_fields, case, tmp_path):
             assert np.abs(va - vb).max() <= VERTEX_TOL
         else:
             assert a == b
+
+
+@pytest.mark.parametrize("case", ["kink-3:3", "masked-10x10", "maze"])
+def test_export_bytes_match_loop_writer(sg, case, tmp_path):
+    # the same field through both writers: the text is equal byte for byte
+    tr, sff, grid, kw = _cases(sg)[case]
+    field = integrate_frame(tr, sff, grid, **kw)
+    new = Path(export_mesh(field, tmp_path / "new.obj")).read_bytes()
+    old = Path(oracle.write_obj(field, tmp_path / "old.obj")).read_bytes()
+    assert new == old
+
+
+def test_export_without_faces_matches_loop_writer(sg, tmp_path):
+    # one valid column: vertices but no quad, so no face lines
+    tr, sff, grid, kw = _cases(sg)["kink-3:3"]
+    field = integrate_frame(tr, sff, grid, **kw)
+    valid = np.zeros_like(field.valid)
+    valid[:, field.seed_index[1]] = field.valid[:, field.seed_index[1]]
+    column = SimpleNamespace(X=field.X, valid=valid)
+    new = Path(export_mesh(column, tmp_path / "new.obj")).read_bytes()
+    old = Path(oracle.write_obj(column, tmp_path / "old.obj")).read_bytes()
+    assert new == old
+    assert b"\nv " in new and b"\nf " not in new
+    assert b" faces: 0\n" in new
 
 
 @pytest.mark.parametrize("case", ["kink-3:3", "masked-10x10", "maze"])
