@@ -40,7 +40,6 @@ the batch it is stepped in.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -50,6 +49,7 @@ from .expr import simplify
 from .expr.numeric import Tape
 from .forms import PssTriple
 from .catalog import ConstraintError
+from .digits import _whole_words, write_rows
 from .sff.core import SecondFundamentalForm, strip_contains
 from .solutions import SolutionGrid
 
@@ -624,160 +624,15 @@ def validate_surface(field: FrameField) -> SurfaceDiagnostics:
 
 # ------------------------------------------------------------ export
 #
-# The OBJ text is built a block of rows at a time.  A row is a fixed number
-# of words whose bytes spell the line with NUL pads between its pieces; one
-# bytes.translate per block drops the pads.  The pieces are 4-digit words
-# looked up in tables.
-#
-# A vertex coordinate x is spelled as '%.12g' % x spells it.  Where the
-# decimal exponent E = floor(log10|x|) lies in -4..11, %g spells x in fixed
-# point from n = |x| * 10**(11 - E) rounded to an integer: its 12 digits,
-# with the point after the first E + 1 and trailing zeros cut.  The power
-# of ten is exact and the product's rounding error is at most 2**-14, so
-# a product further than 2**-10 from a tie rounds as % rounds the exact
-# value.  % itself spells the rest, one value at a time: zeros, nan and
-# infinities, values it spells with an exponent, products within 2**-10
-# of a tie, and values whose n lies outside (1e11, 1e12).  The last are
-# values whose E was misjudged, whose rounding carries into the next power
-# of ten, or whose n is 1e11 itself.
+# The OBJ text is built a block of rows at a time from digit tables
+# (pssurf.digits): vertex coordinates spelled as '%.12g' spells them, and
+# face indices as '%d'.
 
 # rows per block: a block's float temporaries stay below malloc's 128 KB
 # mmap threshold, so they come from the heap and fault in no fresh pages
 _OBJ_ROWS = 4096
-# 10**0 to 10**15, all exact in float64
-_POW10 = 10.0 ** np.arange(16)
 # the first word of a coordinate: "v " before x and " " before y and z
 _COORD_LEAD = np.array([ord("v") | ord(" ") << 8, ord(" "), ord(" ")], np.uint32)
-# offsets of the 10,000-word tables in _digit_words(): the words "0000" to
-# "9999" spelled in full, with trailing zeros NUL, with leading zeros NUL,
-# and with leading zeros NUL but "0" for 0.  _MINUS added to _LEADING or
-# _ZERO gives the word with "-" for its first byte, and _POINT added to
-# _SPELLED or _TRAILING the word with "." for its first byte where that
-# byte is "0"; both hold only for words below 1000.
-_SPELLED, _TRAILING, _LEADING, _ZERO = 0, 10_000, 20_000, 30_000
-_MINUS, _POINT = 20_000, 60_000
-
-
-@functools.cache
-def _digit_words():
-    """The word tables of _SPELLED, _TRAILING, _LEADING, _ZERO, _MINUS and
-    _POINT, one after another as little-endian uint32, so that a word's
-    bytes read in order.  Built on first use."""
-    k = np.arange(10_000)
-    digits = k[:, None] // np.array([1000, 100, 10, 1]) % 10
-    zero = digits == 0
-    trailing = np.logical_and.accumulate(zero[:, ::-1], axis=1)[:, ::-1]
-    leading = np.logical_and.accumulate(zero, axis=1)
-    spelled = 48 + digits
-    tables = np.stack([np.where(pad, 0, spelled) for pad in
-                       (False, trailing, leading, leading)])
-    tables[3, 0, 3] = ord("0")
-    signed = tables[2:4].copy()
-    signed[:, :, 0] = ord("-")
-    pointed = tables[0:2].copy()
-    pointed[:, :, 0] = np.where(pointed[:, :, 0] == ord("0"), ord("."),
-                                pointed[:, :, 0])
-    tables = np.concatenate([tables, signed, pointed]).astype(np.uint8)
-    tables = tables.view("<u4").reshape(-1)
-    # every caller shares the one cached array
-    tables.flags.writeable = False
-    return tables
-
-
-def _split_words(x, count):
-    """The integers x < 10**(4 count), as integers or floats, as count
-    arrays of 4-digit words, most significant first."""
-    x = x.astype(np.int64)
-    words = []
-    for _ in range(count - 1):
-        # numpy divides by a constant several times faster than it takes
-        # % or divmod
-        high = x // 10_000
-        words.append(x - high * 10_000)
-        x = high
-    words.append(x)
-    return words[::-1]
-
-
-def _whole_words(x, count, negative=None):
-    """The integers x < 10**(4 count), as integers or floats, spelled in count
-    words, right-aligned: leading zeros NUL but "0" for 0, and "-" for the
-    first byte where negative is set, which needs x < 10**(4 count - 1).
-    Returns the words, most significant first."""
-    words = _digit_words()
-    out = []
-    for j, w in enumerate(_split_words(x, count)):
-        table = _ZERO if j == count - 1 else _LEADING
-        if j == 0:
-            index = w + table
-            if negative is not None:
-                index += _MINUS * negative
-            seen = w != 0
-        else:
-            index = w + table * ~seen
-            seen |= w != 0
-        out.append(words.take(index))
-    return out
-
-
-def _vertex_rows(v):
-    """The lines 'v %.12g %.12g %.12g\n' of the rows of v (b, 3), as a
-    (b, words) uint32 array whose bytes spell them with NUL pads.
-
-    A coordinate is its _COORD_LEAD word, then its sign and integer part
-    right-aligned in as many words as the block needs, then "." and its
-    fraction digits left-aligned, trailing zeros NUL; a value that %
-    spells fills the words after _COORD_LEAD instead.
-    """
-    words = _digit_words()
-    a = np.abs(v)
-    with np.errstate(all="ignore"):
-        e = np.floor(np.log10(a))
-        fixed = (e >= -4) & (e <= 11)
-        # 11 - E, the digits after the point
-        k = np.where(fixed, 11.0 - e, 0.0).astype(np.intp)
-        scale = _POW10[k]
-        y = a * scale
-        n = np.rint(y)
-        fixed &= (n > 1e11) & (n < 1e12) & (np.abs(y - n) < 0.5 - 2.0 ** -10)
-    # a value that % spells is overwritten below; until then its n is 0,
-    # which spells as 0 with any k
-    n = np.where(fixed, n, 0.0)
-    k_min = int(k.min(where=fixed, initial=11))
-    k_max = int(k.max(where=fixed, initial=0))
-    # room for E + 1 digits and a sign, and for "." and k digits
-    int_words = (16 - k_min) // 4
-    frac_words = (k_max + 4) // 4
-    by_percent = not fixed.all()
-    if by_percent:
-        # a % spelling takes up to 19 bytes
-        frac_words = max(frac_words, 5 - int_words)
-    width = 1 + int_words + frac_words
-    rows = np.empty((len(v), 3 * width + 1), np.uint32)
-    rows[:, -1] = ord("\n")
-    coord = rows[:, :-1].reshape(len(v), 3, width)
-    coord[..., 0] = _COORD_LEAD
-    # n = whole * 10**k + fraction
-    whole = np.floor(n / scale)
-    for j, w in enumerate(_whole_words(whole, int_words, np.signbit(v)), 1):
-        coord[..., j] = w
-    # the fraction as 4 frac_words - 1 digits after a "0" that turns into
-    # the point, unless no digit follows it
-    fraction = (n - whole * scale) * _POW10[4 * frac_words - 1 - k]
-    split = _split_words(fraction, frac_words)
-    for j in range(frac_words - 1, -1, -1):
-        w = split[j]
-        table = _TRAILING if j == frac_words - 1 else _TRAILING * ~after
-        coord[..., 1 + int_words + j] = words.take(
-            w + table + (_POINT if j == 0 else 0))
-        after = w != 0 if j == frac_words - 1 else after | (w != 0)
-    if by_percent:
-        rest = ~fixed
-        text = b"".join((b"%.12g" % x).ljust(4 * (width - 1), b"\0")
-                        for x in v[rest].tolist())
-        coord[..., 1:][rest] = np.frombuffer(text, np.uint32).reshape(
-            -1, width - 1)
-    return rows
 
 
 def _index_columns(count):
@@ -800,9 +655,7 @@ def _index_columns(count):
 
 def _write_vertices(fh, verts):
     """Write 'v %.12g %.12g %.12g' lines for the rows of verts (n, 3)."""
-    for k in range(0, len(verts), _OBJ_ROWS):
-        rows = _vertex_rows(verts[k:k + _OBJ_ROWS])
-        fh.write(rows.tobytes().translate(None, b"\0"))
+    write_rows(fh, verts.T, 12, _COORD_LEAD, _OBJ_ROWS)
 
 
 def _write_faces(fh, faces):
@@ -823,7 +676,7 @@ def export_mesh(field: FrameField, path, diagnostics: SurfaceDiagnostics = None)
     Quads with four valid corners are split into two triangles along the
     (+1, +1) diagonal.  Vertex lines spell X with '%.12g' and face lines
     the 1-based indices with '%d', byte for byte, but are built from digit
-    tables a block of rows at a time (_vertex_rows, _index_columns).
+    tables a block of rows at a time (pssurf.digits, _index_columns).
     Output is deterministic for a fixed field.  The sidecar lands next to
     the mesh with extension .diag.txt.
     """

@@ -5,9 +5,10 @@ closed forms in x and t, together with the equation they are declared to
 solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
 from data on the characteristics x = x0 and t = t0, one anti-diagonal of
 cells at a time.  A SolutionGrid holds u and its derivatives on grid
-nodes, stored as CSV or binary; text rows are written in blocks, and
-the two halves of a large grid's CSV rows are written and read at once
-by two processes where a second CPU is there to run them.
+nodes, stored as CSV or binary; CSV text is spelled from digit tables a
+block of rows at a time by one process, and the two halves of a large
+grid's CSV rows are parsed at once by two processes where a second CPU
+is there to run them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .expr import (
 )
 from .expr import EquationContext
 from .catalog import ConstraintError
+from .digits import write_rows
 
 __all__ = [
     "AnalyticSolution",
@@ -222,48 +224,26 @@ class SolutionGrid:
         """Write the header line, the field names, then one row of %.17g
         values per node, x index major.
 
-        On a grid of _SPLIT_ROWS rows or more, where this process may run
-        on a second CPU (see _two_processes), two processes share the
-        rows: a forked child formats rows n//2: while this process writes
-        rows :n//2, then the child's text is copied into the file.  The
-        bytes are those of one serial pass; if the child fails, this
-        process writes its half.  %-formatting holds the GIL, so a second
-        thread gains nothing; the second process took over a third off
-        march-stored's CSV time on two cores (BENCH_22.json).  Smaller
-        grids stay in one process: their writes are too small to pay for
-        the fork.  The values go through %: %.17g needs integers of up to
-        17 digits, beyond float64's exact 2**53, which the digit tables of
-        OBJ export (pssurf.frame) do not reach.
+        The rows are spelled from digit tables (pssurf.digits), byte for
+        byte what %-formatting writes, in blocks of _CSV_ROWS rows stacked
+        from the columns, so one block's values and text are alive at a
+        time.  One process writes them all and needs no second CPU: it
+        writes faster than two processes that format with % (BENCH_26.json).
         """
         names = list(self.values)
-        row_format = ",".join(["%.17g"] * len(names)) + "\n"
-        columns = [self.values[n].reshape(-1) for n in names]
-        with open(path, "w") as fh:
-            fh.write(self._header() + "\n")
-            fh.write(",".join(names) + "\n")
-            if not _two_processes(len(columns[0])):
-                _write_rows(fh, row_format, columns)
-                return
-            half = len(columns[0]) // 2
-            second = [c[half:] for c in columns]
-            with _SecondHalf(lambda: _rows_bytes(row_format, second)) as child:
-                _write_rows(fh, row_format, [c[:half] for c in columns])
-                fh.flush()
-                copied = 0
-                while chunk := child.pipe.read(_CHUNK):
-                    copied += fh.buffer.write(chunk)
-                if not child.done():
-                    if copied:
-                        fh.buffer.seek(-copied, os.SEEK_CUR)
-                        fh.buffer.truncate()
-                    _write_rows(fh, row_format, second)
+        lead = np.array([0] + [ord(",")] * (len(names) - 1), np.uint32)
+        with open(path, "wb") as fh:
+            fh.write(f"{self._header()}\n{','.join(names)}\n".encode())
+            write_rows(fh, [self.values[n].reshape(-1) for n in names], 17,
+                       lead, _CSV_ROWS)
 
     @classmethod
     def from_csv(cls, path):
         """Read what to_csv wrote.
 
-        Where to_csv would split the header's rows (_two_processes), two
-        processes share them: the data bytes are cut at the first line
+        Where the header promises _SPLIT_ROWS rows or more and a second
+        CPU may run them (_two_processes), two processes parse them, while
+        to_csv writes in one: the data bytes are cut at the first line
         start after their midpoint, and a forked child parses the second
         part and sends its float64 rows through a pipe, straight into this
         process's result array, while this process parses the first.
@@ -362,29 +342,13 @@ def _field_names(text):
     return names
 
 
-_BLOCK = 1024  # rows per formatting call
-_CHUNK = 1 << 18  # bytes per pipe copy and per pread of a CSV part
-# fewest CSV rows that two processes share: below it the fork costs more
-# than the second CPU saves (measured in BENCH_22.json); OBJ export builds
-# its text from digit tables in one process
+# rows per block of CSV text: a block's float temporaries stay below
+# malloc's 128 KB mmap threshold
+_CSV_ROWS = 1024
+_CHUNK = 1 << 18  # bytes per pread of a CSV part
+# fewest CSV rows that two processes parse: below it the fork costs more
+# than the second CPU saves (measured in BENCH_22.json)
 _SPLIT_ROWS = 50_000
-
-
-def _write_rows(fh, row_format, columns):
-    """Write row k of the equal-length columns as row_format % (their k-th
-    values), stacking and formatting _BLOCK rows per call, so one block's
-    values and text are alive at a time."""
-    for k in range(0, len(columns[0]), _BLOCK):
-        block = np.column_stack([c[k:k + _BLOCK] for c in columns])
-        fh.write((row_format * len(block)) % tuple(block.ravel().tolist()))
-
-
-def _rows_bytes(row_format, columns):
-    """What _write_rows writes, as ASCII bytes: each block is encoded as it
-    is written, so the text is held once."""
-    out = io.TextIOWrapper(io.BytesIO(), encoding="ascii")
-    _write_rows(out, row_format, columns)
-    return out.detach().getbuffer()
 
 
 def _loadtxt(lines):
@@ -493,10 +457,11 @@ def _read_csv_split(cls, path):
 
 
 def _two_processes(rows):
-    """Whether a forked child should take half of rows CSV rows: there are
-    _SPLIT_ROWS or more, this process may run on a second CPU, the system
-    has fork and pread, and no other Python thread runs, one that could
-    hold a lock the child's copy of the process would wait on for ever."""
+    """Whether a forked child should parse half of rows CSV rows: there
+    are _SPLIT_ROWS or more, this process may run on a second CPU, the
+    system has fork and pread, and no other Python thread runs, one that
+    could hold a lock the child's copy of the process would wait on for
+    ever.  Writing needs none of this: to_csv writes in one process."""
     if (rows < _SPLIT_ROWS or not hasattr(os, "fork")
             or not hasattr(os, "pread") or threading.active_count() > 1):
         return False
@@ -507,8 +472,8 @@ def _two_processes(rows):
 
 
 class _SecondHalf:
-    """One forked child that does the second half of a job while this
-    process does the first.
+    """One forked child that parses the second half of a CSV grid while
+    this process parses the first.
 
     The child runs work(), sends the bytes-like object it returns through
     a pipe and ends with os._exit, so it never returns into the caller's
@@ -516,8 +481,8 @@ class _SecondHalf:
     its half, reads `pipe` to its end, then calls done().  Leaving the
     block closes the pipe first, so a child blocked on a full pipe gets
     EPIPE and exits, then reaps the child.  If the fork fails, the pipe is
-    empty and done() is False, as for a failed child, and the caller does
-    the half itself.  Callers ask _two_processes first.
+    empty and done() is False, as for a failed child, and the caller
+    parses the file in one pass.  Callers ask _two_processes first.
     """
 
     def __init__(self, work):
@@ -526,7 +491,7 @@ class _SecondHalf:
             with warnings.catch_warnings():
                 # Python 3.12+ warns of a fork with other OS threads.  The
                 # only ones left by _two_processes are BLAS's idle pool, and
-                # the child formats or parses text and calls no BLAS.
+                # the child parses text and calls no BLAS.
                 warnings.filterwarnings("ignore", "This process .* is "
                                         "multi-threaded", DeprecationWarning)
                 self.pid = os.fork()

@@ -1,9 +1,10 @@
 import errno
+import hashlib
 import io
 import math
 import os
-import signal
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -440,6 +441,39 @@ def test_stored_grid_rejects_header_out_of_range(tmp_path, kind, field, bad):
         _read(path)
 
 
+@pytest.fixture(scope="module")
+def marched_grid():
+    """u_xt = sin u marched from kink characteristic data on [-3, 3]^2 at
+    h = 0.01, as the march-stored benchmark marches it: 361,201 rows."""
+    kink = sg_kink(1.0)
+    return goursat_solve(build("sg-basic", {}).ctx, lambda x: kink.u(x, -3.0),
+                         lambda t: kink.u(-3.0, t),
+                         (-3.0, 3.0, -3.0, 3.0, 0.01))
+
+
+def test_marched_grid_csv_bytes_are_pinned(tmp_path, marched_grid):
+    # the digest of the grid's rows as '%.17g' writes them, whether one
+    # process or two format them with %
+    path = tmp_path / "grid.csv"
+    marched_grid.to_csv(path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "04e906044abbf019dbe7cb4e4130bd2b86dc8885ac0ab478004dcae3f36401c2")
+
+
+def test_csv_write_memory_stays_flat(tmp_path, marched_grid):
+    # all of the write runs in this process, one block of rows at a time
+    path = tmp_path / "grid.csv"
+    marched_grid.to_csv(path)        # builds the digit tables
+    tracemalloc.start()
+    try:
+        marched_grid.to_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert marched_grid.nx * marched_grid.nt >= 300_000
+    assert peak <= 4 * 2 ** 20
+
+
 # ------------------------------------------------------------ split CSV
 
 
@@ -502,7 +536,7 @@ def _one_pass_only(*args):
     raise AssertionError("the one-pass reader ran")
 
 
-# 1, 2, 3 and 21 rows, and 4,545 rows: several _BLOCKs on each side
+# 1, 2, 3 and 21 rows, and 4,545 rows: several blocks of _CSV_ROWS rows
 @pytest.mark.parametrize("nx, nt", [(1, 1), (2, 1), (1, 3), (7, 3), (45, 101)])
 def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, forks, nx, nt):
     g = _random_grid(nx, nt)
@@ -512,7 +546,8 @@ def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, forks, nx, nt):
     # a well-formed file is read by the split, not the one-pass fallback
     monkeypatch.setattr(SolutionGrid, "_read_csv_serial", _one_pass_only)
     _assert_same_grid(SolutionGrid.from_csv(path), g)
-    assert len(forks) == 2
+    # the read forks; the write stays in one process
+    assert len(forks) == 1
 
 
 def _corrupt_row(path, k, row):
@@ -625,9 +660,8 @@ def test_csv_split_falls_back_when_the_child_fails(tmp_path, monkeypatch,
                                                    forks):
     g = _random_grid(45, 101)
     path = tmp_path / "grid.csv"
-    for name in ("_rows_bytes", "_table"):
-        monkeypatch.setattr(solutions, name, _fail_in(
-            getattr(solutions, name), True, MemoryError("child out of memory")))
+    monkeypatch.setattr(solutions, "_table", _fail_in(
+        solutions._table, True, MemoryError("child out of memory")))
     g.to_csv(path)
     assert path.read_text() == _one_pass_text(g)
     _assert_same_grid(SolutionGrid.from_csv(path), g)
@@ -647,25 +681,6 @@ def test_csv_split_falls_back_when_fork_fails(tmp_path, monkeypatch, forks,
     g.to_csv(path)
     assert path.read_text() == _one_pass_text(g)
     _assert_same_grid(SolutionGrid.from_csv(path), g)
-
-
-def test_csv_writer_child_stops_when_the_parent_fails(tmp_path, monkeypatch,
-                                                      forks):
-    # the parent fails before it drains the pipe; closing it makes the
-    # child, blocked on the full pipe, exit, so the reaping wait returns
-    monkeypatch.setattr(solutions, "_write_rows", _fail_in(
-        solutions._write_rows, False, OSError(errno.ENOSPC, "disk full")))
-
-    def stuck(signum, frame):
-        raise TimeoutError("the writer's child was not reaped")
-    previous = signal.signal(signal.SIGALRM, stuck)
-    signal.alarm(20)
-    try:
-        with pytest.raises(OSError, match="disk full"):
-            _random_grid(45, 101).to_csv(tmp_path / "grid.csv")
-    finally:
-        signal.alarm(0)
-        signal.signal(signal.SIGALRM, previous)
 
 
 def test_csv_split_result_is_private(tmp_path, forks):
