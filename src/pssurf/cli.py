@@ -271,8 +271,14 @@ def cmd_immerse(cfg) -> int:
         sff = closed_form(spec, imm_params)
     except NoImmersion as exc:
         raise ConstraintError("immersion", f"no closed-form immersion: {exc}")
-    grid = _load_solution_grid(cfg, spec.params)
-    field_ = integrate_frame(spec.triple, sff, grid, eps_deg=cfg.eps_deg)
+    try:
+        grid = _load_solution_grid(cfg, spec.params)
+        field_ = integrate_frame(spec.triple, sff, grid, eps_deg=cfg.eps_deg)
+    except MemoryError:
+        # the grid and its frame hold a few arrays of a float per node
+        raise ConstraintError(
+            "grid", f"{cfg.grid or cfg.solution} has more nodes than fit in"
+            " memory; raise its step") from None
     lines = [f"family: {spec.id.value}", _param_header(cfg),
              f"grid: {grid.nx} x {grid.nt} nodes, hx={grid.hx:g} ht={grid.ht:g}"]
     if field_.count_valid() == 0:

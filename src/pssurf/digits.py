@@ -23,6 +23,18 @@ values it spells with an exponent, exact ties (which % rounds half to
 even), and values whose exact product lies outside [10**(P-1), 10**P) or
 whose n is 10**P.  The last are values whose E was misjudged or whose
 rounding carries into the next power of ten.
+
+read_rows is the inverse for CSV rows, bit for bit np.loadtxt.  A field
+of digits with an optional "-" first and "." inside is n / 10**k, n < 10**17
+spelled by its digits, k of them after the point; each 8 digits are one
+word, turned into a number in three multiply-shift steps (Lemire, SPE 51,
+2021).  10**k is exact, so q = fl(fl(n) / 10**k) is within two ulps of
+n / 10**k, and the two-product's n - q * 10**k gives its distance t from q
+in ulps all but exactly (Clinger, PLDI 1990).  The value is q moved by
+rint(t) ulps where t is not within 2**-20 of a tie, it stays in q's binade
+and lies on no power of two from below: its neighbours are an ulp away on
+both sides.  "nan", "inf" and "-inf" are matched over arrays, and float(),
+as loadtxt, reads other fields; text loadtxt may read otherwise gives None.
 """
 
 from __future__ import annotations
@@ -31,7 +43,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["text_rows", "write_rows"]
+__all__ = ["read_rows", "text_rows", "write_rows"]
 
 # offsets of the 10,000-word tables in _digit_words(): the words "0000" to
 # "9999" spelled in full, with trailing zeros NUL, with leading zeros NUL,
@@ -242,3 +254,134 @@ def write_rows(fh, columns, precision, lead, block):
     for k in range(0, len(columns[0]), block):
         fh.write(text_rows(np.column_stack([c[k:k + block] for c in columns]),
                            precision, lead))
+
+
+# bytes of text read at a time, and before each block 23 "0" and a "\n":
+# the words of its first field reach back into them
+_READ = 1 << 18
+_LEAD = b"0" * 23 + b"\n"
+# what read_rows takes each byte other than a digit for: 0 text it leaves
+# to loadtxt, 1 "\n", 2 ",", 3 "." and 4 another byte float() may take
+_KIND = np.zeros(256, np.uint8)
+_KIND[[10, 44, 46, 43, 45]] = [1, 2, 3, 4, 4]
+_KIND[58:128] = 4
+_KIND[ord("_")] = 0  # float() takes it between digits, loadtxt does not
+# _LAST[c]: masks of the three words before c <= 22 digits keeping them
+_LAST = np.array([[(1 << 8 * b) - 1 << 8 * (8 - b)
+                   for b in (min(max(c - 8 * j, 0), 8) for j in (2, 1, 0))]
+                  for c in range(23)], np.uint64)
+# n < _ROOM[k] * 10**k <= 10**17 for the integer part n before k digits
+_ROOM = np.array([10 ** max(17 - k, 0) for k in range(23)], np.uint64)
+_SPECIAL = {field: float(field) for field in (b"nan", b"inf", b"-inf")}
+
+
+def read_rows(fh, rows, width):
+    """The values of rows CSV rows of width values each in the binary file
+    fh, from its position on, flat; or None (see the module docstring).
+    _READ bytes at a time are cut after their last "\n" into the result."""
+    out = np.empty(rows * width)
+    raw = bytearray(_LEAD + bytes(_READ))
+    text, view = np.frombuffer(raw, np.uint8), memoryview(raw)
+    done = kept = 0
+    while got := fh.readinto(view[len(_LEAD) + kept:]):
+        size = len(_LEAD) + kept + got
+        cut = raw.rfind(b"\n", len(_LEAD), size) + 1
+        values = _row_values(text[:cut], width) if cut else None
+        if values is None or done + len(values) > len(out):
+            return None
+        out[done:done + len(values)] = values
+        done += len(values)
+        kept = size - cut
+        raw[len(_LEAD):len(_LEAD) + kept] = raw[cut:size]
+    # the last line ends in "\n" and no value is missing
+    return out if not kept and done == len(out) else None
+
+
+def _number(text, ends, counts):
+    """The numbers spelled by the counts <= 22 digits before ends in text
+    as uint64 (>= 10**17 where not below it), read in as few words as may."""
+    size = max(-(-int(counts.max(initial=0)) // 8) * 8, 8)
+    windows = np.ndarray(len(text) - size + 1, f"V{size}", text,
+                         strides=(1,))
+    w = windows[ends - size].view(np.uint64).reshape(len(ends), size // 8)
+    w &= _LAST.take(counts, axis=0)[:, 3 - w.shape[1]:]
+    # digits, first lowest, to their values, then pairs, fours and eights
+    for keep, times, shift in ((0x0F0F0F0F0F0F0F0F, 2561, 8),
+                               (0x00FF00FF00FF00FF, 6553601, 16),
+                               (0x0000FFFF0000FFFF, 42949672960001, 32)):
+        w &= keep
+        w *= times
+        w >>= shift
+    n = w[:, -1]
+    if size > 8:
+        n = n + w[:, -2] * np.uint64(10 ** 8)
+    if size > 16:
+        n += np.minimum(w[:, 0], 10) * np.uint64(10 ** 16)
+    return n
+
+
+def _row_values(text, width):
+    """The values of the rows of text, a block of read_rows, or None."""
+    # the bytes other than digits: a plain field has a "-" first, a "." last
+    at = np.flatnonzero((text < 48) | (text > 57))
+    kind = _KIND.take(text.take(at))
+    seps = np.flatnonzero(kind <= 2)
+    ends = kind.take(seps[1:])
+    if (not kind.all() or len(ends) % width
+            or (ends.reshape(-1, width) != [2] * (width - 1) + [1]).any()):
+        return None
+    start, end = at.take(seps[:-1]) + 1, at.take(seps[1:])
+    has_dot = kind.take(seps[1:] - 1) == 3
+    dot = np.where(has_dot, at.take(seps[1:] - 1), end)
+    neg = text.take(start) == 45
+    plain = np.flatnonzero(np.diff(seps) == 1 + has_dot + neg)  # no others
+    x, slow = np.empty(len(start)), np.ones(len(start), bool)
+    x[plain], slow[plain] = _decimals(text, *(a.take(plain) for a in
+                                              (start, end, dot, neg)))
+    rest = np.flatnonzero(slow)
+    # the 8 bytes before the end of each field left, and its length
+    tail = np.ndarray(len(text) - 7, "<u8", text, strides=(1,))[
+        end.take(rest) - 8]
+    size = (end - start).take(rest)
+    for field, value in _SPECIAL.items():
+        hit = rest[(size == len(field)) & (tail >> 64 - 8 * len(field)
+                   == int.from_bytes(field, "little"))]
+        x[hit], slow[hit] = value, False
+    for j in np.flatnonzero(slow).tolist():
+        try:
+            x[j] = float(text[start[j]:end[j]].tobytes())
+        except ValueError:
+            return None
+    return x
+
+
+def _decimals(text, start, end, dot, neg):
+    """(x, slow): the fields of text from start to end, "-" first where neg
+    and the fraction after dot, read as n / 10**k, and where they are not."""
+    int_len = dot - start - neg
+    k = np.maximum(end - dot - 1, 0)
+    slow = (int_len + k == 0) | (int_len > 22) | (k > 22)
+    whole = _number(text, dot, np.clip(int_len, 0, 22))
+    k = np.minimum(k, 22)
+    fraction = _number(text, end, k)
+    slow |= (whole >= _ROOM.take(k)) | (fraction >= 10 ** 17)
+    n = (whole * _POW10_INT.take(np.minimum(k, 18)).view(np.uint64)
+         + fraction).view(np.int64)
+    n_float = n.astype(float)
+    scale = _POW10.take(k)
+    q = n_float / scale
+    hi = q * scale
+    r = (n_float - hi) + ((n - n_float.astype(np.int64)).astype(float)
+                          - _product_error(q, k, hi))
+    bits = q.view(np.int64)
+    # the ulp of q > 0 (2**-1074 for q = 0)
+    ulp = np.maximum((bits & 0x7FF0000000000000).view(float),
+                     2.0 ** -1022) * 2.0 ** -52
+    t = r / (scale * ulp)
+    step = np.rint(t)
+    x = q + step * ulp
+    moved = x.view(np.int64)
+    slow |= (~(np.abs(t - step) < 0.5 - 2.0 ** -20)
+             | ((moved ^ bits) >> 52 != 0)
+             | ((moved & 0xFFFFFFFFFFFFF == 0) & (t < step)))
+    return np.copysign(x, np.where(neg, -1.0, 1.0)), slow

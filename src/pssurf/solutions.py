@@ -5,20 +5,16 @@ closed forms in x and t, together with the equation they are declared to
 solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
 from data on the characteristics x = x0 and t = t0, one anti-diagonal of
 cells at a time.  A SolutionGrid holds u and its derivatives on grid
-nodes, stored as CSV or binary; CSV text is spelled from digit tables a
-block of rows at a time by one process, and the two halves of a large
-grid's CSV rows are parsed at once by two processes where a second CPU
-is there to run them.
+nodes, stored as CSV or binary; pssurf.digits spells the CSV text from
+digit tables and reads it back, a block of rows at a time, in one process.
 """
 
 from __future__ import annotations
 
-import io
 import itertools
 import math
 import os
 import re
-import threading
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,7 +37,7 @@ from .expr import (
 )
 from .expr import EquationContext
 from .catalog import ConstraintError
-from .digits import write_rows
+from .digits import read_rows, write_rows
 
 __all__ = [
     "AnalyticSolution",
@@ -227,8 +223,7 @@ class SolutionGrid:
         The rows are spelled from digit tables (pssurf.digits), byte for
         byte what %-formatting writes, in blocks of _CSV_ROWS rows stacked
         from the columns, so one block's values and text are alive at a
-        time.  One process writes them all and needs no second CPU: it
-        writes faster than two processes that format with % (BENCH_26.json).
+        time.
         """
         names = list(self.values)
         lead = np.array([0] + [ord(",")] * (len(names) - 1), np.uint32)
@@ -239,25 +234,27 @@ class SolutionGrid:
 
     @classmethod
     def from_csv(cls, path):
-        """Read what to_csv wrote.
+        """Read what to_csv wrote, as np.loadtxt reads it.
 
-        Where the header promises _SPLIT_ROWS rows or more and a second
-        CPU may run them (_two_processes), two processes parse them, while
-        to_csv writes in one: the data bytes are cut at the first line
-        start after their midpoint, and a forked child parses the second
-        part and sends its float64 rows through a pipe, straight into this
-        process's result array, while this process parses the first.
-        Where the parts could read otherwise than one pass (a byte
-        outside ASCII, or a CR) or do not add up (the child failed, or a
-        part does not parse or has the wrong shape), the file is parsed
-        again in one pass, which raises the error it gives.  np.loadtxt
-        holds the GIL, so the second part needs a process, not a thread.
+        pssurf.digits reads the rows (read_rows) into an array allocated
+        once the file holds a digit and a separator for each value the
+        header promises.  Other text, or rows not matching the header, are
+        read again by np.loadtxt in one pass, which raises its error.
         """
-        try:
-            grid = _read_csv_split(cls, path)
-        except (OSError, ValueError, OverflowError):
-            grid = None
-        return grid if grid is not None else cls._read_csv_serial(path)
+        with open(path, "rb") as fh:
+            header, names = fh.readline(), fh.readline()
+            # the lines a text-mode read sees: ASCII, and no CR
+            if (header + names).isascii() and b"\r" not in header + names:
+                grid = cls(**_parse_header(header.decode()))
+                names = _field_names(names.decode().strip())
+                rows, width = grid.nx * grid.nt, len(names)
+                left = os.fstat(fh.fileno()).st_size - fh.tell()
+                flat = (read_rows(fh, rows, width)
+                        if left >= 2 * rows * width else None)
+                if flat is not None:
+                    grid._set_columns(names, flat.reshape(rows, width))
+                    return grid
+        return cls._read_csv_serial(path)
 
     @classmethod
     def _read_csv_serial(cls, path):
@@ -265,7 +262,10 @@ class SolutionGrid:
             grid = cls(**_parse_header(fh.readline()))
             names = _field_names(fh.readline().strip())
             try:
-                flat = _loadtxt(fh)
+                with warnings.catch_warnings():
+                    # no data rows is reported below, as a shape mismatch
+                    warnings.simplefilter("ignore", UserWarning)
+                    flat = np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise _at_file_line(exc, path) from None
         if flat.shape != (grid.nx * grid.nt, len(names)):
@@ -345,21 +345,10 @@ def _field_names(text):
 # rows per block of CSV text: a block's float temporaries stay below
 # malloc's 128 KB mmap threshold
 _CSV_ROWS = 1024
-_CHUNK = 1 << 18  # bytes per pread of a CSV part
-# fewest CSV rows that two processes parse: below it the fork costs more
-# than the second CPU saves (measured in BENCH_22.json)
-_SPLIT_ROWS = 50_000
-
-
-def _loadtxt(lines):
-    with warnings.catch_warnings():
-        # no data rows is reported by the caller, as a shape mismatch
-        warnings.simplefilter("ignore", UserWarning)
-        return np.loadtxt(lines, delimiter=",", ndmin=2)
 
 
 def _at_file_line(exc, path):
-    """exc, an error of _loadtxt over the lines of path after its two
+    """exc, an error of np.loadtxt over the lines of path after its two
     header lines, with the row it names given by its line in the file.
 
     numpy names a row by its index among the data rows, the lines not
@@ -380,148 +369,6 @@ def _at_file_line(exc, path):
         return exc
     return ValueError(f"{msg[:at.start()]} at line {line}"
                       + msg[at.end():].split(";", 1)[0])
-
-
-def _ascii(data):
-    """data as text, where a text-mode read would see the same lines: ASCII
-    with no CR, which universal newlines would make a line end."""
-    if b"\r" in data:
-        raise ValueError("CSV text outside what a split read takes")
-    return data.decode("ascii")
-
-
-def _table(lines, width):
-    """The rows of the CSV lines as a float64 array of width columns (or
-    none, when there are no rows)."""
-    table = _loadtxt(lines)
-    if len(table) and table.shape[1] != width:
-        raise ValueError("CSV rows of the wrong width")
-    return table
-
-
-def _pieces(fd, offset, size):
-    """The text in size bytes of file descriptor fd from offset on, as
-    pieces of whole lines read by os.pread _CHUNK bytes at a time, so two
-    processes can share fd."""
-    end, tail = offset + size, b""
-    while offset < end:
-        data = os.pread(fd, min(end - offset, _CHUNK), offset)
-        if not data:
-            raise ValueError("CSV file shrank while read")
-        offset += len(data)
-        data = tail + data
-        cut = data.rfind(b"\n") + 1 if offset < end else len(data)
-        tail = data[cut:]
-        yield _ascii(data[:cut])
-
-
-def _read_csv_split(cls, path):
-    """from_csv's grid, parsed by two processes, or None (or a raised
-    error) where they should not share it or the parts are not known to
-    give what one pass gives."""
-    with open(path, "rb") as fh:
-        grid = cls(**_parse_header(_ascii(fh.readline())))
-        names = _field_names(_ascii(fh.readline()).strip())
-        rows, width = grid.nx * grid.nt, len(names)
-        if not _two_processes(rows):
-            return None
-        start, end = fh.tell(), os.fstat(fh.fileno()).st_size
-        if 2 * rows * width - 1 > end - start:
-            return None  # too few bytes for the values the header promises
-        fh.seek((start + end) // 2)
-        fh.readline()
-        split = fh.tell()
-        fd = fh.fileno()
-
-        def second():
-            return _table(itertools.chain.from_iterable(
-                map(io.StringIO, _pieces(fd, split, end - split))), width)
-
-        with _SecondHalf(second) as child:
-            # this process parses its part piece by piece into the result,
-            # so it never holds its part's rows twice
-            flat = np.empty((rows, width))
-            mine = 0
-            for piece in _pieces(fd, start, split - start):
-                table = _table(io.StringIO(piece), width)
-                if mine + len(table) > rows:
-                    return None
-                flat[mine:mine + len(table)] = table
-                mine += len(table)
-            theirs = flat[mine:]
-            if (child.pipe.readinto(theirs) != theirs.nbytes
-                    or child.pipe.read(1) or not child.done()):
-                return None
-    grid._set_columns(names, flat)
-    return grid
-
-
-def _two_processes(rows):
-    """Whether a forked child should parse half of rows CSV rows: there
-    are _SPLIT_ROWS or more, this process may run on a second CPU, the
-    system has fork and pread, and no other Python thread runs, one that
-    could hold a lock the child's copy of the process would wait on for
-    ever.  Writing needs none of this: to_csv writes in one process."""
-    if (rows < _SPLIT_ROWS or not hasattr(os, "fork")
-            or not hasattr(os, "pread") or threading.active_count() > 1):
-        return False
-    try:
-        return len(os.sched_getaffinity(0)) > 1
-    except AttributeError:  # no affinity call outside Linux
-        return (os.cpu_count() or 1) > 1
-
-
-class _SecondHalf:
-    """One forked child that parses the second half of a CSV grid while
-    this process parses the first.
-
-    The child runs work(), sends the bytes-like object it returns through
-    a pipe and ends with os._exit, so it never returns into the caller's
-    frames nor runs its exit handlers.  In a with block the parent does
-    its half, reads `pipe` to its end, then calls done().  Leaving the
-    block closes the pipe first, so a child blocked on a full pipe gets
-    EPIPE and exits, then reaps the child.  If the fork fails, the pipe is
-    empty and done() is False, as for a failed child, and the caller
-    parses the file in one pass.  Callers ask _two_processes first.
-    """
-
-    def __init__(self, work):
-        read, write = os.pipe()
-        try:
-            with warnings.catch_warnings():
-                # Python 3.12+ warns of a fork with other OS threads.  The
-                # only ones left by _two_processes are BLAS's idle pool, and
-                # the child parses text and calls no BLAS.
-                warnings.filterwarnings("ignore", "This process .* is "
-                                        "multi-threaded", DeprecationWarning)
-                self.pid = os.fork()
-        except (OSError, RuntimeError):  # RuntimeError: in a subinterpreter
-            self.pid = None
-        if self.pid == 0:
-            code = 1
-            try:
-                os.close(read)
-                with open(write, "wb") as out:
-                    out.write(work())
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(write)
-        self.pipe = open(read, "rb")
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.done()
-
-    def done(self):
-        """Close the pipe and reap the child; True if it exited with 0."""
-        self.pipe.close()
-        if self.pid is None:
-            return False
-        pid, self.pid = self.pid, None
-        return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
 
 # ------------------------------------------------------------ Goursat solver

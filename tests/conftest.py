@@ -1,6 +1,7 @@
 """Suite-wide fixtures."""
 
 import gc
+import os
 
 import pytest
 
@@ -18,3 +19,13 @@ def _freeze_earlier_modules():
     gc.collect()
     gc.freeze()
     yield
+
+
+@pytest.fixture
+def no_leaks():
+    """The test leaves no child process and no open file descriptor."""
+    fds = sorted(os.listdir("/proc/self/fd"))
+    yield
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir("/proc/self/fd")) == fds

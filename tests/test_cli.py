@@ -474,6 +474,13 @@ def _zero_step(src):
     src.write_bytes(src.read_bytes().replace(b"hx=0.1", b"hx=0.0", 1))
 
 
+def _promise_more(nx):
+    def corrupt(src):
+        src.write_bytes(src.read_bytes().replace(b"nx=21 nt=21", b"nx=%s nt="
+                                                 b"100000000" % nx, 1))
+    return corrupt
+
+
 @pytest.mark.parametrize("kind, corrupt, message", [
     ("csv", _rename_fields, "grid fields 'u,u_x' do not match "
                             "u,u_x,u_t,u_xx,u_xt,u_tt (in any order)"),
@@ -485,6 +492,12 @@ def _zero_step(src):
     ("bin", _append_value, "binary grid payload does not match the header"),
     ("csv", _zero_step, "grid header needs finite x0, t0, positive finite "
                         "hx, ht and positive nx, nt"),
+    # a header that promises more values than the file's bytes can hold
+    ("csv", _promise_more(b"100000000"), "CSV grid data does not match the "
+     "header: 441 rows of 6 values, expected 10000000000000000 rows of 6"),
+    ("csv", _promise_more(b"1" * 25), "CSV grid data does not match the "
+     f"header: 441 rows of 6 values, expected {int('1' * 25) * 10 ** 8} rows"
+     " of 6"),
 ])
 def test_immerse_rejects_malformed_stored_grid(capsys, tmp_path, kind,
                                                corrupt, message):
@@ -500,8 +513,8 @@ def test_immerse_rejects_malformed_stored_grid(capsys, tmp_path, kind,
 
 @pytest.mark.parametrize("row", ["1,2,3,4,5,x", "1,2,3,4,5"])
 def test_immerse_rejects_a_malformed_csv_row(capfd, tmp_path, row):
-    # the row lies in the part a forked child parses; whatever the child
-    # does, the error is the one-pass parser's, on one line, at fd level
+    # the row lies in the last block read_rows reads; the error is the
+    # one-pass parser's, on one line, at fd level
     src = _stored_kink(tmp_path, "csv")
     lines = src.read_text().splitlines(keepends=True)
     lines[-50] = row + "\n"
@@ -749,6 +762,19 @@ def test_points_that_do_not_fit_in_memory_are_named(capsys, monkeypatch):
     assert code == 2
     assert err == ("constraint violation: points: 1000000000000 sample points"
                    " per zero test do not fit in memory; lower --points\n")
+
+
+def test_grid_that_does_not_fit_in_memory_is_named(capsys, tmp_path):
+    # 6 * 10^15 nodes a side: numpy refuses the axes at once, past any
+    # address space, and nothing is allocated
+    grid = "-3:3:-3:3:0.000000000000001"
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic",
+                            "--solution", "kink", "--grid", grid,
+                            "--out", str(tmp_path / "k.obj"))
+    assert code == 2
+    assert err == (f"constraint violation: grid: {grid} has more nodes than"
+                   " fit in memory; raise its step\n")
+    assert not (tmp_path / "k.obj").exists()
 
 
 @pytest.mark.parametrize("command, flag, value", [

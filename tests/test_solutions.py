@@ -1,16 +1,12 @@
-import errno
 import hashlib
 import io
 import math
 import os
-import threading
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 
-from pssurf import solutions
 from pssurf.catalog import ConstraintError, build
 from pssurf.expr import Const, parse
 from pssurf.solutions import (
@@ -474,34 +470,51 @@ def test_csv_write_memory_stays_flat(tmp_path, marched_grid):
     assert peak <= 4 * 2 ** 20
 
 
-# ------------------------------------------------------------ split CSV
+# ------------------------------------------------------------ CSV read
 
 
-@pytest.fixture
-def no_leaks():
-    """The test leaves no child process and no open file descriptor."""
-    fds = sorted(os.listdir("/proc/self/fd"))
-    yield
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-    assert sorted(os.listdir("/proc/self/fd")) == fds
+def _refuse_fork():
+    raise AssertionError("forked")
 
 
-@pytest.fixture
-def forks(monkeypatch, no_leaks):
-    """Let two processes share any grid's rows, on any host, and count the
-    forks."""
-    calls = []
-    fork = os.fork
+def test_csv_read_stays_in_one_process_and_small(tmp_path, monkeypatch,
+                                                 no_leaks, marched_grid):
+    # from_csv reads block by block straight into its result array, with
+    # no other process, and no more than 6 MB alive on top of the result
+    path = tmp_path / "grid.csv"
+    marched_grid.to_csv(path)
+    monkeypatch.setattr(os, "fork", _refuse_fork)
+    monkeypatch.setattr(SolutionGrid, "_read_csv_serial", _one_pass_only)
+    tracemalloc.start()
+    try:
+        back = SolutionGrid.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _assert_same_grid(back, marched_grid)
+    result = 8 * 6 * marched_grid.nx * marched_grid.nt
+    assert result > 16 * 2 ** 20
+    assert peak - result <= 6 * 2 ** 20
 
-    def counted():
-        calls.append(os.getpid())
-        return fork()
-    monkeypatch.setattr(solutions, "_SPLIT_ROWS", 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    monkeypatch.setattr(os, "fork", counted)
-    return calls
+
+@pytest.mark.parametrize("nx", ["100000000", "1" * 25])
+def test_csv_header_promising_more_values_than_the_file_holds(
+        tmp_path, nx):
+    # the header's size is checked against the file's bytes before any
+    # array of that size is asked for
+    _, path = _write_grid(tmp_path, "csv")
+    raw = path.read_bytes()
+    path.write_bytes(raw.replace(b"nx=3", b"nx=" + nx.encode(), 1)
+                     .replace(b"nt=4", b"nt=100000000", 1))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="CSV grid data does not match "
+                                             "the header: 12 rows of 6"):
+            SolutionGrid.from_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20
 
 
 def _random_grid(nx, nt):
@@ -538,16 +551,14 @@ def _one_pass_only(*args):
 
 # 1, 2, 3 and 21 rows, and 4,545 rows: several blocks of _CSV_ROWS rows
 @pytest.mark.parametrize("nx, nt", [(1, 1), (2, 1), (1, 3), (7, 3), (45, 101)])
-def test_csv_split_is_the_one_pass_text(tmp_path, monkeypatch, forks, nx, nt):
+def test_csv_is_the_one_pass_text(tmp_path, monkeypatch, no_leaks, nx, nt):
     g = _random_grid(nx, nt)
     path = tmp_path / "grid.csv"
     g.to_csv(path)
     assert path.read_text() == _one_pass_text(g)
-    # a well-formed file is read by the split, not the one-pass fallback
+    # a well-formed file is read by read_rows, not the one-pass fallback
     monkeypatch.setattr(SolutionGrid, "_read_csv_serial", _one_pass_only)
     _assert_same_grid(SolutionGrid.from_csv(path), g)
-    # the read forks; the write stays in one process
-    assert len(forks) == 1
 
 
 def _corrupt_row(path, k, row):
@@ -564,17 +575,16 @@ def _corrupt_row(path, k, row):
     ("1,2,3,4,5", "the number of columns changed from 6 to 5 at line {}"),
 ])
 @pytest.mark.parametrize("k", [4445, 98])   # a data row in each half
-def test_csv_split_raises_the_one_pass_error(tmp_path, forks, row, message,
-                                             k):
+def test_csv_raises_the_one_pass_error(tmp_path, no_leaks, row, message, k):
     path = tmp_path / "grid.csv"
     _random_grid(45, 101).to_csv(path)
     _corrupt_row(path, k + 2, row)
     with pytest.raises(ValueError) as serial:
         SolutionGrid._read_csv_serial(path)
-    with pytest.raises(ValueError) as split:
+    with pytest.raises(ValueError) as read:
         SolutionGrid.from_csv(path)
-    assert str(split.value) == str(serial.value)
-    # lines are counted over the whole file, not from the split
+    assert str(read.value) == str(serial.value)
+    # lines are counted over the whole file
     assert str(serial.value) == message.format(k + 3)
 
 
@@ -602,7 +612,7 @@ def test_csv_error_counts_skipped_lines(tmp_path, row, message):
     lambda raw: raw[:-200] + raw[-200:].replace(b"\n", b"\r", 1),
     lambda raw: raw.replace(b"nt=101", b"nt=101 note=\xc3\xa9", 1),
 ])
-def test_csv_split_leaves_other_text_to_one_pass(tmp_path, forks, edit):
+def test_csv_leaves_other_text_to_one_pass(tmp_path, no_leaks, edit):
     # universal newlines and a non-ASCII header: the one-pass reader reads
     # them, so from_csv gives what it gives
     g = _random_grid(45, 101)
@@ -613,9 +623,10 @@ def test_csv_split_leaves_other_text_to_one_pass(tmp_path, forks, edit):
                       SolutionGrid._read_csv_serial(path))
 
 
-def test_csv_split_does_not_hide_a_row_behind_a_cr(tmp_path, forks):
+def test_csv_does_not_hide_a_row_behind_a_cr(tmp_path, no_leaks):
     # one pass ends the line at the CR, so the row after " #" is data; a
-    # part that kept the CR inside its line would read that row as comment
+    # reader that kept the CR inside its line would read that row as
+    # comment
     path = tmp_path / "grid.csv"
     _random_grid(45, 101).to_csv(path)
     raw = path.read_bytes()
@@ -626,9 +637,9 @@ def test_csv_split_does_not_hide_a_row_behind_a_cr(tmp_path, forks):
         SolutionGrid.from_csv(path)
 
 
-def test_csv_split_checks_each_part_s_width(tmp_path, forks):
-    # from the split on, every row is one value padded to its old length,
-    # so each part is a regular table but the two are not one table
+def test_csv_checks_each_part_s_width(tmp_path, no_leaks):
+    # from the middle on, every row is one value padded to its old length,
+    # so each half is a regular table but the two are not one table
     path = tmp_path / "grid.csv"
     _random_grid(45, 101).to_csv(path)
     raw = path.read_bytes()
@@ -639,129 +650,7 @@ def test_csv_split_checks_each_part_s_width(tmp_path, forks):
     path.write_bytes(raw[:split] + b"".join(tail))
     with pytest.raises(ValueError) as serial:
         SolutionGrid._read_csv_serial(path)
-    with pytest.raises(ValueError) as split:
+    with pytest.raises(ValueError) as read:
         SolutionGrid.from_csv(path)
-    assert str(split.value) == str(serial.value)
+    assert str(read.value) == str(serial.value)
     assert "changed from 6 to 1" in str(serial.value)
-
-
-def _fail_in(fn, child, error):
-    """fn, raising error in the forked child (child=True) or the parent."""
-    parent = os.getpid()
-
-    def wrapped(*args):
-        if (os.getpid() != parent) == child:
-            raise error
-        return fn(*args)
-    return wrapped
-
-
-def test_csv_split_falls_back_when_the_child_fails(tmp_path, monkeypatch,
-                                                   forks):
-    g = _random_grid(45, 101)
-    path = tmp_path / "grid.csv"
-    monkeypatch.setattr(solutions, "_table", _fail_in(
-        solutions._table, True, MemoryError("child out of memory")))
-    g.to_csv(path)
-    assert path.read_text() == _one_pass_text(g)
-    _assert_same_grid(SolutionGrid.from_csv(path), g)
-
-
-@pytest.mark.parametrize("error", [
-    OSError(errno.EAGAIN, "Resource temporarily unavailable"),
-    RuntimeError("fork not supported for subinterpreters"),
-])
-def test_csv_split_falls_back_when_fork_fails(tmp_path, monkeypatch, forks,
-                                              error):
-    def no_fork():
-        raise error
-    monkeypatch.setattr(os, "fork", no_fork)
-    g = _random_grid(45, 101)
-    path = tmp_path / "grid.csv"
-    g.to_csv(path)
-    assert path.read_text() == _one_pass_text(g)
-    _assert_same_grid(SolutionGrid.from_csv(path), g)
-
-
-def test_csv_split_result_is_private(tmp_path, forks):
-    # a later fork's child that changes the values in place leaves this
-    # process's grid as it was
-    g = _random_grid(45, 101)
-    path = tmp_path / "grid.csv"
-    g.to_csv(path)
-    back = SolutionGrid.from_csv(path)
-    pid = os.fork()
-    if pid == 0:
-        try:
-            for values in back.values.values():
-                values[...] = 0.0
-        finally:
-            os._exit(0)
-    os.waitpid(pid, 0)
-    _assert_same_grid(back, g)
-
-
-def test_csv_split_silences_the_fork_thread_warning(tmp_path, monkeypatch,
-                                                    forks):
-    # Python 3.12+ warns of a fork in a process with OS threads, as numpy's
-    # BLAS pool makes it
-    fork = os.fork
-
-    def warning_fork():
-        warnings.warn("This process (pid=1) is multi-threaded, use of fork() "
-                      "may lead to deadlocks in the child.",
-                      DeprecationWarning, stacklevel=2)
-        return fork()
-    monkeypatch.setattr(os, "fork", warning_fork)
-    g = _random_grid(45, 101)
-    path = tmp_path / "grid.csv"
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        g.to_csv(path)
-        back = SolutionGrid.from_csv(path)
-    assert path.read_text() == _one_pass_text(g)
-    _assert_same_grid(back, g)
-
-
-def _refuse_fork():
-    raise AssertionError("forked")
-
-
-@pytest.mark.parametrize("case", ["few rows", "one CPU", "no fork",
-                                  "another thread"])
-def test_csv_stays_in_one_process(tmp_path, monkeypatch, no_leaks, case):
-    # where the split would not pay, could not run, or could leave the
-    # child waiting on a lock another thread holds, one process does all
-    cpus = {0} if case == "one CPU" else {0, 1}
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus,
-                        raising=False)
-    if case != "few rows":
-        monkeypatch.setattr(solutions, "_SPLIT_ROWS", 1)
-    if case == "no fork":
-        monkeypatch.delattr(os, "fork")
-    else:
-        monkeypatch.setattr(os, "fork", _refuse_fork)
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    if case == "another thread":
-        other.start()
-    try:
-        g = _random_grid(45, 101)   # 4,545 rows, below _SPLIT_ROWS
-        path = tmp_path / "grid.csv"
-        g.to_csv(path)
-        assert path.read_text() == _one_pass_text(g)
-        _assert_same_grid(SolutionGrid.from_csv(path), g)
-    finally:
-        stop.set()
-        if case == "another thread":
-            other.join(timeout=10)
-            assert not other.is_alive()
-
-
-def test_csv_split_needs_rows_enough_and_a_second_cpu(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
-                        raising=False)
-    assert solutions._two_processes(solutions._SPLIT_ROWS)
-    assert not solutions._two_processes(solutions._SPLIT_ROWS - 1)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
-    assert not solutions._two_processes(solutions._SPLIT_ROWS)
