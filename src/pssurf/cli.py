@@ -20,18 +20,18 @@ from __future__ import annotations
 import argparse
 import math
 import os
-import re
 import sys
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .catalog import ConstraintError, build
+from .expr import free_names, is_zero
 from .forms import verify_family
 from .frame import export_mesh, integrate_frame, validate_surface
 from .sff import (IMMERSION_KEYS, NoImmersion, closed_form,
                   finite_jet_obstruction, verify_immersion)
-from .solutions import SolutionGrid, grid_window, linear_solution, sg_kink
+from .solutions import EXACT, SolutionGrid, grid_window
 
 
 def _checked(cast, what, ok):
@@ -52,13 +52,14 @@ class Option(NamedTuple):
     convert: Callable[[str], object] = str    # the flag's and the key's text
     default: object = None
     commands: tuple = ("verify", "obstruct", "immerse")
-    solutions: tuple = ()       # the immerse solutions that read it, if not all
     file: str | None = "key"
 
 
 _VERIFY, _IMMERSE = ("verify",), ("immerse",)
 _TOLERANCE = _checked(float, "a finite number >= 0", lambda x: 0 <= x < math.inf)
 _FINITE = _checked(float, "a finite number", math.isfinite)
+# what the exact solutions read: each its grid and its own flags
+_SOLUTION_FLAGS = ("grid", *{f: 0 for _, flags in EXACT.values() for f in flags})
 _FAMILY_PARAMS = ("eta", "alpha", "beta", "gamma", "delta", "nu", "xi", "zeta",
                   "tau", "A", "B", "Q", "T", "sign", "lambda")
 
@@ -76,10 +77,8 @@ OPTIONS = {
     # obstruct builds no form to pick the sign of
     "sign_im": Option(float, commands=("verify", "immerse"), file="params"),
     "solution": Option(commands=_IMMERSE),
-    "grid": Option(commands=_IMMERSE, solutions=("kink", "linear")),
-    "a": Option(_FINITE, commands=_IMMERSE, solutions=("kink",)),
-    "p": Option(_FINITE, commands=_IMMERSE, solutions=("linear",)),
-    "C": Option(_FINITE, commands=_IMMERSE, solutions=("linear",)),
+    "grid": Option(commands=_IMMERSE),
+    **{flag: Option(_FINITE, commands=_IMMERSE) for flag in _SOLUTION_FLAGS[1:]},
     "out": Option(commands=_IMMERSE),
     "eps_deg": Option(_TOLERANCE, None, _IMMERSE),
     "k_tol": Option(_TOLERANCE, 1e-2, _IMMERSE),
@@ -143,14 +142,20 @@ def _apply_config(cfg, sections):
         cfg.params[key] = _coerce(text)
 
 
+def _floats(text):
+    """text's colon-separated fields as floats, or None; argparse takes such
+    a dash-led token (-3:3:-3:3:0.02, -1e-3) for a value, not an option."""
+    try:
+        return [float(f) for f in text.split(":")]
+    except ValueError:
+        return None
+
+
 def parse_grid(text):
     """x0:x1:t0:t1:h or x0:x1:t0:t1:hx:ht, checked by grid_window."""
-    parts = text.split(":")
-    if len(parts) not in (5, 6):
+    if text.count(":") not in (4, 5):
         raise ConstraintError("grid", f"expected 5 or 6 colon fields, got {text!r}")
-    try:
-        vals = [float(p) for p in parts]
-    except ValueError:
+    if (vals := _floats(text)) is None:
         raise ConstraintError("grid", f"non-numeric field in {text!r}")
     return grid_window(vals)
 
@@ -175,9 +180,8 @@ def _emit(lines, report_path):
 
 
 def _param_header(cfg):
-    shown = {k: v for k, v in sorted(cfg.params.items())}
-    return "parameters: " + (", ".join(f"{k}={v}" for k, v in shown.items())
-                             or "(defaults)")
+    return "parameters: " + (", ".join(
+        f"{k}={v}" for k, v in sorted(cfg.params.items())) or "(defaults)")
 
 
 # ------------------------------------------------------------- commands
@@ -198,8 +202,7 @@ def cmd_verify(cfg) -> int:
     spec, imm_params = _build(cfg)
     rep = _sampled(verify_family, cfg, spec.triple)
     lines = [f"family: {spec.id.value}", _param_header(cfg)]
-    for note in spec.report:
-        lines.append(f"note: {note}")
+    lines.extend(f"note: {note}" for note in spec.report)
     lines.extend(rep.lines())
 
     imm_ok = True
@@ -207,8 +210,7 @@ def cmd_verify(cfg) -> int:
         sff = closed_form(spec, imm_params)
     except NoImmersion as exc:
         lines.append(f"immersion closed-form: none ({exc})")
-        sff = None
-    if sff is not None:
+    else:
         imm = _sampled(verify_immersion, cfg, spec.triple, sff)
         lines.append("immersion closed-form: " + (sff.label or "present"))
         lines.extend("  " + l for l in imm.lines())
@@ -225,41 +227,42 @@ def cmd_obstruct(cfg) -> int:
     # a config file's [params] may carry sign_im for verify and immerse
     imm_params.pop("sign_im", None)
     verdict = finite_jet_obstruction(spec, **imm_params)
-    lines = [f"family: {spec.id.value}", _param_header(cfg)]
-    lines.extend(verdict.lines())
-    _emit(lines, cfg.report)
+    _emit([f"family: {spec.id.value}", _param_header(cfg), *verdict.lines()],
+          cfg.report)
     return 0
 
 
-def _load_solution_grid(cfg, params):
-    """The grid --solution names; params are the built family's, under
-    their canonical names (an alias such as --zeta is mapped there)."""
+def _load_solution_grid(cfg, spec):
+    """The grid --solution names. An EXACT row is built from the family's
+    parameters, by canonical name, and must solve its equation."""
     src = cfg.solution or ""
-    stored = src.endswith(".csv") or src.endswith(".bin")
-    if not (stored or cfg.grid):
-        raise ConstraintError("grid", "no grid given (x0:x1:t0:t1:h)")
-    if not stored and src not in ("kink", "linear"):
-        raise ConstraintError(
-            "solution", f"unknown solution {src!r}; use kink, linear, "
-            "or a stored grid (.csv/.bin)")
-    for name, opt in OPTIONS.items():
-        if (opt.solutions and src not in opt.solutions
-                and getattr(cfg, name) is not None):
+    stored = src.endswith((".csv", ".bin"))
+    if not (stored or src in EXACT):
+        raise ConstraintError("solution", (
+            f"unknown solution {src!r}" if src else "no solution given")
+            + f"; use {', '.join(EXACT)}, or a stored grid (.csv/.bin)")
+    reads = () if stored else ("grid", *EXACT[src][1])
+    for name in _SOLUTION_FLAGS:
+        if name not in reads and getattr(cfg, name) is not None:
             raise ConstraintError(name, f"not read by --solution {src}")
     if stored:
         if not os.path.exists(src):
             raise ConstraintError("solution", f"no such grid file: {src}")
         return (SolutionGrid.from_csv(src) if src.endswith(".csv")
                 else SolutionGrid.from_binary(src))
+    if not cfg.grid:
+        raise ConstraintError("grid", "no grid given (x0:x1:t0:t1:h)")
     x0, t0, hx, ht, nx, nt = parse_grid(cfg.grid)
-    if src == "kink":
-        sol = sg_kink(1.0 if cfg.a is None else cfg.a)
-    else:
-        sol = linear_solution(params.get("lambda", 0.0),
-                              params.get("xi", 0.0),
-                              params.get("tau", 0.0),
-                              p=1.0 if cfg.p is None else cfg.p,
-                              C=1.0 if cfg.C is None else cfg.C)
+    builder, defaults = EXACT[src]
+    given = {f: getattr(cfg, f) for f in defaults if getattr(cfg, f) is not None}
+    sol = builder(spec.params, **{**defaults, **given})
+    res, pinned = sol.residual(spec.ctx), spec.triple.params
+    window = {"x": (x0, x0 + (nx - 1) * hx), "t": (t0, t0 + (nt - 1) * ht)}
+    # a parameter left unpinned is named by integrate_frame
+    if free_names(res) <= {*window, *pinned} and not (
+            verdict := is_zero(res, pinned, window)):
+        raise ConstraintError("solution", f"{src} does not solve the equation"
+                              f" of {spec.id.value}: residual {verdict}")
     return SolutionGrid.from_solution(sol, x0, t0, hx, ht, nx, nt)
 
 
@@ -272,7 +275,7 @@ def cmd_immerse(cfg) -> int:
     except NoImmersion as exc:
         raise ConstraintError("immersion", f"no closed-form immersion: {exc}")
     try:
-        grid = _load_solution_grid(cfg, spec.params)
+        grid = _load_solution_grid(cfg, spec)
         field_ = integrate_frame(spec.triple, sff, grid, eps_deg=cfg.eps_deg)
     except MemoryError:
         # the grid and its frame hold a few arrays of a float per node
@@ -300,11 +303,6 @@ def cmd_immerse(cfg) -> int:
 # ------------------------------------------------------------- wiring
 
 
-# grid specs such as -3:3:-3:3:0.02 start with a dash; widen the token
-# class argparse treats as a value rather than an option
-_VALUE_MATCHER = re.compile(r"^-\d+(?:[:.\-]\d*)*$|^-\.\d+(?:[:.\-]\d*)*$")
-
-
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="pssurf",
@@ -315,7 +313,8 @@ def build_parser():
         # an absent flag sets nothing, so make_config sees those given
         sp = sub.add_parser(command, help=text,
                             argument_default=argparse.SUPPRESS)
-        sp._negative_number_matcher = _VALUE_MATCHER
+        sp._negative_number_matcher = argparse.Namespace(
+            match=lambda token: _floats(token) is not None)
         for name, opt in OPTIONS.items():
             if command in opt.commands:
                 sp.add_argument("--" + name.replace("_", "-"), dest=name,

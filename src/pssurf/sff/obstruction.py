@@ -77,10 +77,6 @@ class ObstructionVerdict:
     trace: tuple
     sff: SecondFundamentalForm = None
 
-    @property
-    def admits_immersion(self):
-        return self.outcome is not Outcome.INCONSISTENT
-
     def lines(self):
         out = [f"verdict: {self.outcome.value} (jets up to order 1)"]
         out.extend(step.line() for step in self.trace)

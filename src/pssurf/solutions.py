@@ -1,12 +1,13 @@
 """Exact and numerical solutions u(x, t) of the catalog equations.
 
 Analytic solutions carry u and its derivatives through second order as
-closed forms in x and t, together with the equation they are declared to
-solve.  The Goursat solver fills a rectangular grid for u_xt = F(u, u_x)
-from data on the characteristics x = x0 and t = t0, one anti-diagonal of
-cells at a time.  A SolutionGrid holds u and its derivatives on grid
-nodes, stored as CSV or binary; pssurf.digits spells the CSV text from
-digit tables and reads it back, a block of rows at a time, in one process.
+closed forms in x and t, and their residual against a family's equation;
+EXACT lists those the command line builds by name.  The Goursat solver
+fills a rectangular grid for u_xt = F(u, u_x) from data on the
+characteristics x = x0 and t = t0, one anti-diagonal of cells at a time.
+A SolutionGrid holds u and its derivatives on grid nodes, stored as CSV
+or binary; pssurf.digits spells the CSV text from digit tables and reads
+it back, a block of rows at a time, in one process.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .expr import (
     exp,
     partial,
     simplify,
-    sin as _sin,
     substitute,
     to_text,
     z,
@@ -43,6 +43,7 @@ __all__ = [
     "AnalyticSolution",
     "Evaluable",
     "SolutionGrid",
+    "EXACT",
     "sg_kink",
     "linear_solution",
     "goursat_solve",
@@ -74,7 +75,7 @@ _DERIV_NAMES = ("u", "u_x", "u_t", "u_xx", "u_xt", "u_tt")
 
 @dataclass(frozen=True)
 class AnalyticSolution:
-    """u(x, t) with derivatives through order 2 and its declared equation."""
+    """u(x, t) with its derivatives through order 2."""
 
     u: Evaluable
     u_x: Evaluable
@@ -82,34 +83,21 @@ class AnalyticSolution:
     u_xx: Evaluable
     u_xt: Evaluable
     u_tt: Evaluable
-    equation: str
-    residual: Evaluable  # declared-equation residual, zero on solutions
+
+    def residual(self, ctx: EquationContext) -> Expr:
+        """u_xt - F(u, u_x) for a hyperbolic ctx, u_t - F(u, u_x, u_xx) for
+        an evolution one: an expression in x, t and the family's parameters
+        that vanishes where u solves the equation."""
+        lhs = self.u_xt if ctx.kind == "hyperbolic" else self.u_t
+        jets = {z(0): self.u.expr, z(1): self.u_x.expr, z(2): self.u_xx.expr}
+        return simplify(lhs.expr - substitute(ctx.rhs, jets))
 
 
-def _from_expr(u_expr, rhs, equation=""):
-    """Build the solution record from a closed form and the equation rhs.
-
-    rhs is an Expr in the jet leaves z0, z1 (hyperbolic convention), so the
-    residual is u_xt - rhs(u, u_x).
-    """
-    ux = simplify(partial(u_expr, X))
-    ut = simplify(partial(u_expr, T))
-    uxt = simplify(partial(ux, T))
-    fields = {
-        "u": u_expr,
-        "u_x": ux,
-        "u_t": ut,
-        "u_xx": simplify(partial(ux, X)),
-        "u_xt": uxt,
-        "u_tt": simplify(partial(ut, T)),
-    }
-    on_solution = substitute(rhs, {z(0): u_expr, z(1): ux})
-    res = simplify(uxt - on_solution)
-    return AnalyticSolution(
-        equation=equation,
-        residual=Evaluable(res),
-        **{k: Evaluable(v) for k, v in fields.items()},
-    )
+def _from_expr(u_expr):
+    """The solution record of a closed form u(x, t)."""
+    ux, ut = simplify(partial(u_expr, X)), simplify(partial(u_expr, T))
+    return AnalyticSolution(*map(Evaluable, (
+        u_expr, ux, ut, partial(ux, X), partial(ux, T), partial(ut, T))))
 
 
 def sg_kink(a: float) -> AnalyticSolution:
@@ -118,34 +106,35 @@ def sg_kink(a: float) -> AnalyticSolution:
         raise ConstraintError("a", "kink speed must be nonzero")
     a = float(a)
     theta = Const(a) * X + T / Const(a)
-    u = simplify(Const(4) * arctan(exp(theta)))
-    return _from_expr(u, _sin(z(0)), equation="u_xt = sin(u)")
+    return _from_expr(simplify(Const(4) * arctan(exp(theta))))
 
 
 def linear_solution(lam: float, xi: float, tau: float, p: float,
                     C: float = 1.0) -> AnalyticSolution:
     """Exponential solution of u_xt = lam*u + xi*u_x + tau.
 
-    For lam != 0 the particular part is the constant -tau/lam; for lam = 0
-    it is -tau*x/xi, which needs xi != 0 when tau != 0.
+    The particular part is the constant -tau/lam for lam != 0, -tau*x/xi
+    for lam = 0 != xi, and tau*x*t for lam = xi = 0.
     """
     if p == 0:
         raise ConstraintError("p", "exponent coefficient must be nonzero")
     lam, xi, tau, p, C = (float(v) for v in (lam, xi, tau, p, C))
     q = (lam + xi * p) / p
     wave = Const(C) * exp(Const(p) * X + Const(q) * T)
-    if lam != 0:
-        u = simplify(wave + Const(-tau / lam))
-    elif tau == 0:
-        u = simplify(wave)
-    elif xi != 0:
-        u = simplify(wave + Const(-tau / xi) * X)
-    else:
-        raise ConstraintError(
-            "tau", "lam = xi = 0 leaves u_xt = tau with no exponential solution")
-    rhs = Const(lam) * z(0) + Const(xi) * z(1) + Const(tau)
-    return _from_expr(u, simplify(rhs),
-                      equation=f"u_xt = {lam}*u + {xi}*u_x + {tau}")
+    particular = (Const(-tau / lam) if lam else
+                  Const(-tau / xi) * X if xi else Const(tau) * X * T)
+    return _from_expr(simplify(wave + particular))
+
+
+# the exact solutions immerse offers: name -> (builder(family params under
+# their canonical names, **flags), {flag: default}); the family's equation,
+# through AnalyticSolution.residual, decides whether a pairing is used
+EXACT = {
+    "kink": (lambda params, a: sg_kink(a), {"a": 1.0}),
+    "linear": (lambda params, p, C: linear_solution(
+        params.get("lambda", 0.0), params.get("xi", 0.0),
+        params.get("tau", 0.0), p, C), {"p": 1.0, "C": 1.0}),
+}
 
 
 # ------------------------------------------------------------ grids

@@ -10,7 +10,7 @@ from pssurf import forms
 from pssurf.cli import (OPTIONS, build_parser, main, make_config, parse_grid,
                         read_config)
 from pssurf.catalog import ConstraintError
-from pssurf.solutions import SolutionGrid, sg_kink
+from pssurf.solutions import EXACT, SolutionGrid, sg_kink
 
 
 def run(capsys, *argv):
@@ -887,6 +887,99 @@ def test_linear_solution_reads_aliased_parameters(capsys, tmp_path):
     expected = report("--lambda", "1", "--xi", "0.1")
     assert report("--lambda", "1", "--zeta", "0.1") == expected
     assert report("--config", str(cfg), "--xi", "0.1") == expected
+
+
+# the six families with a closed-form immersion, each with every parameter
+# its table reads pinned; hyp-iii-xi-tau once per branch
+_IMMERSING = {
+    "sg-basic": (),
+    "sg-eta": ("--eta", "1.3"),
+    "hyp-i-qa": ("--eta", "1", "--A", "1", "--Q", "0.2"),
+    "evo-hlzero": ("--eta", "1", "--lambda", "1"),
+    "hyp-iii-lambda": _LAMBDA_FAMILY[2:],
+    "hyp-iii-xi-tau": ("--eta", "1", "--xi", "0.5", "--tau", "4"),
+    "hyp-iii-xi-tau-xi0": ("--eta", "1", "--xi", "0", "--tau", "1"),
+}
+_SOLVES = {("kink", "sg-basic"), ("kink", "sg-eta"), ("kink", "hyp-i-qa"),
+           ("linear", "hyp-iii-lambda"), ("linear", "hyp-iii-xi-tau"),
+           ("linear", "hyp-iii-xi-tau-xi0")}
+
+
+@pytest.mark.parametrize("case", sorted(_IMMERSING))
+@pytest.mark.parametrize("solution", sorted(EXACT))
+def test_exact_solution_immerses_only_where_it_solves(capsys, tmp_path,
+                                                      solution, case):
+    family = case.removesuffix("-xi0")
+    argv = ("immerse", "--family", family, *_IMMERSING[case],
+            "--solution", solution, "--grid=-0.3:0.3:-0.3:0.3:0.1",
+            "--out", str(tmp_path / "m.obj"))
+    if (solution, case) in _SOLVES:
+        code, out = run(capsys, *argv)
+        assert code in (0, 1)
+        assert out.startswith(f"family: {family}\n")
+        assert "\nresult: " in out
+        return
+    code, err = run_failing(capsys, *argv)
+    assert code == 2
+    assert err.count("\n") == 1
+    assert err.startswith(f"constraint violation: solution: {solution} does "
+                          f"not solve the equation of {family}: residual "
+                          "nonzero (relative residual ")
+
+
+def test_hyp_i_qa_takes_the_kink_only_at_a_equal_one(capsys, tmp_path):
+    # u_xt = sin(u/|A|): the kink of sin(u) solves it at A = 1 alone
+    code, err = run_failing(capsys, "immerse", "--family", "hyp-i-qa",
+                            "--eta", "1", "--A", "2", "--Q", "0.2",
+                            "--solution", "kink", "--grid=-0.3:0.3:-0.3:0.3:0.1",
+                            "--out", str(tmp_path / "m.obj"))
+    assert code == 2
+    assert "kink does not solve the equation of hyp-i-qa" in err
+
+
+def test_linear_solution_immerses_the_xi_zero_branch(capsys, tmp_path):
+    # u = exp(x) + tau*x*t solves u_xt = tau
+    def mean_k(h):
+        code, out = run(capsys, "immerse", "--family", "hyp-iii-xi-tau",
+                        "--eta", "1", "--xi", "0", "--tau", "1",
+                        "--solution", "linear",
+                        f"--grid=-0.3:0.3:-0.3:0.3:{h}",
+                        "--out", str(tmp_path / "l.obj"))
+        line = next(l for l in out.splitlines()
+                    if l.startswith("curvature |K+1|: mean "))
+        return code, out, float(line.split()[3])
+    code, out, coarse = mean_k(0.02)
+    assert "grid: 31 x 31 nodes" in out
+    code, out, fine = mean_k(0.01)
+    assert code == 0
+    assert "result: PASS" in out
+    assert coarse / fine > 3
+
+
+@pytest.mark.parametrize("grid", [(), ("--grid", "-1:1:-1:1:0.5")])
+def test_immerse_without_a_solution_names_it(capsys, tmp_path, grid):
+    code, err = run_failing(capsys, "immerse", "--family", "sg-basic", *grid,
+                            "--out", str(tmp_path / "m.obj"))
+    assert code == 2
+    assert err == ("constraint violation: solution: no solution given; use "
+                   "kink, linear, or a stored grid (.csv/.bin)\n")
+
+
+def test_dash_led_exponent_values_are_values(capsys, tmp_path, monkeypatch):
+    monkeypatch.delenv("PSSURF_CONFIG", raising=False)
+    assert (_config_of("verify", "--tau", "-1e-3")
+            == _config_of("verify", "--tau=-1e-3"))
+    assert _config_of("verify", "--tau", "-1e-3").params == {"tau": -1e-3}
+    grid = "-1:1:-1:1:5e-1"
+    assert _config_of("immerse", "--grid", grid).grid == grid
+    code, out = run(capsys, "immerse", "--family", "sg-basic",
+                    "--solution", "kink", "--grid", grid,
+                    "--out", str(tmp_path / "m.obj"))
+    assert "grid: 5 x 5 nodes, hx=0.5 ht=0.5" in out
+    code, err = run_failing(capsys, "verify", "--family", "hyp-iii-xi-tau",
+                            "--tau", "-inf")
+    assert code == 2
+    assert err == "constraint violation: tau finite: tau = -inf\n"
 
 
 def test_missing_config_file(capsys):

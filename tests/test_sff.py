@@ -354,7 +354,7 @@ def test_closed_form_is_a_view_of_the_verdict(fam, params):
     memo = next(iter(spec.verdicts.values()))
     verdict = finite_jet_obstruction(spec)
     assert verdict is memo
-    assert (form is not None) == verdict.admits_immersion
+    assert (form is not None) == (verdict.outcome is not Outcome.INCONSISTENT)
     if form is None:
         assert message == verdict.trace[-1].note
         return

@@ -8,9 +8,11 @@ import numpy as np
 import pytest
 
 from pssurf.catalog import ConstraintError, build
-from pssurf.expr import Const, parse
+from pssurf.expr import Const, Param, X, T, exp, log, parse, substitute
 from pssurf.solutions import (
+    Evaluable,
     SolutionGrid,
+    _from_expr,
     goursat_solve,
     linear_solution,
     sg_kink,
@@ -22,6 +24,14 @@ from goursat_oracle import goursat_loop
 def _points(n=100, lo=-3.0, hi=3.0, seed=11):
     rng = np.random.default_rng(seed)
     return rng.uniform(lo, hi, n), rng.uniform(lo, hi, n)
+
+
+def _residual(sol, family, **params):
+    """sol's residual against the built family's equation, at its pinned
+    parameters, as a function of x and t."""
+    spec = build(family, params)
+    pinned = {Param(k): Const(v) for k, v in spec.triple.params.items()}
+    return Evaluable(substitute(sol.residual(spec.ctx), pinned))
 
 
 # ------------------------------------------------------------ kink
@@ -38,14 +48,14 @@ def test_kink_residual_vanishes():
     k = sg_kink(1.0)
     x, t = _points()
     scale = 1.0 + np.abs(k.u(x, t))
-    assert (np.abs(k.residual(x, t)) / scale).max() < 1e-12
+    assert (np.abs(_residual(k, "sg-basic")(x, t)) / scale).max() < 1e-12
 
 
 def test_kink_other_speeds_still_solve():
     for a in (0.5, -2.0):
         k = sg_kink(a)
         x, t = _points(60)
-        assert np.abs(k.residual(x, t)).max() < 1e-10
+        assert np.abs(_residual(k, "sg-basic")(x, t)).max() < 1e-10
 
 
 def test_kink_rejects_zero_speed():
@@ -80,24 +90,50 @@ def test_linear_with_forcing_term():
     x, t = _points(50, -1.5, 1.5)
     # q = (lam + xi*p)/p = 2, particular part -tau/lam = -2
     assert np.abs(s.u(x, t) - (np.exp(x + 2 * t) - 2.0)).max() < 1e-12
-    assert np.abs(s.residual(x, t)).max() < 1e-12
+    res = _residual(s, "hyp-iii-lambda", **{"lambda": 1.0}, xi=1.0, tau=2.0)
+    assert np.abs(res(x, t)).max() < 1e-12
 
 
 def test_linear_lambda_zero_fallback():
     s = linear_solution(0.0, 2.0, 3.0, 1.0)
     x, t = _points(50, -1.0, 1.0)
-    assert np.abs(s.residual(x, t)).max() < 1e-12
+    res = _residual(s, "hyp-iii-xi-tau", xi=2.0, tau=3.0)
+    assert np.abs(res(x, t)).max() < 1e-12
+
+
+def test_linear_lambda_xi_zero_solves_u_xt_tau():
+    # u = C*exp(p*x) + tau*x*t, hyp-iii-xi-tau's xi = 0 branch
+    s = linear_solution(0.0, 0.0, 1.0, 1.0)
+    x, t = _points(50, -1.0, 1.0)
+    assert np.abs(s.u(x, t) - (np.exp(x) + x * t)).max() < 1e-12
+    res = _residual(s, "hyp-iii-xi-tau", xi=0.0, tau=1.0)
+    assert np.abs(res(x, t)).max() < 1e-12
 
 
 def test_linear_errors():
     with pytest.raises(ConstraintError):
         linear_solution(1.0, 0.0, 0.0, 0.0)
-    with pytest.raises(ConstraintError):
-        linear_solution(0.0, 0.0, 1.0, 1.0)
-    # lam = xi = tau = 0 is the homogeneous case and stays legal
-    s = linear_solution(0.0, 0.0, 0.0, 2.0)
+    # lam = xi = 0 solves u_xt = tau through its tau*x*t term
+    s = linear_solution(0.0, 0.0, 1.0, 1.0)
     x, t = _points(20, -0.5, 0.5)
-    assert np.abs(s.residual(x, t)).max() < 1e-12
+    res = _residual(s, "hyp-iii-xi-tau", xi=0.0, tau=1.0)
+    assert np.abs(res(x, t)).max() < 1e-12
+    # lam = xi = tau = 0 is the homogeneous case u_xt = 0 and stays legal
+    s = linear_solution(0.0, 0.0, 0.0, 2.0)
+    assert np.abs(_residual(s, "hyp-iii-zero")(x, t)).max() < 1e-12
+
+
+def test_residual_reads_each_kind_of_equation():
+    # the Cole-Hopf solution u = -lam*t + log(1 + exp(x + (1 + eta)*t)) of
+    # evo-hlzero's default table, u_t = u_xx + u_x^2 + eta*u_x - lam
+    u = Const(-1.0) * T + log(Const(1.0) + exp(X + Const(2.0) * T))
+    s = _from_expr(u)
+    x, t = _points(50, -1.0, 1.0)
+    res = _residual(s, "evo-hlzero", eta=1.0, **{"lambda": 1.0})
+    assert np.abs(res(x, t)).max() < 1e-12
+    # the hyperbolic reading of the same u is not zero
+    res = _residual(s, "hyp-iii-xi-tau", xi=0.0, tau=1.0)
+    assert np.abs(res(x, t)).max() > 0.1
 
 
 # ------------------------------------------------------------ Goursat
